@@ -30,10 +30,11 @@ from .matrices import (
 )
 from .traversal import (
     ALGORITHMS,
+    StackedTrees,
     TreeMatrices,
-    compute_test_vector,
-    signed_test_vector,
-    soft_attention,
+    batch_score,
+    batch_soft_attention,
+    sum_in_model_order,
 )
 from .trees import (
     BinaryDecisionTree,
@@ -42,6 +43,7 @@ from .trees import (
     TreeFormatError,
     generate_random_general_tree,
     generate_random_tree,
+    naive_traverse,
     parse_model,
     parse_tree,
     serialize_ensemble,
@@ -182,25 +184,42 @@ def cmd_flatten(args) -> int:
     return EXIT_OK
 
 
+def _naive_scores(
+    trees: Sequence[BinaryDecisionTree], X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's exit leaves and leaf values, one (instance, tree) pair at
+    a time, shaped as ``batch_score`` yields them."""
+    shape = (len(X), len(trees))
+    leaves = np.asarray([[naive_traverse(t, x) for t in trees] for x in X], dtype=np.int64)
+    leaves = leaves.reshape(shape)
+    values = [[t.leaf_values[leaf - 1] for t, leaf in zip(trees, row)] for row in leaves.tolist()]
+    return leaves, np.asarray(values, dtype=np.float64).reshape(shape)
+
+
+def _write_scores(out, leaves: np.ndarray, values: np.ndarray) -> None:
+    """``leaf value`` lines for a single tree, summed scores for an ensemble."""
+    if leaves.shape[1] == 1:
+        rows = zip(leaves[:, 0].tolist(), values[:, 0].tolist())
+        out.writelines(f"{leaf} {value:.12g}\n" for leaf, value in rows)
+    else:
+        out.writelines(f"{total:.12g}\n" for total in sum_in_model_order(values).tolist())
+
+
 def cmd_score(args) -> int:
     trees = _load_binary_trees(args.model)
     X = _load_instances(args.instances, trees[0].feature_dim)
     if args.soft and len(trees) > 1:
         raise CliError(EXIT_USAGE, "--soft works on a single tree, not an ensemble")
-    models = [TreeMatrices.build(t) for t in trees]
     out = sys.stdout
     try:
-        for x in X:
-            if args.soft:
-                s = signed_test_vector(compute_test_vector(trees[0], x))
-                dist = soft_attention(models[0], s)
-                out.write(",".join(f"{p:.12g}" for p in dist.probs) + "\n")
-            elif len(models) == 1:
-                result = ALGORITHMS[args.algo](models[0], x)
-                out.write(f"{result.leaf_index} {result.leaf_value:.12g}\n")
-            else:
-                total = sum(ALGORITHMS[args.algo](m, x).leaf_value for m in models)
-                out.write(f"{total:.12g}\n")
+        if args.soft:
+            for probs in batch_soft_attention(StackedTrees.build(trees), X):
+                out.writelines(",".join(f"{p:.12g}" for p in row) + "\n" for row in probs.tolist())
+        elif args.algo == "naive":
+            _write_scores(out, *_naive_scores(trees, X))
+        else:
+            for leaves, values in batch_score(StackedTrees.build(trees), X, args.algo):
+                _write_scores(out, leaves, values)
     except DimensionMismatchError as exc:
         raise CliError(EXIT_DATA_MISMATCH, str(exc)) from exc
     return EXIT_OK
@@ -237,7 +256,9 @@ def _first_disagreement(
     return None
 
 
-def cmd_compare(args) -> int:
+def _verified_models(args) -> tuple[list[TreeMatrices], np.ndarray] | None:
+    """Load the model and instances and check every algorithm against the
+    oracle.  Prints the first disagreement and returns None if there is one."""
     trees = _load_binary_trees(args.model)
     X = _load_instances(args.instances, trees[0].feature_dim)
     models = [TreeMatrices.build(t) for t in trees]
@@ -250,25 +271,24 @@ def cmd_compare(args) -> int:
             f"disagreement: instance={bad.instance} algorithm={bad.algorithm} "
             f"leaf={bad.leaf} (oracle leaf={bad.expected}, tree={bad.tree})"
         )
+        return None
+    return models, X
+
+
+def cmd_compare(args) -> int:
+    verified = _verified_models(args)
+    if verified is None:
         return EXIT_DISAGREEMENT
+    models, X = verified
     print(f"all algorithms agree on {len(X)} instances x {len(models)} trees")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    trees = _load_binary_trees(args.model)
-    X = _load_instances(args.instances, trees[0].feature_dim)
-    models = [TreeMatrices.build(t) for t in trees]
-    try:
-        bad = _first_disagreement(models, X)
-    except DimensionMismatchError as exc:
-        raise CliError(EXIT_DATA_MISMATCH, str(exc)) from exc
-    if bad is not None:
-        print(
-            f"disagreement: instance={bad.instance} algorithm={bad.algorithm} "
-            f"leaf={bad.leaf} (oracle leaf={bad.expected}, tree={bad.tree})"
-        )
+    verified = _verified_models(args)
+    if verified is None:
         return EXIT_DISAGREEMENT
+    models, X = verified
     rows = []
     for name, fn in ALGORITHMS.items():
         timings = []

@@ -16,6 +16,21 @@ agreeing with the recursive oracle:
 
 Test vectors mark false nodes with 1 (or +1 in signed form); ties at the
 threshold count as false.
+
+These per-vector functions take one test vector and one ``TreeMatrices``
+bundle; they are the paper's dense and bitwise forms and the reference the
+batch path is checked against.  ``batch_score`` is the batch path: it
+stacks a model's trees into one ``StackedTrees``, computes the test matrix
+of a chunk of instances with one product over every node of every tree, and
+gets each algorithm's score vectors in span form.  Every column of right,
+left and P is constant on the leaf ranges ``[lo, mid)`` and ``[mid, hi)``
+of its node, so ``right @ t``, ``left @ (1 - t)`` and ``P s`` are prefix
+sums of a difference array with two or three entries per node: O(N + L)
+exact int64 work per instance instead of O(N * L).  Each tree's exit leaf is
+its first leaf meeting the algorithm's selection rule, and an ensemble's
+leaf values are added column by column in model order, from 0.0, as
+Python's ``sum`` adds them.  ``naive`` has no batch form: the recursive
+descent runs once per (instance, tree) pair, because it is the oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,8 +54,11 @@ from .trees import BinaryDecisionTree, DimensionMismatchError, naive_traverse
 
 __all__ = [
     "ALGORITHMS",
+    "StackedTrees",
     "TraversalResult",
     "TreeMatrices",
+    "batch_score",
+    "batch_soft_attention",
     "compute_test_matrix",
     "compute_test_vector",
     "delta_traverse",
@@ -56,7 +74,13 @@ __all__ = [
     "sign_traverse",
     "signed_test_vector",
     "soft_attention",
+    "sum_in_model_order",
 ]
+
+# Instances per batch chunk are sized so that an (instances x stacked leaves)
+# array holds about this many entries, 256 KiB of int64; the scatter's index
+# and weight arrays, with up to three entries per node, stay under 1 MiB.
+CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -133,13 +157,21 @@ def compute_test_vector(tree: BinaryDecisionTree, x) -> np.ndarray:
     return (tree.weight_matrix @ x <= tree.thresholds).astype(np.int64)
 
 
-def compute_test_matrix(tree: BinaryDecisionTree, X) -> np.ndarray:
-    """Batch form of ``compute_test_vector``: one row of outcomes per instance."""
+def _instance_matrix(tree, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.feature_dim:
         raise DimensionMismatchError(
             f"instance matrix has shape {X.shape}, expected (*, {tree.feature_dim})"
         )
+    return X
+
+
+def compute_test_matrix(tree: BinaryDecisionTree | StackedTrees, X) -> np.ndarray:
+    """Batch form of ``compute_test_vector``: one row of outcomes per instance.
+
+    A ``StackedTrees`` gives the outcomes of every node of every tree.
+    """
+    X = _instance_matrix(tree, X)
     return (X @ tree.weight_matrix.T <= tree.thresholds).astype(np.int64)
 
 
@@ -255,13 +287,43 @@ def delta_traverse(mats: TreeMatrices, s) -> float:
     return float(mats.leaf_values[v == 0].sum())
 
 
+def _span_sums(spans: np.ndarray, num_leaves: int, terms) -> np.ndarray:
+    """Per-leaf sums of node terms that start at a leaf-span boundary.
+
+    ``terms`` are ``(k, weights)`` pairs: node j adds ``weights[r, j]`` to
+    row r of every leaf from its boundary ``spans[j, k]`` (0 = lo, 1 = mid,
+    2 = hi) onwards, and each node's terms must sum to zero.  The terms are
+    scattered into a difference array with ``np.bincount`` and summed into
+    place by one prefix sum over all rows, which is back at zero at the end
+    of every row.  Every value is a small integer, so the float64 scatter is
+    exact and the sum runs in int64.
+    """
+    rows = len(terms[0][1])
+    width = num_leaves + 1
+    boundaries = spans.T[[k for k, _ in terms]]
+    index = np.arange(0, rows * width, width)[:, None, None] + boundaries
+    weights = np.stack([w for _, w in terms], axis=1)
+    diff = np.bincount(index.ravel(), weights.ravel(), minlength=rows * width)
+    return np.cumsum(diff.astype(np.int64)).reshape(rows, width)[:, :-1]
+
+
+def _signed_scores(spans: np.ndarray, num_leaves: int, s: np.ndarray) -> np.ndarray:
+    """P s for each row of s: -s on a node's left leaves [lo, mid), +s on
+    its right leaves [mid, hi)."""
+    return _span_sums(spans, num_leaves, [(0, -s), (1, 2 * s), (2, -s)])
+
+
+def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
 def soft_attention(mats: TreeMatrices, s) -> LeafDistribution:
     """Softmax of inv(D) P s: a smooth distribution over leaves whose argmax
-    is the hard exit leaf."""
+    is the hard exit leaf.  P s is computed in span form as a batch of one."""
     s = np.asarray(s, dtype=np.int64)
-    scores = (mats.signed @ s) / mats.depths
-    shifted = np.exp(scores - scores.max())
-    return LeafDistribution(shifted / shifted.sum())
+    scores = _signed_scores(mats.tree.span_array, mats.num_leaves, s[None, :])
+    return LeafDistribution(_softmax_rows(scores / mats.depths)[0])
 
 
 def scaled_argmax_invariance_check(mats: TreeMatrices, t, scale) -> bool:
@@ -381,3 +443,148 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
         ) from None
     return float(sum(fn(mats, x).leaf_value for mats in models))
+
+
+
+# ---------------------------------------------------------------------------
+# The batch path: every tree of a model at once, over chunks of instances.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class StackedTrees:
+    """A model's trees on one node axis and one leaf axis.
+
+    ``weight_matrix`` and ``thresholds`` stack every tree's predicates, so
+    ``compute_test_matrix`` tests every node of every tree in one product.
+    ``spans`` holds each node's ``(lo, mid, hi)`` offset onto the shared leaf
+    axis, on which tree k's leaves start at ``leaf_starts[k]``.
+    """
+
+    feature_dim: int
+    weight_matrix: np.ndarray
+    thresholds: np.ndarray
+    spans: np.ndarray
+    leaf_depths: np.ndarray
+    leaf_values: np.ndarray
+    leaf_starts: np.ndarray
+
+    @classmethod
+    def build(cls, trees: Sequence[BinaryDecisionTree]) -> "StackedTrees":
+        if not trees:
+            raise ValueError("a model needs at least one tree")
+        dims = {t.feature_dim for t in trees}
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"trees disagree on feature_dim {sorted(dims)}")
+        starts = np.cumsum([0] + [t.num_leaves for t in trees[:-1]])
+        return cls(
+            feature_dim=dims.pop(),
+            weight_matrix=np.concatenate([t.weight_matrix for t in trees]),
+            thresholds=np.concatenate([t.thresholds for t in trees]),
+            spans=np.concatenate([t.span_array + lo for t, lo in zip(trees, starts)]),
+            leaf_depths=np.concatenate([t.leaf_depths for t in trees]),
+            leaf_values=np.concatenate([t.leaf_values for t in trees]),
+            leaf_starts=starts,
+        )
+
+    @property
+    def num_leaves(self) -> int:
+        return len(self.leaf_values)
+
+
+def _test_matrices(model: StackedTrees, X) -> Iterator[np.ndarray]:
+    """``compute_test_matrix`` over chunks of rows of X, sized by CHUNK_ENTRIES."""
+    X = _instance_matrix(model, X)
+    step = max(1, CHUNK_ENTRIES // (model.num_leaves + 1))
+    for start in range(0, len(X), step):
+        yield compute_test_matrix(model, X[start : start + step])
+
+
+def _right_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
+    """Leaves that no false node excludes: +t at lo, -t at mid counts the
+    false nodes with the leaf in their left subtree, i.e. sum(t) - right @ t;
+    zero where right @ t is largest."""
+    misses = _span_sums(model.spans, model.num_leaves, [(0, t), (1, -t)])
+    return misses == 0
+
+
+def _dual_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
+    """Leaves that no node excludes: N - (right @ t + left @ (1 - t)) is zero
+    only where every node votes for the leaf."""
+    terms = [(0, t), (1, 1 - 2 * t), (2, t - 1)]
+    return _span_sums(model.spans, model.num_leaves, terms) == 0
+
+
+def _signed_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
+    """Leaves whose codeword agrees with s on every ancestor: P s = d."""
+    ps = _signed_scores(model.spans, model.num_leaves, signed_test_vector(t))
+    return ps == model.leaf_depths
+
+
+# algorithm: (selection rule, whether each tree needs exactly one hit)
+_BATCH_RULES = {
+    "qs": (_right_hits, False),
+    "dual": (_dual_hits, True),
+    "matrix": (_right_hits, False),
+    "dualmatrix": (_dual_hits, True),
+    "sign": (_signed_hits, True),
+    "ecoc": (_signed_hits, False),
+    "delta": (_signed_hits, True),
+}
+
+
+def _first_hits(hits: np.ndarray, starts: np.ndarray, unique: bool, algorithm: str) -> np.ndarray:
+    """Position of each tree's first hit on the stacked leaf axis, one row
+    per instance; raises unless each tree has a hit (exactly one if unique)."""
+    counts = np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
+    bad = counts != 1 if unique else counts == 0
+    if bad.any():
+        row, tree = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{algorithm} traversal found {counts[row, tree]} exit leaves in "
+            f"tree {tree}; corrupt model?"
+        )
+    width = hits.shape[1]
+    return np.minimum.reduceat(np.where(hits, np.arange(width), width), starts, axis=1)
+
+
+def batch_score(
+    model: StackedTrees, X, algorithm: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exit leaves of every tree for the rows of X, one chunk at a time.
+
+    Yields ``(leaves, values)`` per chunk of rows: ``leaves[i, k]`` is tree
+    k's 1-based exit leaf for row i and ``values[i, k]`` its leaf value.
+    """
+    try:
+        select, unique = _BATCH_RULES[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"no batch form for {algorithm!r}; choose from {sorted(_BATCH_RULES)}"
+        ) from None
+    for t in _test_matrices(model, X):
+        first = _first_hits(select(model, t), model.leaf_starts, unique, algorithm)
+        yield first - model.leaf_starts + 1, model.leaf_values[first]
+
+
+def batch_soft_attention(model: StackedTrees, X) -> Iterator[np.ndarray]:
+    """``soft_attention`` for the rows of X, one chunk at a time: yields an
+    (instances x leaves) array of probabilities per chunk.  Single trees only."""
+    if len(model.leaf_starts) != 1:
+        raise ValueError("soft attention works on a single tree, not an ensemble")
+    for t in _test_matrices(model, X):
+        ps = _signed_scores(model.spans, model.num_leaves, signed_test_vector(t))
+        yield _softmax_rows(ps / model.leaf_depths)
+
+
+def sum_in_model_order(values: np.ndarray) -> np.ndarray:
+    """Row totals of per-tree leaf values, added column by column from 0.0.
+
+    This is the order in which ``sum`` adds floats on Python 3.11 and
+    earlier; Python 3.12 compensates its float sums, which can change the
+    last bit.
+    """
+    total = np.zeros(len(values))
+    for column in values.T:
+        total += column
+    return total

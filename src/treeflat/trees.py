@@ -180,6 +180,12 @@ class BinaryDecisionTree:
     def leaf_spans(self) -> list[tuple[int, int, int]]:
         return self._spans
 
+    @cached_property
+    def span_array(self) -> np.ndarray:
+        """``leaf_spans`` as an int64 array with one ``(lo, mid, hi)`` row per
+        internal node."""
+        return np.asarray(self._spans, dtype=np.int64).reshape(-1, 3)
+
     @property
     def leaf_depths(self) -> np.ndarray:
         return np.asarray(self._depths, dtype=np.int64)

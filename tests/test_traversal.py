@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,11 @@ from hypothesis import strategies as st
 from conftest import all_shapes, enumerate_paths, instance_for_tests
 from treeflat import (
     ALGORITHMS,
+    DimensionMismatchError,
+    StackedTrees,
     TreeMatrices,
+    batch_score,
+    batch_soft_attention,
     compute_test_matrix,
     compute_test_vector,
     delta_traverse,
@@ -27,7 +33,9 @@ from treeflat import (
     sign_traverse,
     signed_test_vector,
     soft_attention,
+    sum_in_model_order,
 )
+from treeflat import traversal
 
 ARITHMETIC = [name for name in ALGORITHMS if name != "naive"]
 
@@ -338,6 +346,15 @@ class TestSoftAttention:
 
     @settings(max_examples=50, deadline=None)
     @given(args=tree_and_inputs)
+    def test_span_form_equals_dense_softmax(self, args):
+        tree, mats, x = build_random_case(*args)
+        s = signed_test_vector(compute_test_vector(tree, x))
+        scores = (mats.signed @ s) / mats.depths
+        shifted = np.exp(scores - scores.max())
+        np.testing.assert_array_equal(soft_attention(mats, s).probs, shifted / shifted.sum())
+
+    @settings(max_examples=50, deadline=None)
+    @given(args=tree_and_inputs)
     def test_sums_to_one_and_matches_hard_leaf(self, args):
         tree, mats, x = build_random_case(*args)
         s = signed_test_vector(compute_test_vector(tree, x))
@@ -445,3 +462,91 @@ class TestRegistry:
             result = fn(mats, x)
             assert result.leaf_index == expected, name
             assert result.leaf_value == tree.leaf_values[expected - 1]
+
+
+def instances_with_ties(trees, count, seed):
+    """Random instances where every other row puts one node's feature exactly
+    on its threshold, a tie that must count as a false test."""
+    X = random_instances(count, trees[0].feature_dim, seed)
+    nodes = [n.predicate for t in trees for n in t.internal_nodes]
+    for i in range(0, count, 2):
+        predicate = nodes[i % len(nodes)]
+        X[i, predicate.one_hot_feature] = predicate.threshold
+    return X
+
+
+class TestBatchScore:
+    ROWS_PER_CHUNK = 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(args=tree_and_inputs, count=st.integers(1, 5))
+    def test_matches_oracle_per_pair_and_sums_in_model_order(self, args, count):
+        depth, tree_seed, x_seed = args
+        seeds = np.random.default_rng(tree_seed).integers(0, 2**31, size=count)
+        trees = [generate_random_tree(depth, 4, int(seed)) for seed in seeds]
+        model = StackedTrees.build(trees)
+        step = self.ROWS_PER_CHUNK
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traversal, "CHUNK_ENTRIES", step * (model.num_leaves + 1))
+            for n in (0, 1, step + 1):
+                X = instances_with_ties(trees, n, x_seed)
+                oracle = np.asarray(
+                    [[naive_traverse(t, x) for t in trees] for x in X], dtype=np.int64
+                ).reshape(n, count)
+                for name in ARITHMETIC:
+                    chunks = list(batch_score(model, X, name))
+                    assert len(chunks) == math.ceil(n / step), name
+                    leaves = np.vstack([np.zeros((0, count), np.int64)] + [c[0] for c in chunks])
+                    values = np.vstack([np.zeros((0, count))] + [c[1] for c in chunks])
+                    np.testing.assert_array_equal(leaves, oracle, err_msg=name)
+                    expected = [
+                        [float(t.leaf_values[leaf - 1]) for t, leaf in zip(trees, row)]
+                        for row in oracle.tolist()
+                    ]
+                    np.testing.assert_array_equal(values, np.reshape(expected, (n, count)))
+                    for row, total in zip(expected, sum_in_model_order(values).tolist()):
+                        # Left to right from 0, as sum() adds floats up to Python 3.11.
+                        folded = 0
+                        for value in row:
+                            folded += value
+                        assert total == folded, name
+                if count == 1:
+                    mats = TreeMatrices.build(trees[0])
+                    probs = list(batch_soft_attention(model, X))
+                    got = np.vstack([np.zeros((0, model.num_leaves))] + probs)
+                    for x, row in zip(X, got):
+                        s = signed_test_vector(compute_test_vector(trees[0], x))
+                        np.testing.assert_array_equal(row, soft_attention(mats, s).probs)
+
+    def test_signed_forms_raise_without_a_consensus_leaf(self, six_leaf_tree):
+        model = StackedTrees.build([six_leaf_tree])
+        corrupt = dataclasses.replace(model, leaf_depths=model.leaf_depths + 1)
+        X = random_instances(4, 5, 2)
+        for name in ("sign", "ecoc", "delta"):
+            with pytest.raises(ValueError, match="found 0 exit leaves"):
+                list(batch_score(corrupt, X, name))
+
+    def test_dual_forms_raise_on_two_hits(self, six_leaf_tree):
+        # Node 1 splits leaves 1 and 2; with its span emptied nothing tells
+        # them apart, so an instance bound for leaf 1 hits both.
+        model = StackedTrees.build([six_leaf_tree])
+        spans = model.spans.copy()
+        spans[1] = 0
+        corrupt = dataclasses.replace(model, spans=spans)
+        X = instance_for_tests(six_leaf_tree, [1, 1, 0, 0, 0])[None, :]
+        for name in ("dual", "dualmatrix"):
+            with pytest.raises(ValueError, match="found 2 exit leaves"):
+                list(batch_score(corrupt, X, name))
+        [(leaves, _)] = batch_score(corrupt, X, "qs")
+        assert leaves.tolist() == [[1]]
+
+    def test_naive_and_unknown_names_have_no_batch_form(self, six_leaf_tree):
+        model = StackedTrees.build([six_leaf_tree])
+        for name in ("naive", "fastest"):
+            with pytest.raises(ValueError, match="no batch form"):
+                list(batch_score(model, np.zeros((1, 5)), name))
+
+    def test_dimension_mismatch_raises_even_without_rows(self, six_leaf_tree):
+        model = StackedTrees.build([six_leaf_tree])
+        with pytest.raises(DimensionMismatchError):
+            list(batch_score(model, np.zeros((0, 4)), "qs"))
