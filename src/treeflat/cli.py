@@ -5,6 +5,11 @@ instances with a chosen algorithm, ``compare`` cross-checks every algorithm
 against the recursive oracle, ``bench`` measures throughput, and ``gen``
 writes random models plus matching instance files.
 
+``score``, ``compare`` and ``bench`` run every arithmetic algorithm as
+``batch_score``, so ``compare`` checks and ``bench`` times what ``score``
+runs; ``naive`` is the per-pair oracle.  The per-vector traversals are the
+reference the tests check, and no command calls them.
+
 Exit codes: 0 success, 1 algorithms disagreed, 2 usage or parse error,
 3 invalid model, 4 instance data does not fit the model.
 """
@@ -31,7 +36,6 @@ from .matrices import (
 from .traversal import (
     ALGORITHMS,
     StackedTrees,
-    TreeMatrices,
     batch_score,
     batch_soft_attention,
     sum_in_model_order,
@@ -243,27 +247,32 @@ class BenchRow:
 
 
 def _first_disagreement(
-    models: Sequence[TreeMatrices], X: np.ndarray
+    trees: Sequence[BinaryDecisionTree], model: StackedTrees, X: np.ndarray
 ) -> Disagreement | None:
+    """The first (instance, tree, algorithm in ``ALGORITHMS`` order) where a
+    batch misses the oracle; batches run in lockstep, one chunk in memory."""
     names = [n for n in ALGORITHMS if n != "naive"]
-    for i, x in enumerate(X):
-        for k, mats in enumerate(models):
-            expected = ALGORITHMS["naive"](mats, x).leaf_index
-            for name in names:
-                leaf = ALGORITHMS[name](mats, x).leaf_index
-                if leaf != expected:
-                    return Disagreement(i, name, leaf, expected, k)
+    expected, _ = _naive_scores(trees, X)
+    start = 0
+    for chunks in zip(*(batch_score(model, X, name) for name in names)):
+        got = np.stack([leaves for leaves, _ in chunks], axis=2)
+        oracle = expected[start : start + len(got)]
+        bad = np.argwhere(got != oracle[:, :, None])
+        if len(bad):
+            i, k, a = bad[0].tolist()
+            return Disagreement(start + i, names[a], int(got[i, k, a]), int(oracle[i, k]), k)
+        start += len(got)
     return None
 
 
-def _verified_models(args) -> tuple[list[TreeMatrices], np.ndarray] | None:
+def _verified_models(args) -> tuple[list[BinaryDecisionTree], StackedTrees, np.ndarray] | None:
     """Load the model and instances and check every algorithm against the
     oracle.  Prints the first disagreement and returns None if there is one."""
     trees = _load_binary_trees(args.model)
     X = _load_instances(args.instances, trees[0].feature_dim)
-    models = [TreeMatrices.build(t) for t in trees]
+    model = StackedTrees.build(trees)
     try:
-        bad = _first_disagreement(models, X)
+        bad = _first_disagreement(trees, model, X)
     except DimensionMismatchError as exc:
         raise CliError(EXIT_DATA_MISMATCH, str(exc)) from exc
     if bad is not None:
@@ -272,15 +281,15 @@ def _verified_models(args) -> tuple[list[TreeMatrices], np.ndarray] | None:
             f"leaf={bad.leaf} (oracle leaf={bad.expected}, tree={bad.tree})"
         )
         return None
-    return models, X
+    return trees, model, X
 
 
 def cmd_compare(args) -> int:
     verified = _verified_models(args)
     if verified is None:
         return EXIT_DISAGREEMENT
-    models, X = verified
-    print(f"all algorithms agree on {len(X)} instances x {len(models)} trees")
+    trees, _, X = verified
+    print(f"all algorithms agree on {len(X)} instances x {len(trees)} trees")
     return EXIT_OK
 
 
@@ -288,15 +297,17 @@ def cmd_bench(args) -> int:
     verified = _verified_models(args)
     if verified is None:
         return EXIT_DISAGREEMENT
-    models, X = verified
+    trees, model, X = verified
     rows = []
-    for name, fn in ALGORITHMS.items():
+    for name in ALGORITHMS:
         timings = []
         for _ in range(args.repeat):
             start = time.perf_counter_ns()
-            for x in X:
-                for mats in models:
-                    fn(mats, x)
+            if name == "naive":
+                _naive_scores(trees, X)
+            else:
+                for _chunk in batch_score(model, X, name):
+                    pass
             timings.append(time.perf_counter_ns() - start)
         total_ns = int(median(timings))
         per_second = len(X) / (total_ns / 1e9) if total_ns else float("inf")

@@ -80,10 +80,6 @@ def leaf_probabilities_log(m) -> LeafDistribution:
     return LeafDistribution(np.exp(np.log(m).sum(axis=1)))
 
 
-def _placeholder_predicate(dim: int) -> Predicate:
-    return Predicate.one_hot(0, 0.0, dim)
-
-
 def convert_general_to_binary(
     tree: GeneralTree,
 ) -> tuple[BinaryDecisionTree, np.ndarray]:
@@ -115,7 +111,7 @@ def convert_general_to_binary(
             else:
                 right = chain(i + 1, remaining - float(weights[i]))
             p = float(weights[i]) / remaining if remaining > 0.0 else 0.5
-            split = Internal(_placeholder_predicate(dim), left, right)
+            split = Internal(Predicate.one_hot(0, 0.0, dim), left, right)
             prob_of[id(split)] = min(max(p, 0.0), 1.0)
             return split
 

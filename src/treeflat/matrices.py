@@ -258,10 +258,6 @@ def prune_leaf(m: BitMatrix, leaf: int) -> BitMatrix:
     return BitMatrix(out)
 
 
-def _placeholder_predicate() -> Predicate:
-    return Predicate.one_hot(0, 0.0, 1)
-
-
 def recover_tree(m: BitMatrix, kind: str) -> BinaryDecisionTree:
     """Rebuild the tree shape whose ``kind`` matrix equals ``m`` exactly.
 
@@ -327,7 +323,7 @@ def recover_tree(m: BitMatrix, kind: str) -> BinaryDecisionTree:
                     f"column {j} straddles the split at leaf row {mid}"
                 )
         return Internal(
-            _placeholder_predicate(),
+            Predicate.one_hot(0, 0.0, 1),
             build(left_cols, lo, mid),
             build(right_cols, mid, hi),
         )

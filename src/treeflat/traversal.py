@@ -19,18 +19,24 @@ threshold count as false.
 
 These per-vector functions take one test vector and one ``TreeMatrices``
 bundle; they are the paper's dense and bitwise forms and the reference the
-batch path is checked against.  ``batch_score`` is the batch path: it
-stacks a model's trees into one ``StackedTrees``, computes the test matrix
-of a chunk of instances with one product over every node of every tree, and
-gets each algorithm's score vectors in span form.  Every column of right,
-left and P is constant on the leaf ranges ``[lo, mid)`` and ``[mid, hi)``
-of its node, so ``right @ t``, ``left @ (1 - t)`` and ``P s`` are prefix
-sums of a difference array with two or three entries per node: O(N + L)
-exact int64 work per instance instead of O(N * L).  Each tree's exit leaf is
-its first leaf meeting the algorithm's selection rule, and an ensemble's
-leaf values are added column by column in model order, from 0.0, as
-Python's ``sum`` adds them.  ``naive`` has no batch form: the recursive
-descent runs once per (instance, tree) pair, because it is the oracle.
+tests check the batch path against.  One table gives each algorithm one
+row: its per-vector selector, whether that reads the signed test vector,
+its batch hit rule, and whether each tree needs exactly one hit.
+``ALGORITHMS`` and ``batch_score`` both read it.
+
+``batch_score`` is the batch path, the one ``treeflat score`` runs,
+``compare`` checks and ``bench`` times.  It stacks a model's trees into one
+``StackedTrees``, computes the test matrix of a chunk of instances with one
+product over every node of every tree, and gets each algorithm's score
+vectors in span form.  Every column of right, left and P is constant on the
+leaf ranges ``[lo, mid)`` and ``[mid, hi)`` of its node, so ``right @ t``,
+``left @ (1 - t)`` and ``P s`` are prefix sums of a difference array with
+two or three entries per node: O(N + L) exact int64 work per instance
+instead of O(N * L).  Each tree's exit leaf is its first leaf meeting the
+algorithm's selection rule, and an ensemble's leaf values are added column
+by column in model order, from 0.0, as Python's ``sum`` adds them.
+``naive`` has no batch form: the recursive descent runs once per
+(instance, tree) pair, because it is the oracle.
 """
 
 from __future__ import annotations
@@ -276,15 +282,23 @@ def ecoc_traverse(mats: TreeMatrices, s) -> TraversalResult:
     raise ValueError("no leaf codeword matched the signed test vector; corrupt matrices?")
 
 
-def delta_traverse(mats: TreeMatrices, s) -> float:
-    """Sum of leaf values weighted by the zero indicator of v = P s - d.
+def _delta_rows(mats: TreeMatrices, s) -> np.ndarray:
+    """Rows where v = P s - d is 0; all integers, so the test is exact."""
+    return np.flatnonzero(mats.signed @ np.asarray(s, dtype=np.int64) - mats.depths == 0)
 
-    All quantities are integers, so the indicator compares against exact 0;
-    exactly one entry is zero for a well-formed input.
-    """
-    s = np.asarray(s, dtype=np.int64)
-    v = mats.signed @ s - mats.depths
-    return float(mats.leaf_values[v == 0].sum())
+
+def delta_traverse(mats: TreeMatrices, s) -> float:
+    """Sum of leaf values weighted by the zero indicator of v = P s - d;
+    exactly one entry is zero for a well-formed input."""
+    return float(mats.leaf_values[_delta_rows(mats, s)].sum())
+
+
+def _delta_leaf(mats: TreeMatrices, s) -> TraversalResult:
+    """``delta_traverse`` as a leaf choice: the one zero of P s - d."""
+    rows = _delta_rows(mats, s)
+    if rows.size != 1:
+        raise ValueError(f"delta traversal found {rows.size} zero entries; corrupt matrices?")
+    return mats._result(int(rows[0]))
 
 
 def _span_sums(spans: np.ndarray, num_leaves: int, terms) -> np.ndarray:
@@ -373,80 +387,6 @@ def mips_leaf_search(leaf_vectors: np.ndarray, query) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Name-keyed entry points over raw feature vectors, shared by the ensemble
-# scorer and the command-line tools.
-# ---------------------------------------------------------------------------
-
-
-def _naive(mats: TreeMatrices, x) -> TraversalResult:
-    leaf = naive_traverse(mats.tree, x)
-    return TraversalResult(leaf, float(mats.leaf_values[leaf - 1]))
-
-
-def _qs(mats: TreeMatrices, x) -> TraversalResult:
-    return quickscorer_traverse(mats, compute_test_vector(mats.tree, x))
-
-
-def _dual(mats: TreeMatrices, x) -> TraversalResult:
-    return dual_traverse(mats, compute_test_vector(mats.tree, x))
-
-
-def _matrix(mats: TreeMatrices, x) -> TraversalResult:
-    return matrix_traverse(mats, compute_test_vector(mats.tree, x))
-
-
-def _dual_matrix(mats: TreeMatrices, x) -> TraversalResult:
-    return dual_matrix_traverse(mats, compute_test_vector(mats.tree, x))
-
-
-def _sign(mats: TreeMatrices, x) -> TraversalResult:
-    return sign_traverse(mats, signed_test_vector(compute_test_vector(mats.tree, x)))
-
-
-def _ecoc(mats: TreeMatrices, x) -> TraversalResult:
-    return ecoc_traverse(mats, signed_test_vector(compute_test_vector(mats.tree, x)))
-
-
-def _delta(mats: TreeMatrices, x) -> TraversalResult:
-    s = signed_test_vector(compute_test_vector(mats.tree, x))
-    v = mats.signed @ s - mats.depths
-    hits = np.flatnonzero(v == 0)
-    if hits.size != 1:
-        raise ValueError(
-            f"delta traversal found {hits.size} zero entries; corrupt matrices?"
-        )
-    return mats._result(int(hits[0]))
-
-
-ALGORITHMS: dict[str, Callable[[TreeMatrices, np.ndarray], TraversalResult]] = {
-    "naive": _naive,
-    "qs": _qs,
-    "dual": _dual,
-    "matrix": _matrix,
-    "dualmatrix": _dual_matrix,
-    "sign": _sign,
-    "ecoc": _ecoc,
-    "delta": _delta,
-}
-
-
-def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
-    """Sum of per-tree exit leaf values under the named algorithm.
-
-    The reduction order is the model order, so results are deterministic;
-    an empty ensemble scores 0.
-    """
-    try:
-        fn = ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        ) from None
-    return float(sum(fn(mats, x).leaf_value for mats in models))
-
-
-
-# ---------------------------------------------------------------------------
 # The batch path: every tree of a model at once, over chunks of instances.
 # ---------------------------------------------------------------------------
 
@@ -521,18 +461,6 @@ def _signed_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     return ps == model.leaf_depths
 
 
-# algorithm: (selection rule, whether each tree needs exactly one hit)
-_BATCH_RULES = {
-    "qs": (_right_hits, False),
-    "dual": (_dual_hits, True),
-    "matrix": (_right_hits, False),
-    "dualmatrix": (_dual_hits, True),
-    "sign": (_signed_hits, True),
-    "ecoc": (_signed_hits, False),
-    "delta": (_signed_hits, True),
-}
-
-
 def _first_hits(hits: np.ndarray, starts: np.ndarray, unique: bool, algorithm: str) -> np.ndarray:
     """Position of each tree's first hit on the stacked leaf axis, one row
     per instance; raises unless each tree has a hit (exactly one if unique)."""
@@ -548,6 +476,70 @@ def _first_hits(hits: np.ndarray, starts: np.ndarray, unique: bool, algorithm: s
     return np.minimum.reduceat(np.where(hits, np.arange(width), width), starts, axis=1)
 
 
+# ---------------------------------------------------------------------------
+# The algorithm table, read by the ensemble scorer, ``batch_score`` and the
+# command-line tools.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    """One row of the algorithm table.  The selector reads t, or s = 2t - 1
+    if ``signed``; the oracle has no batch ``hits`` rule and reads x itself.
+    A batch exits each tree at its first hit, which must be its only one if
+    ``unique``."""
+
+    select: Callable[[TreeMatrices, np.ndarray], TraversalResult]
+    signed: bool = False
+    hits: Callable[[StackedTrees, np.ndarray], np.ndarray] | None = None
+    unique: bool = False
+
+    def per_vector(self) -> Callable[[TreeMatrices, np.ndarray], TraversalResult]:
+        """The selector over one raw feature vector, as a plain function:
+        ``ensemble_score`` calls it once per tree."""
+        select = self.select
+        if self.hits is None:
+            return select
+        if self.signed:
+            return lambda mats, x: select(mats, signed_test_vector(compute_test_vector(mats.tree, x)))
+        return lambda mats, x: select(mats, compute_test_vector(mats.tree, x))
+
+
+def _naive(mats: TreeMatrices, x) -> TraversalResult:
+    return mats._result(naive_traverse(mats.tree, x) - 1)
+
+
+_TABLE = {
+    "naive": _Algorithm(_naive),
+    "qs": _Algorithm(quickscorer_traverse, hits=_right_hits),
+    "dual": _Algorithm(dual_traverse, hits=_dual_hits, unique=True),
+    "matrix": _Algorithm(matrix_traverse, hits=_right_hits),
+    "dualmatrix": _Algorithm(dual_matrix_traverse, hits=_dual_hits, unique=True),
+    "sign": _Algorithm(sign_traverse, signed=True, hits=_signed_hits, unique=True),
+    "ecoc": _Algorithm(ecoc_traverse, signed=True, hits=_signed_hits),
+    "delta": _Algorithm(_delta_leaf, signed=True, hits=_signed_hits, unique=True),
+}
+
+ALGORITHMS: dict[str, Callable[[TreeMatrices, np.ndarray], TraversalResult]] = {
+    name: row.per_vector() for name, row in _TABLE.items()
+}
+
+
+def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
+    """Sum of per-tree exit leaf values under the named algorithm.
+
+    The reduction order is the model order, so results are deterministic;
+    an empty ensemble scores 0.
+    """
+    try:
+        fn = ALGORITHMS[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
+        ) from None
+    return float(sum(fn(mats, x).leaf_value for mats in models))
+
+
 def batch_score(
     model: StackedTrees, X, algorithm: str
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -556,14 +548,13 @@ def batch_score(
     Yields ``(leaves, values)`` per chunk of rows: ``leaves[i, k]`` is tree
     k's 1-based exit leaf for row i and ``values[i, k]`` its leaf value.
     """
-    try:
-        select, unique = _BATCH_RULES[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"no batch form for {algorithm!r}; choose from {sorted(_BATCH_RULES)}"
-        ) from None
+    rule = _TABLE.get(algorithm)
+    if rule is None or rule.hits is None:
+        batched = sorted(name for name, row in _TABLE.items() if row.hits)
+        raise ValueError(f"no batch form for {algorithm!r}; choose from {batched}")
     for t in _test_matrices(model, X):
-        first = _first_hits(select(model, t), model.leaf_starts, unique, algorithm)
+        first = _first_hits(rule.hits(model, t), model.leaf_starts, rule.unique, algorithm)
+        del t  # `compare` suspends one generator per algorithm; none keeps its chunk
         yield first - model.leaf_starts + 1, model.leaf_values[first]
 
 

@@ -534,33 +534,37 @@ def _parse_document(doc) -> BinaryDecisionTree | GeneralTree:
     return GeneralTree(_parse_general_node(doc["root"], "root"), dim)
 
 
-def parse_tree(text: str) -> BinaryDecisionTree | GeneralTree:
-    """Parse a single-tree JSON document.
-
-    Numbering is rebuilt from the structure.  Raises ``TreeFormatError`` on
-    malformed documents, including internal nodes with a missing child.
-    """
+def _parse_text(text: str, single: bool) -> list[BinaryDecisionTree | GeneralTree]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TreeFormatError(f"invalid JSON: {exc}") from exc
-    if isinstance(doc, dict) and doc.get("type") == "ensemble":
-        raise TreeFormatError("expected a single tree document, got an ensemble")
-    return _parse_document(doc)
-
-
-def parse_model(text: str) -> list[BinaryDecisionTree | GeneralTree]:
-    """Parse a tree or ensemble document into a list of trees."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TreeFormatError(f"invalid JSON: {exc}") from exc
-    if isinstance(doc, dict) and doc.get("type") == "ensemble":
+        if not (isinstance(doc, dict) and doc.get("type") == "ensemble"):
+            return [_parse_document(doc)]
+        if single:
+            raise TreeFormatError("expected a single tree document, got an ensemble")
         trees = doc.get("trees")
         if not isinstance(trees, list):
             raise TreeFormatError("ensemble document needs a 'trees' list")
         return [_parse_document(t) for t in trees]
-    return [_parse_document(doc)]
+    except json.JSONDecodeError as exc:
+        raise TreeFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        # The decoder and the node parsers recurse once per level.
+        raise TreeFormatError("document is nested too deeply to parse") from None
+
+
+def parse_tree(text: str) -> BinaryDecisionTree | GeneralTree:
+    """Parse a single-tree JSON document.
+
+    Numbering is rebuilt from the structure.  Raises ``TreeFormatError`` on
+    malformed documents, including internal nodes with a missing child and
+    documents nested too deeply to parse.
+    """
+    return _parse_text(text, single=True)[0]
+
+
+def parse_model(text: str) -> list[BinaryDecisionTree | GeneralTree]:
+    """Parse a tree or ensemble document into a list of trees."""
+    return _parse_text(text, single=False)
 
 
 def _binary_node_doc(node: Node) -> dict:

@@ -138,3 +138,11 @@ def all_shapes(n_internal):
         return Internal(node.predicate, _copy(node.left), _copy(node.right))
 
     return [BinaryDecisionTree(root, 1) for root in shapes(n_internal)]
+
+
+def chain_document(depth):
+    """A binary tree document whose right spine is ``depth`` nodes long,
+    built as a string because ``serialize_tree`` recurses once per level."""
+    node = '{"feature": 0, "threshold": 0.5, "left": {"leaf": 0.0}, "right": '
+    root = node * depth + '{"leaf": 1.0}' + "}" * depth
+    return '{"type": "binary", "feature_dim": 1, "root": ' + root + "}"

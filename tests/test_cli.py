@@ -1,18 +1,20 @@
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import instance_for_tests
+from conftest import chain_document, instance_for_tests
 from treeflat import (
-    TraversalResult,
+    StackedTrees,
     TreeMatrices,
     parse_model,
+    serialize_ensemble,
     serialize_tree,
     validate,
 )
-from treeflat import cli
+from treeflat import cli, traversal
 from treeflat.cli import main
 
 
@@ -100,6 +102,16 @@ class TestFlatten:
         code, _, err = invoke(["flatten", path, "right"], capsys)
         assert code == 2
         assert "invalid JSON" in err
+
+    def test_chain_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "chain.json"
+        model.write_text(chain_document(3000))
+        data = tmp_path / "x.csv"
+        data.write_text("0.3\n")
+        for argv in (["flatten", model, "right"], ["score", model, data], ["compare", model, data]):
+            code, out, err = invoke(argv, capsys)
+            assert (code, out) == (2, ""), argv
+            assert err.count("\n") == 1 and "nested too deeply" in err
 
     def test_invalid_tree_exits_3(self, tmp_path, capsys):
         path = tmp_path / "leafonly.json"
@@ -257,22 +269,13 @@ class TestCompare:
         assert code == 0
 
     def test_corrupted_matrices_are_caught(self, six_leaf_tree):
-        mats = TreeMatrices.build(six_leaf_tree)
-        corrupt = TreeMatrices(
-            tree=mats.tree,
-            right=mats.right,
-            left=mats.left,
-            right_int=mats.right_int,
-            left_int=mats.left_int,
-            signed=mats.signed[[1, 0, 2, 3, 4, 5]],
-            depths=mats.depths[[1, 0, 2, 3, 4, 5]],
-            leaf_values=mats.leaf_values,
-            right_col_masks=mats.right_col_masks,
-            left_col_masks=mats.left_col_masks,
-            full_mask=mats.full_mask,
-        )
+        # A negated depth vector keeps exactly one hit per tree for the
+        # signed rules, P s = -d, on the leaf whose every ancestor test went
+        # the other way, so the corruption shows as a wrong leaf, not an error.
+        model = StackedTrees.build([six_leaf_tree])
+        corrupt = dataclasses.replace(model, leaf_depths=-model.leaf_depths)
         X = instance_for_tests(six_leaf_tree, [1, 0, 0, 0, 0])[None, :]
-        bad = cli._first_disagreement([corrupt], X)
+        bad = cli._first_disagreement([six_leaf_tree], corrupt, X)
         assert bad is not None
         assert bad.algorithm in ("sign", "ecoc", "delta")
         assert bad.leaf != bad.expected
@@ -280,15 +283,63 @@ class TestCompare:
     def test_disagreement_exits_one_with_triple(
         self, six_leaf_file, leaf3_instances, capsys, monkeypatch
     ):
-        def wrong_leaf(mats, x):
-            return TraversalResult(1, float(mats.leaf_values[0]))
-
-        monkeypatch.setitem(cli.ALGORITHMS, "ecoc", wrong_leaf)
+        wrong_leaves(monkeypatch, {"ecoc": [(0, 0)]})
         code, out, _ = invoke(["compare", six_leaf_file, leaf3_instances], capsys)
         assert code == 1
         assert "instance=0" in out
         assert "algorithm=ecoc" in out
         assert "leaf=1" in out
+
+    @pytest.mark.parametrize(
+        "wrong, line",
+        [
+            # instance before tree before algorithm
+            (
+                {"qs": [(2, 0)], "sign": [(1, 1)], "delta": [(1, 0)]},
+                "instance=1 algorithm=delta leaf=1 (oracle leaf=2, tree=0)",
+            ),
+            # a later tree of an earlier instance beats an earlier tree
+            (
+                {"qs": [(2, 0)], "delta": [(1, 1)]},
+                "instance=1 algorithm=delta leaf=1 (oracle leaf=2, tree=1)",
+            ),
+            # algorithms in ALGORITHMS order within one pair
+            (
+                {"delta": [(0, 1)], "dual": [(0, 1)], "ecoc": [(0, 1)]},
+                "instance=0 algorithm=dual leaf=1 (oracle leaf=2, tree=1)",
+            ),
+        ],
+    )
+    def test_disagreement_order_is_instance_tree_algorithm(
+        self, tmp_path, depth1_tree, capsys, monkeypatch, wrong, line
+    ):
+        model = tmp_path / "m.json"
+        model.write_text(serialize_ensemble([depth1_tree, depth1_tree]))
+        data = tmp_path / "d.csv"
+        data.write_text("0.1\n0.2\n0.3\n")  # every row exits at leaf 2
+        # One row per chunk, so rows 1 and 2 come from later chunks.
+        monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 1)
+        wrong_leaves(monkeypatch, wrong)
+        code, out, _ = invoke(["compare", model, data], capsys)
+        assert (code, out) == (1, f"disagreement: {line}\n")
+
+
+def wrong_leaves(monkeypatch, wrong):
+    """Make ``cli.batch_score`` report leaf 1 (or 2 where the truth is 1) at
+    the given (instance, tree) pairs of the given algorithms."""
+    real = cli.batch_score
+
+    def patched(model, X, algorithm):
+        start = 0
+        for leaves, values in real(model, X, algorithm):
+            leaves = leaves.copy()
+            for i, k in wrong.get(algorithm, []):
+                if start <= i < start + len(leaves):
+                    leaves[i - start, k] = 2 if leaves[i - start, k] == 1 else 1
+            start += len(leaves)
+            yield leaves, values
+
+    monkeypatch.setattr(cli, "batch_score", patched)
 
 
 class TestBench:
@@ -336,10 +387,7 @@ class TestBench:
     def test_disagreement_blocks_timing(
         self, six_leaf_file, leaf3_instances, capsys, monkeypatch
     ):
-        def wrong_leaf(mats, x):
-            return TraversalResult(1, float(mats.leaf_values[0]))
-
-        monkeypatch.setitem(cli.ALGORITHMS, "matrix", wrong_leaf)
+        wrong_leaves(monkeypatch, {"matrix": [(0, 0)]})
         code, out, _ = invoke(
             ["bench", six_leaf_file, leaf3_instances, "--repeat", "1"], capsys
         )
@@ -352,6 +400,32 @@ class TestBench:
             ["bench", six_leaf_file, leaf3_instances, "--repeat", "0"], capsys
         )
         assert code == 2
+
+
+class TestOneScoringPath:
+    def test_no_command_builds_tree_matrices(self, tmp_path, capsys, monkeypatch):
+        def refuse(tree):
+            raise AssertionError("the CLI must not build TreeMatrices")
+
+        monkeypatch.setattr(TreeMatrices, "build", refuse)
+        for count in (1, 6):
+            model, data = tmp_path / f"m{count}.json", tmp_path / f"d{count}.csv"
+            code, _, _ = invoke(
+                [
+                    "gen", "--depth", "4", "--dim", "3", "--count", count, "--seed", "5",
+                    "--instances", "20", "--out-model", model, "--out-data", data,
+                ],
+                capsys,
+            )
+            assert code == 0
+            runs = [["score", model, data, "--algo", algo] for algo in sorted(cli.ALGORITHMS)]
+            runs += [["compare", model, data], ["bench", model, data, "--repeat", "1"]]
+            if count == 1:
+                runs.append(["score", model, data, "--soft"])
+            for argv in runs:
+                code, out, err = invoke(argv, capsys)
+                assert (code, err) == (0, ""), argv
+                assert out
 
 
 class TestGen:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_paths, instance_for_tests, one_hot_node
+from conftest import chain_document, enumerate_paths, instance_for_tests, one_hot_node
 from treeflat import (
     BinaryDecisionTree,
     DimensionMismatchError,
@@ -72,6 +72,15 @@ class TestValidate:
 
     def test_general_fixture_is_valid(self, eight_leaf_general_tree):
         assert validate(eight_leaf_general_tree).ok
+
+    @pytest.mark.parametrize("change", ["reassigned root", "reordered nodes"])
+    def test_stale_numbering_is_reported(self, six_leaf_tree, change):
+        if change == "reassigned root":
+            six_leaf_tree.root = one_hot_node(0, Leaf(0.0), Leaf(1.0))
+        else:
+            six_leaf_tree.internal_nodes.reverse()
+        report = validate(six_leaf_tree)
+        assert report.problems == ["stored node numbering does not match the structure"]
 
 
 class TestNaiveTraverse:
@@ -224,6 +233,14 @@ class TestSerialization:
         text = serialize_ensemble([six_leaf_tree, depth1_tree])
         trees = parse_model(text)
         assert [t.num_leaves for t in trees] == [6, 2]
+
+    def test_chain_nested_too_deeply_is_a_format_error(self):
+        assert parse_tree(chain_document(100)).num_internal == 100
+        text = chain_document(3000)
+        ensemble = '{"type": "ensemble", "trees": [' + text + "]}"
+        for parse, doc in ((parse_tree, text), (parse_model, text), (parse_model, ensemble)):
+            with pytest.raises(TreeFormatError, match="nested too deeply"):
+                parse(doc)
 
     def test_parse_tree_refuses_ensembles(self, depth1_tree):
         with pytest.raises(TreeFormatError, match="ensemble"):
