@@ -15,6 +15,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -292,7 +293,14 @@ class ValidationReport:
 
 
 def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating)) and np.isfinite(x)
+    """A real number whose float value is finite; an int too large for a
+    float is not."""
+    if isinstance(x, (int, float)):
+        try:
+            return math.isfinite(x)
+        except OverflowError:
+            return False
+    return isinstance(x, (np.integer, np.floating)) and bool(np.isfinite(x))
 
 
 def _validate_binary(tree: BinaryDecisionTree) -> list[str]:
@@ -303,7 +311,7 @@ def _validate_binary(tree: BinaryDecisionTree) -> list[str]:
         problems.append("tree must have at least one internal node")
     seen: set[int] = set()
     internal_count = 0
-    leaf_count = 0
+    leaves_right_to_left: list[Leaf] = []
     stack: list[tuple[object, str]] = [(tree.root, "root")]
     while stack:
         node, path = stack.pop()
@@ -312,7 +320,7 @@ def _validate_binary(tree: BinaryDecisionTree) -> list[str]:
             continue
         seen.add(id(node))
         if isinstance(node, Leaf):
-            leaf_count += 1
+            leaves_right_to_left.append(node)
             if not _is_finite_number(node.value):
                 problems.append(f"leaf {path} has a non-finite value")
         elif isinstance(node, Internal):
@@ -327,7 +335,7 @@ def _validate_binary(tree: BinaryDecisionTree) -> list[str]:
                         f"internal node {path} has weights of length {w.size}, "
                         f"expected {tree.feature_dim}"
                     )
-                elif not np.any(w):
+                elif np.count_nonzero(w) == 0:
                     problems.append(f"internal node {path} has all-zero weights")
                 if not _is_finite_number(pred.threshold):
                     problems.append(f"internal node {path} has a non-finite threshold")
@@ -341,18 +349,40 @@ def _validate_binary(tree: BinaryDecisionTree) -> list[str]:
                     stack.append((child, f"{path}.{side}"))
         else:
             problems.append(f"node {path} is neither internal nor leaf")
+    leaf_count = len(leaves_right_to_left)
     if internal_count and leaf_count != internal_count + 1:
         problems.append(
             f"leaf count {leaf_count} does not equal internal count {internal_count} + 1"
         )
     # Derived numbering must be reproducible from the current structure.
-    if not problems:
-        rebuilt = BinaryDecisionTree(tree.root, tree.feature_dim)
-        if [id(n) for n in rebuilt.internal_nodes] != [
-            id(n) for n in tree.internal_nodes
-        ] or [id(l) for l in rebuilt.leaves] != [id(l) for l in tree.leaves]:
-            problems.append("stored node numbering does not match the structure")
+    if not problems and not _numbering_matches(tree, leaves_right_to_left):
+        problems.append("stored node numbering does not match the structure")
     return problems
+
+
+def _numbering_matches(tree: BinaryDecisionTree, leaves_right_to_left: list[Leaf]) -> bool:
+    """Whether the stored numbering is the one ``BinaryDecisionTree`` derives
+    from the (already valid) structure, checked without deriving it again.
+
+    A sequence is the breadth-first order of the internal nodes exactly when
+    it starts at the root and the internal children of its nodes, taken in
+    order, are the rest of it.  The validation walk visits right children
+    first, so it meets the leaves from right to left.
+    """
+    nodes = tree.internal_nodes
+    if not nodes or nodes[0] is not tree.root:
+        return False
+    checked = 1  # nodes[:checked] are the root and the children met so far
+    for k, node in enumerate(nodes):
+        if k == checked:  # the stored list runs past the breadth-first order
+            return False
+        for child in (node.left, node.right):
+            if isinstance(child, Internal):
+                if checked == len(nodes) or nodes[checked] is not child:
+                    return False
+                checked += 1
+    stored = [id(leaf) for leaf in tree.leaves]
+    return stored == [id(leaf) for leaf in reversed(leaves_right_to_left)]
 
 
 def _validate_general(tree: GeneralTree) -> list[str]:
@@ -448,7 +478,10 @@ _GENERAL_NODE_KEYS = {"children", "weights"}
 def _require_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TreeFormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise TreeFormatError(f"{what} is an integer too large for a float") from None
 
 
 def _parse_binary_node(obj, dim: int, path: str) -> Node:
@@ -556,8 +589,9 @@ def parse_tree(text: str) -> BinaryDecisionTree | GeneralTree:
     """Parse a single-tree JSON document.
 
     Numbering is rebuilt from the structure.  Raises ``TreeFormatError`` on
-    malformed documents, including internal nodes with a missing child and
-    documents nested too deeply to parse.
+    malformed documents, including internal nodes with a missing child,
+    integers too large for a float and documents nested too deeply to
+    parse.
     """
     return _parse_text(text, single=True)[0]
 

@@ -113,6 +113,19 @@ class TestFlatten:
             assert (code, out) == (2, ""), argv
             assert err.count("\n") == 1 and "nested too deeply" in err
 
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "huge.json"
+        model.write_text(
+            '{"type": "binary", "feature_dim": 1, "root": {"feature": 0, "threshold": 0.5, '
+            '"left": {"leaf": 1' + "0" * 400 + '}, "right": {"leaf": 1}}}'
+        )
+        data = tmp_path / "x.csv"
+        data.write_text("0.3\n")
+        for argv in (["flatten", model, "right"], ["score", model, data], ["compare", model, data]):
+            code, out, err = invoke(argv, capsys)
+            assert (code, out) == (2, ""), argv
+            assert err.count("\n") == 1 and "too large for a float" in err
+
     def test_invalid_tree_exits_3(self, tmp_path, capsys):
         path = tmp_path / "leafonly.json"
         path.write_text('{"type": "binary", "feature_dim": 1, "root": {"leaf": 1.0}}')

@@ -36,6 +36,12 @@ from treeflat import (
     sum_in_model_order,
 )
 from treeflat import traversal
+from treeflat.matrices import (
+    build_depth_vector,
+    build_left_matrix,
+    build_right_matrix,
+    build_signed_matrix,
+)
 
 ARITHMETIC = [name for name in ALGORITHMS if name != "naive"]
 
@@ -129,6 +135,47 @@ class TestLinearHash:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             linear_hash_test_vector(np.eye(3), np.zeros(2), np.zeros(3))
+
+
+class TestTreeMatricesBuild:
+    @settings(max_examples=80, deadline=None)
+    @given(depth=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
+    def test_span_masks_and_lazy_fields_equal_the_dense_builders(self, depth, seed):
+        tree = generate_random_tree(depth, 3, seed)
+        mats = TreeMatrices.build(tree)
+        right, left = build_right_matrix(tree), build_left_matrix(tree)
+        assert mats.right_col_masks == right.packed_columns()
+        assert mats.left_col_masks == left.packed_columns()
+        assert mats.full_mask == (1 << tree.num_leaves) - 1
+        np.testing.assert_array_equal(mats.depths, build_depth_vector(tree))
+        np.testing.assert_array_equal(mats.right.entries, right.entries)
+        np.testing.assert_array_equal(mats.left.entries, left.entries)
+        for name, expected in (
+            ("right_int", right.entries.astype(np.int64)),
+            ("left_int", left.entries.astype(np.int64)),
+            ("signed", build_signed_matrix(tree)),
+        ):
+            got = getattr(mats, name)
+            assert got.dtype == np.int64, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+
+    def test_bitwise_and_soft_paths_build_no_dense_matrix(self, monkeypatch):
+        def refuse(tree):
+            raise AssertionError("a dense matrix was built")
+
+        for name in ("build_right_matrix", "build_left_matrix", "build_signed_matrix"):
+            monkeypatch.setattr(traversal, name, refuse)
+        trees = [generate_random_tree(7, 4, seed) for seed in range(5)]
+        models = [TreeMatrices.build(tree) for tree in trees]
+        for x in random_instances(10, 4, 2):
+            expected = [naive_traverse(tree, x) for tree in trees]
+            for tree, mats, leaf in zip(trees, models, expected):
+                t = compute_test_vector(tree, x)
+                assert quickscorer_traverse(mats, t).leaf_index == leaf
+                assert dual_traverse(mats, t).leaf_index == leaf
+                assert soft_attention(mats, signed_test_vector(t)).argmax_leaf == leaf
+            total = sum(tree.leaf_values[leaf - 1] for tree, leaf in zip(trees, expected))
+            assert ensemble_score(models, x, "qs") == total
 
 
 class TestBitwiseTraversals:

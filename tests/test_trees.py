@@ -62,6 +62,17 @@ class TestValidate:
         report = validate(BinaryDecisionTree(node, 5))
         assert any("weights of length 3" in p for p in report.problems)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), 10**400],
+        ids=["nan", "inf", "-inf", "int 10**400"],
+    )
+    def test_non_finite_numbers_are_reported(self, bad):
+        leaf = BinaryDecisionTree(one_hot_node(0, Leaf(bad), Leaf(1.0)), 5)
+        assert validate(leaf).problems == ["leaf root.left has a non-finite value"]
+        node = Internal(Predicate(np.ones(5), bad), Leaf(0.0), Leaf(1.0))
+        report = validate(BinaryDecisionTree(node, 5))
+        assert report.problems == ["internal node root has a non-finite threshold"]
+
     def test_general_tree_weight_sum_checked(self):
         from conftest import general_node
 
@@ -73,12 +84,20 @@ class TestValidate:
     def test_general_fixture_is_valid(self, eight_leaf_general_tree):
         assert validate(eight_leaf_general_tree).ok
 
-    @pytest.mark.parametrize("change", ["reassigned root", "reordered nodes"])
+    @pytest.mark.parametrize(
+        "change",
+        ["reassigned root", "reordered nodes", "reordered leaves", "swapped siblings"],
+    )
     def test_stale_numbering_is_reported(self, six_leaf_tree, change):
+        nodes = six_leaf_tree.internal_nodes
         if change == "reassigned root":
             six_leaf_tree.root = one_hot_node(0, Leaf(0.0), Leaf(1.0))
+        elif change == "reordered nodes":
+            nodes.reverse()
+        elif change == "reordered leaves":
+            six_leaf_tree.leaves.reverse()
         else:
-            six_leaf_tree.internal_nodes.reverse()
+            nodes[1], nodes[2] = nodes[2], nodes[1]
         report = validate(six_leaf_tree)
         assert report.problems == ["stored node numbering does not match the structure"]
 
@@ -241,6 +260,20 @@ class TestSerialization:
         for parse, doc in ((parse_tree, text), (parse_model, text), (parse_model, ensemble)):
             with pytest.raises(TreeFormatError, match="nested too deeply"):
                 parse(doc)
+
+    @pytest.mark.parametrize("where", ["leaf", "threshold", "weight"])
+    def test_integer_too_large_for_a_float_is_a_format_error(self, where):
+        numbers = {"leaf": "0", "threshold": "0.5", "weight": "1"}
+        numbers[where] = "1" + "0" * 400
+        text = (
+            '{"type": "binary", "feature_dim": 2, "root": {"weights": [%(weight)s, 0], '
+            '"threshold": %(threshold)s, "left": {"leaf": %(leaf)s}, "right": {"leaf": 1}}}'
+        ) % numbers
+        assert parse_tree(text.replace(numbers[where], "1"))
+        with pytest.raises(TreeFormatError, match="too large for a float"):
+            parse_tree(text)
+        with pytest.raises(TreeFormatError, match="too large for a float"):
+            parse_model('{"type": "ensemble", "trees": [' + text + "]}")
 
     def test_parse_tree_refuses_ensembles(self, depth1_tree):
         with pytest.raises(TreeFormatError, match="ensemble"):
