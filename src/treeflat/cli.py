@@ -11,12 +11,17 @@ runs; ``naive`` is the per-pair oracle.  The per-vector traversals are the
 reference the tests check, and no command calls them.
 
 Exit codes: 0 success, 1 algorithms disagreed, 2 usage or parse error,
-3 invalid model, 4 instance data does not fit the model.
+3 invalid model, 4 instance data does not fit the model.  The ``treeflat``
+command restores the default action of SIGPIPE where the platform has one,
+so a reader that stops early (``treeflat score ... | head``) ends it as it
+ends ``cat``: silently, with the signal's status (141 in the shell), never
+with exit 1.  ``main`` called in-process leaves signal handling alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -151,7 +156,7 @@ def _parse_prob_vector(raw: str, expected: int) -> np.ndarray:
             EXIT_USAGE, f"--p has {len(values)} entries, model has {expected} nodes"
         )
     p = np.asarray(values)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
         raise CliError(EXIT_USAGE, "--p entries must lie in [0, 1]")
     return p
 
@@ -332,14 +337,21 @@ def cmd_bench(args) -> int:
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     tree_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=args.count)]
-    if args.general:
-        trees = [
-            generate_random_general_tree(args.depth, args.fanout, s, args.dim)
-            for s in tree_seeds
-        ]
-    else:
-        trees = [generate_random_tree(args.depth, args.dim, s) for s in tree_seeds]
-    text = serialize_tree(trees[0]) if len(trees) == 1 else serialize_ensemble(trees)
+    try:
+        # The sampler and the serializer recurse once per level.
+        if args.general:
+            trees = [
+                generate_random_general_tree(args.depth, args.fanout, s, args.dim)
+                for s in tree_seeds
+            ]
+        else:
+            trees = [generate_random_tree(args.depth, args.dim, s) for s in tree_seeds]
+        text = serialize_tree(trees[0]) if len(trees) == 1 else serialize_ensemble(trees)
+    except RecursionError:
+        raise CliError(
+            EXIT_USAGE,
+            f"--depth {args.depth}: a sampled tree is nested too deeply to generate or write",
+        ) from None
     X = rng.uniform(size=(args.instances, args.dim))
     try:
         Path(args.out_model).write_text(text, encoding="utf-8")
@@ -420,4 +432,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

@@ -143,11 +143,18 @@ def build_fuzzy_matrix(tree: BinaryDecisionTree, p) -> np.ndarray:
         raise ValueError(
             f"probability vector has shape {p.shape}, expected ({tree.num_internal},)"
         )
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
         raise ValueError("branch probabilities must lie in [0, 1]")
-    left = build_left_matrix(tree).entries.astype(np.float64)
-    right = build_right_matrix(tree).entries.astype(np.float64)
-    return left * p + right * (1.0 - p)
+    # Each column is filled from its node's leaf span, and equals the
+    # mixture bit for bit: outside the subtree p_j + (1 - p_j) rounds to 1
+    # for every p_j in [0, 1], and + 0.0 turns a p_j of -0.0 into the 0.0
+    # that p_j + 0 * (1 - p_j) gives.
+    p = p + 0.0
+    m = np.ones((tree.num_leaves, tree.num_internal), dtype=np.float64)
+    for j, (lo, mid, hi) in enumerate(tree.leaf_spans):
+        m[lo:mid, j] = p[j]
+        m[mid:hi, j] = 1.0 - p[j]
+    return m
 
 
 def build_general_path_matrix(tree: GeneralTree) -> np.ndarray:

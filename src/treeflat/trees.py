@@ -1,9 +1,16 @@
 """Decision tree data model: construction, validation, serialization, random
 generation, and the recursive traversal oracle.
 
+Binary and general trees share one core: one walk numbers the nodes of
+either kind, one walk validates them, and one codec reads and writes their
+nodes.  Each kind adds only its own node checks and fields.  A binary node's
+children are ``(left, right)``, so a binary tree is numbered exactly as the
+same tree read as a general tree.
+
 Conventions shared by the whole package:
 
-* Internal nodes are numbered in breadth-first order starting at 0 (root).
+* Internal nodes are numbered in breadth-first order starting at 0 (root),
+  in both kinds of tree.
 * Leaves are numbered 1..|L| from left to right.  Every public API reports
   1-based leaf indices; the matrix row for leaf ``i`` is row ``i - 1``.
 * A node test is ``weights . x > threshold`` (strict).  A true test routes to
@@ -16,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -94,6 +100,11 @@ class Internal:
     left: "Node | None"
     right: "Node | None"
 
+    @property
+    def children(self) -> tuple["Node | None", "Node | None"]:
+        """``(left, right)``: a binary node read as a general one."""
+        return (self.left, self.right)
+
 
 @dataclass(frozen=True, eq=False)
 class GeneralInternal:
@@ -107,67 +118,78 @@ Node = Union[Internal, Leaf]
 GNode = Union[GeneralInternal, Leaf]
 
 
-class BinaryDecisionTree:
-    """Full binary decision tree over a fixed feature space.
-
-    Indexing derived at construction:
+class _Tree:
+    """The numbering both tree kinds share, derived in one walk that takes
+    each internal node's ``children`` in order.
 
     * ``internal_nodes`` lists internal nodes in breadth-first order.
-    * ``leaves`` lists leaves from left to right.
-    * ``leaf_spans[j]`` is ``(lo, mid, hi)`` for internal node ``j``: its
-      subtree covers leaf rows ``lo..hi-1`` with the left subtree ending at
-      ``mid`` (0-based, half-open).
+    * ``leaves`` lists leaves from left to right, and ``leaf_depths`` gives
+      their depths in edges.
+    * Every subtree covers a contiguous, half-open range of leaf rows.
+
+    Each kind sets ``_internal``, its internal node class (a node of any
+    other class is neither internal nor leaf, and ``validate`` reports it),
+    and defines ``_keep_spans``, which keeps the per-node spans the kind
+    needs from the subtree ranges, and ``_check_internal``, which reports
+    the problems of one internal node and pushes its well-formed children
+    onto the validation stack.
     """
 
-    def __init__(self, root: Node, feature_dim: int):
+    _internal: type
+
+    def __init__(self, root, feature_dim: int):
         self.root = root
         self.feature_dim = int(feature_dim)
-        self.internal_nodes: list[Internal] = []
         self.leaves: list[Leaf] = []
         self._leaf_pos: dict[int, int] = {}
         self._depths: list[int] = []
-        self._spans: list[tuple[int, int, int]] = []
-        self._index()
-
-    def _index(self) -> None:
-        if isinstance(self.root, Internal):
-            queue = deque([self.root])
-            while queue:
-                node = queue.popleft()
-                self.internal_nodes.append(node)
-                for child in (node.left, node.right):
-                    if isinstance(child, Internal):
-                        queue.append(child)
-        # Post-order walk, left child first, so leaves come out left to right.
+        # id(node) -> leaf-row range (lo, hi) of its subtree; a leaf's is
+        # (pos, pos + 1).  Only the spans are kept.
         ranges: dict[int, tuple[int, int]] = {}
-        stack: list[tuple[object, int, bool]] = [(self.root, 0, False)]
+        self.internal_nodes: list = self._index(ranges)
+        self._keep_spans(ranges)
+
+    def _index(self, ranges: dict[int, tuple[int, int]]) -> list:
+        # Depth first, first child first, so leaves come out left to right.
+        # Listing each depth's internal nodes in the order the walk meets
+        # them gives the breadth-first order.  A node comes off the stack a
+        # second time, with its children, once its subtree is walked; it
+        # gets a range then if every child has one.
+        internal = self._internal
+        leaves, leaf_pos, depths = self.leaves, self._leaf_pos, self._depths
+        get = ranges.get
+        levels: list[list] = []
+        stack: list[tuple[object, int, tuple | None]] = [(self.root, 0, None)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, depth, expanded = stack.pop()
-            if isinstance(node, Leaf):
-                pos = len(self.leaves)
-                self._leaf_pos[id(node)] = pos
-                self.leaves.append(node)
-                self._depths.append(depth)
+            node, depth, children = pop()
+            if children is not None:
+                # Looking up the middle children only when there are any
+                # keeps this step as cheap as the two lookups a binary
+                # node needs.
+                first, last = get(id(children[0])), get(id(children[-1]))
+                if first and last and (
+                    len(children) < 3 or None not in map(get, map(id, children[1:-1]))
+                ):
+                    ranges[id(node)] = (first[0], last[1])
+            elif isinstance(node, Leaf):
+                pos = len(leaves)
+                leaves.append(node)
+                leaf_pos[id(node)] = pos
+                depths.append(depth)
                 ranges[id(node)] = (pos, pos + 1)
-            elif isinstance(node, Internal):
-                if expanded:
-                    lr = ranges.get(id(node.left))
-                    rr = ranges.get(id(node.right))
-                    if lr is not None and rr is not None:
-                        ranges[id(node)] = (lr[0], rr[1])
-                else:
-                    stack.append((node, depth, True))
-                    if node.right is not None:
-                        stack.append((node.right, depth + 1, False))
-                    if node.left is not None:
-                        stack.append((node.left, depth + 1, False))
-        for node in self.internal_nodes:
-            lr = ranges.get(id(node.left))
-            rr = ranges.get(id(node.right))
-            if lr is not None and rr is not None:
-                self._spans.append((lr[0], lr[1], rr[1]))
-            else:
-                self._spans.append((0, 0, 0))
+            elif isinstance(node, internal):
+                if depth == len(levels):
+                    levels.append([])
+                levels[depth].append(node)
+                children = node.children
+                if children:  # a childless node gets no range
+                    push((node, depth, children))
+                depth += 1
+                for child in reversed(children):
+                    if child is not None:
+                        push((child, depth, None))
+        return [node for level in levels for node in level]
 
     @property
     def num_internal(self) -> int:
@@ -178,22 +200,40 @@ class BinaryDecisionTree:
         return len(self.leaves)
 
     @property
-    def leaf_spans(self) -> list[tuple[int, int, int]]:
-        return self._spans
-
-    @cached_property
-    def span_array(self) -> np.ndarray:
-        """``leaf_spans`` as an int64 array with one ``(lo, mid, hi)`` row per
-        internal node."""
-        return np.asarray(self._spans, dtype=np.int64).reshape(-1, 3)
-
-    @property
     def leaf_depths(self) -> np.ndarray:
         return np.asarray(self._depths, dtype=np.int64)
 
     @cached_property
     def leaf_values(self) -> np.ndarray:
         return np.asarray([leaf.value for leaf in self.leaves], dtype=np.float64)
+
+    def leaf_position(self, leaf: Leaf) -> int:
+        """1-based left-to-right index of a leaf object of this tree."""
+        return self._leaf_pos[id(leaf)] + 1
+
+
+class BinaryDecisionTree(_Tree):
+    """Full binary decision tree over a fixed feature space.
+
+    Besides the shared numbering, ``leaf_spans[j]`` is ``(lo, mid, hi)`` for
+    internal node ``j``: its subtree covers leaf rows ``lo..hi-1`` with the
+    left subtree ending at ``mid`` (0-based, half-open).
+    """
+
+    _internal = Internal
+
+    def _keep_spans(self, ranges: dict[int, tuple[int, int]]) -> None:
+        self.leaf_spans: list[tuple[int, int, int]] = []
+        for node in self.internal_nodes:
+            lr = ranges.get(id(node.left))
+            rr = ranges.get(id(node.right))
+            self.leaf_spans.append((lr[0], lr[1], rr[1]) if lr and rr else (0, 0, 0))
+
+    @cached_property
+    def span_array(self) -> np.ndarray:
+        """``leaf_spans`` as an int64 array with one ``(lo, mid, hi)`` row per
+        internal node."""
+        return np.asarray(self.leaf_spans, dtype=np.int64).reshape(-1, 3)
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
@@ -208,12 +248,31 @@ class BinaryDecisionTree:
             [n.predicate.threshold for n in self.internal_nodes], dtype=np.float64
         )
 
-    def leaf_position(self, leaf: Leaf) -> int:
-        """1-based left-to-right index of a leaf object of this tree."""
-        return self._leaf_pos[id(leaf)] + 1
+    def _check_internal(self, node: Internal, path: str, problems: list, stack: list) -> None:
+        pred = node.predicate
+        if not isinstance(pred, Predicate):
+            problems.append(f"internal node {path} has no predicate")
+        else:
+            w = np.asarray(pred.weights)
+            if w.shape != (self.feature_dim,):
+                problems.append(
+                    f"internal node {path} has weights of length {w.size}, "
+                    f"expected {self.feature_dim}"
+                )
+            elif np.count_nonzero(w) == 0:
+                problems.append(f"internal node {path} has all-zero weights")
+            if not _is_finite_number(pred.threshold):
+                problems.append(f"internal node {path} has a non-finite threshold")
+        for side, child in (("left", node.left), ("right", node.right)):
+            if child is None:
+                problems.append(f"internal node {path} is missing its {side} child")
+            elif not isinstance(child, (Internal, Leaf)):
+                problems.append(f"internal node {path} has a malformed {side} child")
+            else:
+                stack.append((child, f"{path}.{side}"))
 
 
-class GeneralTree:
+class GeneralTree(_Tree):
     """Rooted tree whose internal nodes have two or more weighted children.
 
     General trees carry no predicates; they route probabilistically by the
@@ -221,66 +280,40 @@ class GeneralTree:
     of internal node ``j``'s k-th child subtree.
     """
 
+    _internal = GeneralInternal
+
     def __init__(self, root: GNode, feature_dim: int = 0):
-        self.root = root
-        self.feature_dim = int(feature_dim)
-        self.internal_nodes: list[GeneralInternal] = []
-        self.leaves: list[Leaf] = []
-        self._depths: list[int] = []
-        self._child_spans: list[list[tuple[int, int]]] = []
-        self._index()
+        super().__init__(root, feature_dim)
 
-    def _index(self) -> None:
-        if isinstance(self.root, GeneralInternal):
-            queue = deque([self.root])
-            while queue:
-                node = queue.popleft()
-                self.internal_nodes.append(node)
-                for child in node.children:
-                    if isinstance(child, GeneralInternal):
-                        queue.append(child)
-        ranges: dict[int, tuple[int, int]] = {}
-        stack: list[tuple[object, int, bool]] = [(self.root, 0, False)]
-        while stack:
-            node, depth, expanded = stack.pop()
-            if isinstance(node, Leaf):
-                pos = len(self.leaves)
-                self.leaves.append(node)
-                self._depths.append(depth)
-                ranges[id(node)] = (pos, pos + 1)
-            elif isinstance(node, GeneralInternal):
-                if expanded:
-                    spans = [ranges[id(c)] for c in node.children if id(c) in ranges]
-                    if len(spans) == len(node.children) and spans:
-                        ranges[id(node)] = (spans[0][0], spans[-1][1])
-                else:
-                    stack.append((node, depth, True))
-                    for child in reversed(node.children):
-                        if child is not None:
-                            stack.append((child, depth + 1, False))
-        for node in self.internal_nodes:
-            spans = [ranges.get(id(c), (0, 0)) for c in node.children]
-            self._child_spans.append(spans)
-
-    @property
-    def num_internal(self) -> int:
-        return len(self.internal_nodes)
-
-    @property
-    def num_leaves(self) -> int:
-        return len(self.leaves)
-
-    @property
-    def child_spans(self) -> list[list[tuple[int, int]]]:
-        return self._child_spans
+    def _keep_spans(self, ranges: dict[int, tuple[int, int]]) -> None:
+        self.child_spans: list[list[tuple[int, int]]] = [
+            [ranges.get(id(c), (0, 0)) for c in node.children] for node in self.internal_nodes
+        ]
 
     @property
     def max_children(self) -> int:
         return max((len(n.children) for n in self.internal_nodes), default=0)
 
-    @cached_property
-    def leaf_values(self) -> np.ndarray:
-        return np.asarray([leaf.value for leaf in self.leaves], dtype=np.float64)
+    def _check_internal(
+        self, node: GeneralInternal, path: str, problems: list, stack: list
+    ) -> None:
+        if len(node.children) < 2:
+            problems.append(f"internal node {path} has fewer than two children")
+        w = np.asarray(node.weights, dtype=np.float64)
+        if w.shape != (len(node.children),):
+            problems.append(
+                f"internal node {path} has {w.size} weights for "
+                f"{len(node.children)} children"
+            )
+        elif (w < 0).any() or not np.isfinite(w).all():
+            problems.append(f"internal node {path} has negative or non-finite weights")
+        elif abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+            problems.append(f"internal node {path} weights sum to {float(w.sum())!r}, not 1")
+        for k, child in enumerate(node.children, start=1):
+            if not isinstance(child, (GeneralInternal, Leaf)):
+                problems.append(f"internal node {path} has a malformed child {k}")
+            else:
+                stack.append((child, f"{path}.{k}"))
 
 
 @dataclass
@@ -303,15 +336,18 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (np.integer, np.floating)) and bool(np.isfinite(x))
 
 
-def _validate_binary(tree: BinaryDecisionTree) -> list[str]:
-    problems: list[str] = []
+def _validate(tree: _Tree) -> list[str]:
     if tree.root is None:
         return ["tree has no root"]
+    problems: list[str] = []
     if isinstance(tree.root, Leaf):
         problems.append("tree must have at least one internal node")
+    internal, check_internal = tree._internal, tree._check_internal
     seen: set[int] = set()
     internal_count = 0
     leaves_right_to_left: list[Leaf] = []
+    # The per-kind check pushes the well-formed children in order, so the
+    # walk meets the leaves from right to left.
     stack: list[tuple[object, str]] = [(tree.root, "root")]
     while stack:
         node, path = stack.pop()
@@ -323,34 +359,14 @@ def _validate_binary(tree: BinaryDecisionTree) -> list[str]:
             leaves_right_to_left.append(node)
             if not _is_finite_number(node.value):
                 problems.append(f"leaf {path} has a non-finite value")
-        elif isinstance(node, Internal):
+        elif isinstance(node, internal):
             internal_count += 1
-            pred = node.predicate
-            if not isinstance(pred, Predicate):
-                problems.append(f"internal node {path} has no predicate")
-            else:
-                w = np.asarray(pred.weights)
-                if w.shape != (tree.feature_dim,):
-                    problems.append(
-                        f"internal node {path} has weights of length {w.size}, "
-                        f"expected {tree.feature_dim}"
-                    )
-                elif np.count_nonzero(w) == 0:
-                    problems.append(f"internal node {path} has all-zero weights")
-                if not _is_finite_number(pred.threshold):
-                    problems.append(f"internal node {path} has a non-finite threshold")
-            for side in ("left", "right"):
-                child = getattr(node, side)
-                if child is None:
-                    problems.append(f"internal node {path} is missing its {side} child")
-                elif not isinstance(child, (Internal, Leaf)):
-                    problems.append(f"internal node {path} has a malformed {side} child")
-                else:
-                    stack.append((child, f"{path}.{side}"))
+            check_internal(node, path, problems, stack)
         else:
             problems.append(f"node {path} is neither internal nor leaf")
     leaf_count = len(leaves_right_to_left)
-    if internal_count and leaf_count != internal_count + 1:
+    binary = isinstance(tree, BinaryDecisionTree)
+    if binary and internal_count and leaf_count != internal_count + 1:
         problems.append(
             f"leaf count {leaf_count} does not equal internal count {internal_count} + 1"
         )
@@ -360,72 +376,29 @@ def _validate_binary(tree: BinaryDecisionTree) -> list[str]:
     return problems
 
 
-def _numbering_matches(tree: BinaryDecisionTree, leaves_right_to_left: list[Leaf]) -> bool:
-    """Whether the stored numbering is the one ``BinaryDecisionTree`` derives
-    from the (already valid) structure, checked without deriving it again.
+def _numbering_matches(tree: _Tree, leaves_right_to_left: list[Leaf]) -> bool:
+    """Whether the stored numbering is the one the tree derives from the
+    (already valid) structure, checked without deriving it again.
 
     A sequence is the breadth-first order of the internal nodes exactly when
     it starts at the root and the internal children of its nodes, taken in
-    order, are the rest of it.  The validation walk visits right children
-    first, so it meets the leaves from right to left.
+    order, are the rest of it.
     """
     nodes = tree.internal_nodes
     if not nodes or nodes[0] is not tree.root:
         return False
+    internal = tree._internal
     checked = 1  # nodes[:checked] are the root and the children met so far
     for k, node in enumerate(nodes):
         if k == checked:  # the stored list runs past the breadth-first order
             return False
-        for child in (node.left, node.right):
-            if isinstance(child, Internal):
+        for child in node.children:
+            if isinstance(child, internal):
                 if checked == len(nodes) or nodes[checked] is not child:
                     return False
                 checked += 1
     stored = [id(leaf) for leaf in tree.leaves]
     return stored == [id(leaf) for leaf in reversed(leaves_right_to_left)]
-
-
-def _validate_general(tree: GeneralTree) -> list[str]:
-    problems: list[str] = []
-    if tree.root is None:
-        return ["tree has no root"]
-    if isinstance(tree.root, Leaf):
-        problems.append("tree must have at least one internal node")
-    seen: set[int] = set()
-    stack: list[tuple[object, str]] = [(tree.root, "root")]
-    while stack:
-        node, path = stack.pop()
-        if id(node) in seen:
-            problems.append(f"node {path} appears more than once (shared subtree)")
-            continue
-        seen.add(id(node))
-        if isinstance(node, Leaf):
-            if not _is_finite_number(node.value):
-                problems.append(f"leaf {path} has a non-finite value")
-        elif isinstance(node, GeneralInternal):
-            if len(node.children) < 2:
-                problems.append(f"internal node {path} has fewer than two children")
-            w = np.asarray(node.weights, dtype=np.float64)
-            if w.shape != (len(node.children),):
-                problems.append(
-                    f"internal node {path} has {w.size} weights for "
-                    f"{len(node.children)} children"
-                )
-            else:
-                if (w < 0).any() or not np.isfinite(w).all():
-                    problems.append(f"internal node {path} has negative or non-finite weights")
-                elif abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-                    problems.append(
-                        f"internal node {path} weights sum to {float(w.sum())!r}, not 1"
-                    )
-            for k, child in enumerate(node.children, start=1):
-                if not isinstance(child, (GeneralInternal, Leaf)):
-                    problems.append(f"internal node {path} has a malformed child {k}")
-                else:
-                    stack.append((child, f"{path}.{k}"))
-        else:
-            problems.append(f"node {path} is neither internal nor leaf")
-    return problems
 
 
 def validate(tree: BinaryDecisionTree | GeneralTree) -> ValidationReport:
@@ -434,12 +407,7 @@ def validate(tree: BinaryDecisionTree | GeneralTree) -> ValidationReport:
     Violations never raise; the report lists one message per problem with the
     path of the offending node.
     """
-    if isinstance(tree, BinaryDecisionTree):
-        problems = _validate_binary(tree)
-    elif isinstance(tree, GeneralTree):
-        problems = _validate_general(tree)
-    else:
-        problems = ["object is not a tree"]
+    problems = _validate(tree) if isinstance(tree, _Tree) else ["object is not a tree"]
     return ValidationReport(not problems, problems)
 
 
@@ -475,37 +443,49 @@ _BINARY_NODE_KEYS = {"feature", "weights", "threshold", "left", "right"}
 _GENERAL_NODE_KEYS = {"children", "weights"}
 
 
-def _require_number(value, what: str) -> float:
+def _require_number(value, what: str, path: str) -> float:
+    """``what`` names the number with ``{}`` for the node path; the message
+    is only formatted when the value is rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TreeFormatError(f"{what} must be a number, got {value!r}")
+        raise TreeFormatError(f"{what.format(path)} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise TreeFormatError(f"{what} is an integer too large for a float") from None
+        raise TreeFormatError(f"{what.format(path)} is an integer too large for a float") from None
 
 
-def _parse_binary_node(obj, dim: int, path: str) -> Node:
+def _parse_leaf(obj, path: str, internal_keys: set[str]) -> Leaf | None:
+    """The part of node parsing both kinds share: ``obj`` must be an object,
+    and is returned as a ``Leaf`` if it is one.  Otherwise it may only have
+    the kind's ``internal_keys``, and the kind's parser goes on with it."""
     if not isinstance(obj, dict):
         raise TreeFormatError(f"node {path} must be an object")
     if "leaf" in obj:
         extra = set(obj) - {"leaf"}
         if extra:
             raise TreeFormatError(f"leaf {path} has unexpected keys {sorted(extra)}")
-        return Leaf(_require_number(obj["leaf"], f"leaf {path} value"))
-    extra = set(obj) - _BINARY_NODE_KEYS
+        return Leaf(_require_number(obj["leaf"], "leaf {} value", path))
+    extra = set(obj) - internal_keys
     if extra:
         raise TreeFormatError(f"node {path} has unexpected keys {sorted(extra)}")
+    return None
+
+
+def _parse_binary_node(obj, dim: int, path: str) -> Node:
+    leaf = _parse_leaf(obj, path, _BINARY_NODE_KEYS)
+    if leaf is not None:
+        return leaf
     if "threshold" not in obj:
         raise TreeFormatError(f"internal node {path} is missing 'threshold'")
     for side in ("left", "right"):
         if side not in obj or obj[side] is None:
             raise TreeFormatError(f"internal node {path} must have both children ('{side}' missing)")
-    threshold = _require_number(obj["threshold"], f"node {path} threshold")
+    threshold = _require_number(obj["threshold"], "node {} threshold", path)
     if "weights" in obj:
         raw = obj["weights"]
         if not isinstance(raw, list) or len(raw) != dim:
             raise TreeFormatError(f"node {path} weights must be a list of {dim} numbers")
-        weights = np.asarray([_require_number(v, f"node {path} weight") for v in raw])
+        weights = np.asarray([_require_number(v, "node {} weight", path) for v in raw])
         predicate = Predicate(weights, threshold)
     elif "feature" in obj:
         feature = obj["feature"]
@@ -524,16 +504,9 @@ def _parse_binary_node(obj, dim: int, path: str) -> Node:
 
 
 def _parse_general_node(obj, path: str) -> GNode:
-    if not isinstance(obj, dict):
-        raise TreeFormatError(f"node {path} must be an object")
-    if "leaf" in obj:
-        extra = set(obj) - {"leaf"}
-        if extra:
-            raise TreeFormatError(f"leaf {path} has unexpected keys {sorted(extra)}")
-        return Leaf(_require_number(obj["leaf"], f"leaf {path} value"))
-    extra = set(obj) - _GENERAL_NODE_KEYS
-    if extra:
-        raise TreeFormatError(f"node {path} has unexpected keys {sorted(extra)}")
+    leaf = _parse_leaf(obj, path, _GENERAL_NODE_KEYS)
+    if leaf is not None:
+        return leaf
     children = obj.get("children")
     weights = obj.get("weights")
     if not isinstance(children, list) or len(children) < 2:
@@ -542,7 +515,7 @@ def _parse_general_node(obj, path: str) -> GNode:
         raise TreeFormatError(
             f"internal node {path} needs one weight per child ({len(children)} children)"
         )
-    w = np.asarray([_require_number(v, f"node {path} weight") for v in weights])
+    w = np.asarray([_require_number(v, "node {} weight", path) for v in weights])
     parsed = tuple(
         _parse_general_node(c, f"{path}.{k}") for k, c in enumerate(children, start=1)
     )
@@ -601,9 +574,14 @@ def parse_model(text: str) -> list[BinaryDecisionTree | GeneralTree]:
     return _parse_text(text, single=False)
 
 
-def _binary_node_doc(node: Node) -> dict:
+def _node_doc(node: Node | GNode, binary: bool) -> dict:
     if isinstance(node, Leaf):
         return {"leaf": node.value}
+    if not binary:
+        return {
+            "children": [_node_doc(c, False) for c in node.children],
+            "weights": [float(v) for v in node.weights],
+        }
     doc: dict = {}
     feature = node.predicate.one_hot_feature
     if feature is None:
@@ -611,31 +589,17 @@ def _binary_node_doc(node: Node) -> dict:
     else:
         doc["feature"] = feature
     doc["threshold"] = node.predicate.threshold
-    doc["left"] = _binary_node_doc(node.left)
-    doc["right"] = _binary_node_doc(node.right)
+    doc["left"] = _node_doc(node.left, True)
+    doc["right"] = _node_doc(node.right, True)
     return doc
 
 
-def _general_node_doc(node: GNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"leaf": node.value}
-    return {
-        "children": [_general_node_doc(c) for c in node.children],
-        "weights": [float(v) for v in node.weights],
-    }
-
-
 def _tree_doc(tree: BinaryDecisionTree | GeneralTree) -> dict:
-    if isinstance(tree, BinaryDecisionTree):
-        return {
-            "type": "binary",
-            "feature_dim": tree.feature_dim,
-            "root": _binary_node_doc(tree.root),
-        }
+    binary = isinstance(tree, BinaryDecisionTree)
     return {
-        "type": "general",
+        "type": "binary" if binary else "general",
         "feature_dim": tree.feature_dim,
-        "root": _general_node_doc(tree.root),
+        "root": _node_doc(tree.root, binary),
     }
 
 

@@ -43,6 +43,19 @@ def general_node(children, weights):
     return GeneralInternal(tuple(children), np.asarray(weights, dtype=np.float64))
 
 
+def binary_to_general(node, probs):
+    """View a binary tree as a general tree whose node weights are
+    ``[p, 1 - p]``, consuming the left-branch probabilities ``probs`` in
+    preorder (node, then left subtree, then right subtree)."""
+    if isinstance(node, Leaf):
+        return Leaf(node.value)
+    p = probs.pop(0)
+    return general_node(
+        [binary_to_general(node.left, probs), binary_to_general(node.right, probs)],
+        [p, 1 - p],
+    )
+
+
 @pytest.fixture
 def eight_leaf_general_tree():
     """Ternary-rooted general tree with 5 internal nodes and leaves 1..8.

@@ -82,6 +82,14 @@ class TestFlatten:
         assert code == 2
         assert "5 nodes" in err
 
+    @pytest.mark.parametrize("bad", ["1.5", "-0.5", "nan"])
+    def test_fuzzy_out_of_range_rejected(self, six_leaf_file, capsys, bad):
+        code, out, err = invoke(
+            ["flatten", six_leaf_file, "fuzzy", "--p", f"0.5,0.5,{bad},1,1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "[0, 1]" in err
+
     def test_path_requires_general_tree(self, six_leaf_file, capsys):
         code, _, err = invoke(["flatten", six_leaf_file, "path"], capsys)
         assert code == 2
@@ -472,6 +480,20 @@ class TestGen:
         for tree in trees:
             assert validate(tree).ok
 
+    def test_tree_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        # Seed 3684 samples a chain deeper than the recursion limit early on.
+        model, data = tmp_path / "m.json", tmp_path / "m.csv"
+        code, _, err = invoke(
+            [
+                "gen", "--depth", "1500", "--dim", "1", "--count", "1", "--instances", "1",
+                "--seed", "3684", "--out-model", model, "--out-data", data,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "nested too deeply" in err
+        assert not model.exists() and not data.exists()
+
     def test_count_makes_ensembles(self, tmp_path, capsys):
         code, _, _ = invoke(
             [
@@ -509,3 +531,20 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_pipe_ends_quietly(tmp_path, six_leaf_file):
+    # More output than a pipe buffers, so the reader closes it mid-write.
+    data = tmp_path / "x.csv"
+    np.savetxt(data, np.random.default_rng(0).uniform(size=(40_000, 5)), fmt="%.3f", delimiter=",")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treeflat", "score", str(six_leaf_file), str(data)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 1
+    assert err == b""

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_shapes, subtree_leaves
+from conftest import all_shapes, binary_to_general, subtree_leaves
 from treeflat import (
     BitMatrix,
     GeneralTree,
@@ -71,22 +71,6 @@ random_general_trees = st.builds(
     max_children=st.integers(2, 5),
     seed=st.integers(0, 2**31 - 1),
 )
-
-
-def _binary_to_general(node, probs):
-    """View a binary tree as a general tree, consuming left-branch
-    probabilities in breadth-first order (which is preorder for the six-leaf
-    fixture since the only off-path subtree is all leaves)."""
-    from conftest import general_node
-    from treeflat import Leaf
-
-    if isinstance(node, Leaf):
-        return Leaf(node.value)
-    p = probs.pop(0)
-    return general_node(
-        [_binary_to_general(node.left, probs), _binary_to_general(node.right, probs)],
-        [p, 1 - p],
-    )
 
 
 class TestBitMatrices:
@@ -232,10 +216,13 @@ class TestFuzzyMatrix:
         np.testing.assert_array_equal(
             build_fuzzy_matrix(depth1_tree, [0.0]), [[0.0], [1.0]]
         )
+        assert not np.signbit(build_fuzzy_matrix(depth1_tree, [-0.0])).any()
 
     def test_out_of_range_rejected(self, depth1_tree):
         with pytest.raises(ValueError):
             build_fuzzy_matrix(depth1_tree, [1.5])
+        with pytest.raises(ValueError):
+            build_fuzzy_matrix(depth1_tree, [float("nan")])
         with pytest.raises(ValueError):
             build_fuzzy_matrix(depth1_tree, [0.2, 0.3])
 
@@ -251,7 +238,7 @@ class TestGeneralPathMatrix:
 
     def test_binary_tree_as_general_equals_fuzzy(self, six_leaf_tree):
         p = np.array([0.3, 0.6, 0.1, 0.8, 0.5])
-        general = GeneralTree(_binary_to_general(six_leaf_tree.root, list(p)), 5)
+        general = GeneralTree(binary_to_general(six_leaf_tree.root, list(p)), 5)
         np.testing.assert_allclose(
             build_general_path_matrix(general),
             build_fuzzy_matrix(six_leaf_tree, p),
@@ -284,7 +271,7 @@ class TestMaskVectors:
 
     def test_binary_edges_reproduce_bit_columns(self, six_leaf_tree):
         general = GeneralTree(
-            _binary_to_general(six_leaf_tree.root, [0.5] * 5), 5
+            binary_to_general(six_leaf_tree.root, [0.5] * 5), 5
         )
         left = build_left_matrix(six_leaf_tree).entries
         right = build_right_matrix(six_leaf_tree).entries
@@ -471,7 +458,7 @@ class TestDecomposeGeneral:
 
     def test_binary_tree_recovers_fuzzy_mixture(self, six_leaf_tree):
         p = [0.25, 0.5, 0.75, 0.1, 0.9]
-        general = GeneralTree(_binary_to_general(six_leaf_tree.root, list(p)), 5)
+        general = GeneralTree(binary_to_general(six_leaf_tree.root, list(p)), 5)
         terms = decompose_general_matrix(general)
         assert len(terms) == 2
         total = sum(mask.entries.astype(np.float64) * w for mask, w in terms)

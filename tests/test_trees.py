@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_document, enumerate_paths, instance_for_tests, one_hot_node
+from conftest import (
+    binary_to_general,
+    chain_document,
+    enumerate_paths,
+    general_node,
+    instance_for_tests,
+    one_hot_node,
+)
 from treeflat import (
     BinaryDecisionTree,
     DimensionMismatchError,
@@ -31,6 +38,8 @@ random_trees = st.builds(
     feature_dim=st.just(4),
     seed=st.integers(0, 2**31 - 1),
 )
+
+STALE_NUMBERING = ["reassigned root", "reordered nodes", "reordered leaves", "swapped siblings"]
 
 
 class TestValidate:
@@ -74,8 +83,6 @@ class TestValidate:
         assert report.problems == ["internal node root has a non-finite threshold"]
 
     def test_general_tree_weight_sum_checked(self):
-        from conftest import general_node
-
         bad = general_node([Leaf(0.0), Leaf(1.0)], [0.5, 0.6])
         report = validate(GeneralTree(bad, 1))
         assert not report.ok
@@ -85,21 +92,56 @@ class TestValidate:
         assert validate(eight_leaf_general_tree).ok
 
     @pytest.mark.parametrize(
-        "change",
-        ["reassigned root", "reordered nodes", "reordered leaves", "swapped siblings"],
+        "kind, change",
+        [(kind, change) for kind in ("binary", "general") for change in STALE_NUMBERING],
+        ids=STALE_NUMBERING + [f"general {change}" for change in STALE_NUMBERING],
     )
-    def test_stale_numbering_is_reported(self, six_leaf_tree, change):
-        nodes = six_leaf_tree.internal_nodes
+    def test_stale_numbering_is_reported(
+        self, six_leaf_tree, eight_leaf_general_tree, kind, change
+    ):
+        tree = six_leaf_tree if kind == "binary" else eight_leaf_general_tree
+        nodes = tree.internal_nodes
         if change == "reassigned root":
-            six_leaf_tree.root = one_hot_node(0, Leaf(0.0), Leaf(1.0))
+            leaves = [Leaf(0.0), Leaf(1.0)]
+            tree.root = (
+                one_hot_node(0, *leaves) if kind == "binary" else general_node(leaves, [0.5, 0.5])
+            )
         elif change == "reordered nodes":
             nodes.reverse()
         elif change == "reordered leaves":
-            six_leaf_tree.leaves.reverse()
+            tree.leaves.reverse()
         else:
             nodes[1], nodes[2] = nodes[2], nodes[1]
-        report = validate(six_leaf_tree)
+        report = validate(tree)
         assert report.problems == ["stored node numbering does not match the structure"]
+
+
+class TestSharedNumbering:
+    @settings(max_examples=50, deadline=None)
+    @given(tree=random_trees)
+    def test_binary_tree_read_as_general_tree_is_numbered_alike(self, tree):
+        def preorder(node):
+            if isinstance(node, Leaf):
+                return []
+            return [node] + preorder(node.left) + preorder(node.right)
+
+        # Each general node's first weight is its binary node's threshold,
+        # which tells the nodes apart.
+        thresholds = [node.predicate.threshold for node in preorder(tree.root)]
+        general = GeneralTree(binary_to_general(tree.root, thresholds), tree.feature_dim)
+        assert [leaf.value for leaf in general.leaves] == [leaf.value for leaf in tree.leaves]
+        np.testing.assert_array_equal(general.leaf_depths, tree.leaf_depths)
+        assert [node.weights[0] for node in general.internal_nodes] == tree.thresholds.tolist()
+        assert general.child_spans == [[(lo, mid), (mid, hi)] for lo, mid, hi in tree.leaf_spans]
+
+    @pytest.mark.parametrize("missing", [1, 2, 3])
+    def test_subtree_with_a_missing_child_has_no_span(self, missing):
+        children = [Leaf(0.2), Leaf(0.3), Leaf(0.4)]
+        children[missing - 1] = None
+        inner = general_node(children, [0.2, 0.3, 0.5])
+        tree = GeneralTree(general_node([Leaf(0.1), inner, Leaf(0.5)], [0.2, 0.3, 0.5]))
+        assert tree.child_spans[0] == [(0, 1), (0, 0), (3, 4)]
+        assert validate(tree).problems == [f"internal node root.2 has a malformed child {missing}"]
 
 
 class TestNaiveTraverse:
