@@ -56,7 +56,7 @@ def _as_routing_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("routing matrix must be two-dimensional")
-    if m.size and (m.min() < 0.0 or m.max() > 1.0):
+    if m.size and not (m.min() >= 0.0 and m.max() <= 1.0):  # NaN fails both tests
         raise ValueError("routing matrix entries must lie in [0, 1]")
     return m
 

@@ -7,6 +7,17 @@ nodes.  Each kind adds only its own node checks and fields.  A binary node's
 children are ``(left, right)``, so a binary tree is numbered exactly as the
 same tree read as a general tree.
 
+A parsed binary tree is node arrays.  The parser reads every node of a
+document in one iterative walk, shared by both kinds, into pre-order
+columns (feature index, threshold, dense weight rows only where a node has
+them, children, leaf values), and derives the breadth-first numbering, the
+leaf order, the leaf depths and the leaf spans of every binary tree of the
+model from them by array operations.  Its ``Internal``/``Leaf``/
+``Predicate`` objects are a view, built from the arrays on first read and
+kept; scoring, ``validate`` and ``naive_traverse`` read only the arrays.
+Trees built from objects keep the object walks, and general trees are
+built as objects as soon as they are read.
+
 Conventions shared by the whole package:
 
 * Internal nodes are numbered in breadth-first order starting at 0 (root),
@@ -25,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -133,9 +144,14 @@ class _Tree:
     needs from the subtree ranges, and ``_check_internal``, which reports
     the problems of one internal node and pushes its well-formed children
     onto the validation stack.
+
+    This constructor is the object form.  A parsed binary tree is built by
+    ``BinaryDecisionTree._from_arrays`` instead, and ``_arrays`` tells the
+    two apart.
     """
 
     _internal: type
+    _arrays: "_SplitArrays | None" = None
 
     def __init__(self, root, feature_dim: int):
         self.root = root
@@ -197,9 +213,9 @@ class _Tree:
 
     @property
     def num_leaves(self) -> int:
-        return len(self.leaves)
+        return len(self.leaf_depths)
 
-    @property
+    @cached_property
     def leaf_depths(self) -> np.ndarray:
         return np.asarray(self._depths, dtype=np.int64)
 
@@ -212,15 +228,107 @@ class _Tree:
         return self._leaf_pos[id(leaf)] + 1
 
 
+@dataclass(frozen=True, eq=False)
+class _SplitArrays:
+    """The node arrays a parsed binary tree keeps besides its public ones,
+    one row per internal node in breadth-first order.
+
+    ``children[j]`` is node j's ``(left, right)``: a child ``c >= 0`` is
+    internal node c, a child ``c < 0`` is leaf row ``~c``.  ``features[j]``
+    is the input feature of a one-hot split and -1 where the node has dense
+    weights; those nodes are ``dense_index``, with their weight rows in
+    ``dense_rows``.
+    """
+
+    features: np.ndarray
+    children: np.ndarray
+    dense_index: np.ndarray
+    dense_rows: np.ndarray
+
+
+class _NodeView:
+    """A node-object attribute (``root``, ``internal_nodes``, ``leaves``) of
+    a binary tree.  The object constructor sets the attribute on the
+    instance, which hides this descriptor; a parsed tree builds all of them
+    from its arrays on the first read of any, and keeps them."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, tree, owner=None):
+        if tree is None:
+            return self
+        tree.__dict__.update(tree._node_view())
+        return tree.__dict__[self.name]
+
+
 class BinaryDecisionTree(_Tree):
     """Full binary decision tree over a fixed feature space.
 
     Besides the shared numbering, ``leaf_spans[j]`` is ``(lo, mid, hi)`` for
     internal node ``j``: its subtree covers leaf rows ``lo..hi-1`` with the
     left subtree ending at ``mid`` (0-based, half-open).
+
+    A tree is built either from ``Internal``/``Leaf`` objects, or by the
+    parser as node arrays (``span_array``, ``thresholds``, ``leaf_values``,
+    ``leaf_depths`` and the split arrays).  The node objects of a parsed
+    tree are a view, built on first read; scoring, validation and the
+    oracle read the arrays.
     """
 
     _internal = Internal
+    root = _NodeView()
+    internal_nodes = _NodeView()
+    leaves = _NodeView()
+    _leaf_pos = _NodeView()
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        feature_dim: int,
+        arrays: _SplitArrays,
+        spans: np.ndarray,
+        thresholds: np.ndarray,
+        leaf_values: np.ndarray,
+        leaf_depths: np.ndarray,
+    ) -> "BinaryDecisionTree":
+        tree = cls.__new__(cls)
+        tree.__dict__.update(
+            feature_dim=feature_dim,
+            _arrays=arrays,
+            span_array=spans,
+            thresholds=thresholds,
+            leaf_values=leaf_values,
+            leaf_depths=leaf_depths,
+        )
+        return tree
+
+    def _node_view(self) -> dict:
+        """``root``, ``internal_nodes``, ``leaves`` and the leaf positions of
+        a parsed tree, built from its arrays bottom-up (breadth-first order
+        lists every child after its parent)."""
+        arrays, dim = self._arrays, self.feature_dim
+        leaves = [Leaf(value) for value in self.leaf_values.tolist()]
+        dense = dict(zip(arrays.dense_index.tolist(), arrays.dense_rows))
+        nodes: list = [None] * self.num_internal
+        rows = zip(arrays.features.tolist(), self.thresholds.tolist(), arrays.children.tolist())
+        for j, (feature, threshold, (left, right)) in reversed(list(enumerate(rows))):
+            predicate = (
+                Predicate.one_hot(feature, threshold, dim)
+                if feature >= 0
+                else Predicate(dense[j], threshold)
+            )
+            nodes[j] = Internal(
+                predicate,
+                nodes[left] if left >= 0 else leaves[~left],
+                nodes[right] if right >= 0 else leaves[~right],
+            )
+        return {
+            "root": nodes[0] if nodes else leaves[0],
+            "internal_nodes": nodes,
+            "leaves": leaves,
+            "_leaf_pos": {id(leaf): pos for pos, leaf in enumerate(leaves)},
+        }
 
     def _keep_spans(self, ranges: dict[int, tuple[int, int]]) -> None:
         self.leaf_spans: list[tuple[int, int, int]] = []
@@ -228,6 +336,14 @@ class BinaryDecisionTree(_Tree):
             lr = ranges.get(id(node.left))
             rr = ranges.get(id(node.right))
             self.leaf_spans.append((lr[0], lr[1], rr[1]) if lr and rr else (0, 0, 0))
+
+    @property
+    def num_internal(self) -> int:
+        return len(self.span_array)
+
+    @cached_property
+    def leaf_spans(self) -> list[tuple[int, int, int]]:
+        return list(map(tuple, self.span_array.tolist()))
 
     @cached_property
     def span_array(self) -> np.ndarray:
@@ -237,7 +353,16 @@ class BinaryDecisionTree(_Tree):
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
-        """Stacked predicate weights, one row per internal node."""
+        """Stacked predicate weights, one row per internal node.  A parsed
+        tree fills it with one scatter of the one-hot features, plus its
+        dense weight rows."""
+        arrays = self._arrays
+        if arrays is not None:
+            w = np.zeros((self.num_internal, self.feature_dim))
+            one_hot = np.flatnonzero(arrays.features >= 0)
+            w[one_hot, arrays.features[one_hot]] = 1.0
+            w[arrays.dense_index] = arrays.dense_rows
+            return w
         if not self.internal_nodes:
             return np.zeros((0, self.feature_dim))
         return np.stack([n.predicate.weights for n in self.internal_nodes])
@@ -247,6 +372,12 @@ class BinaryDecisionTree(_Tree):
         return np.asarray(
             [n.predicate.threshold for n in self.internal_nodes], dtype=np.float64
         )
+
+    @cached_property
+    def _routing(self) -> tuple[list, list, list]:
+        """A parsed tree's weight rows, thresholds and children as lists, for
+        the oracle's walk."""
+        return list(self.weight_matrix), self.thresholds.tolist(), self._arrays.children.tolist()
 
     def _check_internal(self, node: Internal, path: str, problems: list, stack: list) -> None:
         pred = node.predicate
@@ -336,7 +467,38 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (np.integer, np.floating)) and bool(np.isfinite(x))
 
 
+def _parsed_problems(tree: BinaryDecisionTree) -> list[str]:
+    """``_validate`` for a parsed tree.  The parser lets through only
+    non-finite numbers, all-zero dense weights and a leaf as root.  When the
+    arrays hold one of them, a walk over the arrays reports each with the
+    object walk's message and path, in its order (right child first)."""
+    arrays = tree._arrays
+    thresholds, values = tree.thresholds, tree.leaf_values
+    zero = arrays.dense_index[~arrays.dense_rows.any(axis=1)]
+    if len(thresholds) and not len(zero) and np.isfinite(thresholds).all() and np.isfinite(values).all():
+        return []
+    problems = [] if len(thresholds) else ["tree must have at least one internal node"]
+    zero, thresholds, values = set(zero.tolist()), thresholds.tolist(), values.tolist()
+    children = arrays.children.tolist()
+    stack = [(0 if children else -1, "root")]
+    while stack:
+        j, path = stack.pop()
+        if j < 0:
+            if not math.isfinite(values[~j]):
+                problems.append(f"leaf {path} has a non-finite value")
+            continue
+        if j in zero:
+            problems.append(f"internal node {path} has all-zero weights")
+        if not math.isfinite(thresholds[j]):
+            problems.append(f"internal node {path} has a non-finite threshold")
+        left, right = children[j]
+        stack += [(left, f"{path}.left"), (right, f"{path}.right")]
+    return problems
+
+
 def _validate(tree: _Tree) -> list[str]:
+    if tree._arrays is not None:
+        return _parsed_problems(tree)
     if tree.root is None:
         return ["tree has no root"]
     problems: list[str] = []
@@ -416,12 +578,21 @@ def naive_traverse(tree: BinaryDecisionTree, x) -> int:
 
     This recursive descent is the ground-truth oracle every arithmetic
     traversal is checked against; it never touches the matrix machinery.
+    A parsed tree is walked through its child arrays with the arithmetic of
+    ``Predicate.passes``, ``float(row @ x) > threshold`` on the same float64
+    weight rows, so its node objects are never built.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.feature_dim,):
         raise DimensionMismatchError(
             f"feature vector has shape {x.shape}, expected ({tree.feature_dim},)"
         )
+    if tree._arrays is not None:
+        rows, thresholds, children = tree._routing
+        j = 0 if children else -1
+        while j >= 0:
+            j = children[j][0] if float(rows[j] @ x) > thresholds[j] else children[j][1]
+        return ~j + 1
     node = tree.root
     while isinstance(node, Internal):
         node = node.left if node.predicate.passes(x) else node.right
@@ -443,86 +614,238 @@ _BINARY_NODE_KEYS = {"feature", "weights", "threshold", "left", "right"}
 _GENERAL_NODE_KEYS = {"children", "weights"}
 
 
-def _require_number(value, what: str, path: str) -> float:
-    """``what`` names the number with ``{}`` for the node path; the message
-    is only formatted when the value is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TreeFormatError(f"{what.format(path)} must be a number, got {value!r}")
+class _NodeError(Exception):
+    """A malformed node, found before its path is known: ``message`` maps
+    the path to the error text, so a path is formatted only for an error."""
+
+    def __init__(self, message: Callable[[str], str]):
+        super().__init__()
+        self.message = message
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float; ``what`` names the number, with ``{}`` for the
+    node path."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _NodeError(lambda path: f"{what.format(path)} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise TreeFormatError(f"{what.format(path)} is an integer too large for a float") from None
+        raise _NodeError(
+            lambda path: f"{what.format(path)} is an integer too large for a float"
+        ) from None
 
 
-def _parse_leaf(obj, path: str, internal_keys: set[str]) -> Leaf | None:
-    """The part of node parsing both kinds share: ``obj`` must be an object,
-    and is returned as a ``Leaf`` if it is one.  Otherwise it may only have
-    the kind's ``internal_keys``, and the kind's parser goes on with it."""
-    if not isinstance(obj, dict):
-        raise TreeFormatError(f"node {path} must be an object")
-    if "leaf" in obj:
-        extra = set(obj) - {"leaf"}
-        if extra:
-            raise TreeFormatError(f"leaf {path} has unexpected keys {sorted(extra)}")
-        return Leaf(_require_number(obj["leaf"], "leaf {} value", path))
-    extra = set(obj) - internal_keys
-    if extra:
-        raise TreeFormatError(f"node {path} has unexpected keys {sorted(extra)}")
-    return None
+class _NodeColumns:
+    """Pre-order node columns of tree documents, written by the one
+    iterative walk both tree kinds share.
+
+    Per node, ``numbers`` holds a leaf's value or what the kind's reader
+    returns for an internal node, and ``parents`` the parent's index (-1 at
+    a root); a node's children are the later nodes that name it, in order.
+    The reader checks an internal node, keeps the kind's own fields, and
+    returns the node's number and its child documents, last child first.
+    Several documents may be walked into one set of columns, one after
+    another.
+    """
+
+    def __init__(self, internal_keys: set[str], slot_names: tuple[str, ...] | None):
+        self.numbers: list = []
+        self.parents: list[int] = []
+        self._internal_keys = internal_keys
+        self._slot_names = slot_names  # None: children are numbered from 1
+
+    def walk(self, root, read_internal: Callable[[dict, int], tuple]) -> None:
+        numbers, parents, keys = self.numbers, self.parents, self._internal_keys
+        stack = [(root, -1)]
+        pop, push = stack.pop, stack.append
+        try:
+            while stack:
+                obj, parent = pop()
+                node = len(parents)
+                parents.append(parent)
+                if not isinstance(obj, dict):
+                    raise _NodeError(lambda path: f"node {path} must be an object")
+                if "leaf" in obj:
+                    if len(obj) > 1:
+                        extra = sorted(set(obj) - {"leaf"})
+                        raise _NodeError(lambda path: f"leaf {path} has unexpected keys {extra}")
+                    value = obj["leaf"]
+                    numbers.append(value if type(value) is float else _number(value, "leaf {} value"))
+                    continue
+                if not obj.keys() <= keys:
+                    extra = sorted(set(obj) - keys)
+                    raise _NodeError(lambda path: f"node {path} has unexpected keys {extra}")
+                number, children = read_internal(obj, node)
+                numbers.append(number)
+                for child in children:
+                    push((child, node))
+        except _NodeError as exc:
+            raise TreeFormatError(exc.message(self._path(len(parents) - 1))) from None
+
+    def _path(self, node: int) -> str:
+        parents, names, parts = self.parents, self._slot_names, []
+        while parents[node] >= 0:
+            parent = parents[node]
+            slot = parents[parent:node].count(parent)  # earlier siblings
+            parts.append(names[slot] if names else str(slot + 1))
+            node = parent
+        return ".".join(["root", *reversed(parts)])
 
 
-def _parse_binary_node(obj, dim: int, path: str) -> Node:
-    leaf = _parse_leaf(obj, path, _BINARY_NODE_KEYS)
-    if leaf is not None:
-        return leaf
-    if "threshold" not in obj:
-        raise TreeFormatError(f"internal node {path} is missing 'threshold'")
-    for side in ("left", "right"):
-        if side not in obj or obj[side] is None:
-            raise TreeFormatError(f"internal node {path} must have both children ('{side}' missing)")
-    threshold = _require_number(obj["threshold"], "node {} threshold", path)
-    if "weights" in obj:
-        raw = obj["weights"]
-        if not isinstance(raw, list) or len(raw) != dim:
-            raise TreeFormatError(f"node {path} weights must be a list of {dim} numbers")
-        weights = np.asarray([_require_number(v, "node {} weight", path) for v in raw])
-        predicate = Predicate(weights, threshold)
-    elif "feature" in obj:
-        feature = obj["feature"]
-        if isinstance(feature, bool) or not isinstance(feature, int):
-            raise TreeFormatError(f"node {path} feature must be an integer")
-        if not 0 <= feature < dim:
-            raise TreeFormatError(
-                f"node {path} feature {feature} is out of range for dimension {dim}"
-            )
-        predicate = Predicate.one_hot(feature, threshold, dim)
-    else:
-        raise TreeFormatError(f"internal node {path} needs 'feature' or 'weights'")
-    left = _parse_binary_node(obj["left"], dim, f"{path}.left")
-    right = _parse_binary_node(obj["right"], dim, f"{path}.right")
-    return Internal(predicate, left, right)
+class _BinaryColumns(_NodeColumns):
+    """The columns of a model's binary trees.  Besides the shared columns,
+    ``features`` holds each internal node's feature in pre-order (-1 for
+    dense weights) and ``dense`` the dense weight rows by the node's place
+    in that order.  ``trees`` derives the arrays of every tree at once."""
 
+    def __init__(self):
+        super().__init__(_BINARY_NODE_KEYS, ("left", "right"))
+        self.features: list[int] = []
+        self.dense: dict[int, list[float]] = {}
+        self.starts: list[int] = []  # index of each tree's root
+        self.dims: list[int] = []
 
-def _parse_general_node(obj, path: str) -> GNode:
-    leaf = _parse_leaf(obj, path, _GENERAL_NODE_KEYS)
-    if leaf is not None:
-        return leaf
-    children = obj.get("children")
-    weights = obj.get("weights")
-    if not isinstance(children, list) or len(children) < 2:
-        raise TreeFormatError(f"internal node {path} needs at least two children")
-    if not isinstance(weights, list) or len(weights) != len(children):
-        raise TreeFormatError(
-            f"internal node {path} needs one weight per child ({len(children)} children)"
+    def read(self, root, dim: int) -> None:
+        features, dense = self.features, self.dense
+        self.starts.append(len(self.numbers))
+        self.dims.append(dim)
+
+        def read_internal(obj: dict, node: int) -> tuple[float, tuple]:
+            if "threshold" not in obj:
+                raise _NodeError(lambda path: f"internal node {path} is missing 'threshold'")
+            left, right = obj.get("left"), obj.get("right")
+            if left is None or right is None:
+                side = "left" if left is None else "right"
+                raise _NodeError(
+                    lambda path: f"internal node {path} must have both children ('{side}' missing)"
+                )
+            threshold = obj["threshold"]
+            if type(threshold) is not float:
+                threshold = _number(threshold, "node {} threshold")
+            if "weights" in obj:
+                raw = obj["weights"]
+                if not isinstance(raw, list) or len(raw) != dim:
+                    raise _NodeError(lambda path: f"node {path} weights must be a list of {dim} numbers")
+                dense[len(features)] = [_number(v, "node {} weight") for v in raw]
+                features.append(-1)
+            elif "feature" in obj:
+                feature = obj["feature"]
+                if type(feature) is not int:  # JSON gives int, or bool, which is no feature
+                    raise _NodeError(lambda path: f"node {path} feature must be an integer")
+                if not 0 <= feature < dim:
+                    raise _NodeError(
+                        lambda path: f"node {path} feature {feature} is out of range for dimension {dim}"
+                    )
+                features.append(feature)
+            else:
+                raise _NodeError(lambda path: f"internal node {path} needs 'feature' or 'weights'")
+            return threshold, (right, left)
+
+        self.walk(root, read_internal)
+
+    def trees(self) -> list[BinaryDecisionTree]:
+        """Every tree's arrays, derived by array operations over the whole
+        model.  In pre-order, a node's left child is the next node, and its
+        leaves are the leaf rows from the leaves before it to its last leaf,
+        found by following right children."""
+        if not self.dims:
+            return []
+        count = len(self.numbers)
+        number = np.array(self.numbers, dtype=np.float64)
+        parent = np.array(self.parents, dtype=np.int64)
+        node = np.arange(count)
+        is_right = (parent >= 0) & (parent != node - 1)
+        right = np.full(count, -1)
+        right[parent[is_right]] = node[is_right]
+        leaf = right < 0
+        # Depth is the number of ancestors, summed by pointer doubling.
+        depth, above = (parent >= 0).astype(np.int64), parent
+        while (up := above >= 0).any():
+            depth[up] += depth[above[up]]
+            above = np.where(up, above[np.maximum(above, 0)], -1)
+        internal = np.flatnonzero(~leaf)
+        starts = np.array([*self.starts, count])
+        tree_of = np.repeat(np.arange(len(self.dims)), np.diff(starts))
+        # Breadth-first: by tree, then depth, then pre-order (lexsort is stable).
+        rank = np.lexsort((depth[internal], tree_of[internal]))
+        order = internal[rank]
+        # Where each tree starts on the model's internal-node and leaf axes.
+        internal_starts = np.searchsorted(internal, starts)
+        leaf_starts = starts - internal_starts
+        before = np.cumsum(leaf) - leaf  # leaf rows before each node
+        last = np.where(leaf, node, right)  # last leaf, by pointer doubling
+        while not np.array_equal(further := last[last], last):
+            last = further
+        # A child as its tree numbers it: internal node c >= 0, or leaf row ~c.
+        position = np.zeros(count, dtype=np.int64)
+        position[order] = np.arange(len(order))
+        child = np.where(leaf, ~(before - leaf_starts[tree_of]), position - internal_starts[tree_of])
+        offset = leaf_starts[tree_of[order]]
+        spans = np.stack(
+            [before[order] - offset, before[right[order]] - offset, before[last[order]] + 1 - offset],
+            axis=1,
         )
-    w = np.asarray([_require_number(v, "node {} weight", path) for v in weights])
-    parsed = tuple(
-        _parse_general_node(c, f"{path}.{k}") for k, c in enumerate(children, start=1)
-    )
-    return GeneralInternal(parsed, w)
+        children = np.stack([child[order + 1], child[right[order]]], axis=1)
+        thresholds, features = number[order], np.array(self.features, dtype=np.int64)[rank]
+        leaf_values, leaf_depths = number[leaf], depth[leaf]
+        dense: dict[int, tuple[list, list]] = {}
+        for r, row in self.dense.items():
+            t = int(tree_of[internal[r]])
+            index, rows = dense.setdefault(t, ([], []))
+            index.append(int(position[internal[r]] - internal_starts[t]))
+            rows.append(row)
+        dense = {t: (np.array(index), np.array(rows)) for t, (index, rows) in dense.items()}
+        no_index = np.zeros(0, dtype=np.int64)
+        trees = []
+        internal_starts, leaf_starts = internal_starts.tolist(), leaf_starts.tolist()
+        for t, dim in enumerate(self.dims):
+            a, b = internal_starts[t], internal_starts[t + 1]
+            c, d = leaf_starts[t], leaf_starts[t + 1]
+            index, rows = dense.get(t) or (no_index, np.zeros((0, dim)))
+            arrays = _SplitArrays(features[a:b], children[a:b], index, rows)
+            trees.append(
+                BinaryDecisionTree._from_arrays(
+                    dim, arrays, spans[a:b], thresholds[a:b], leaf_values[c:d], leaf_depths[c:d]
+                )
+            )
+        return trees
 
 
-def _parse_document(doc) -> BinaryDecisionTree | GeneralTree:
+def _read_general(root, dim: int) -> GeneralTree:
+    """A general tree document, walked into columns and built as objects at
+    once: general trees are on no scoring path."""
+    columns = _NodeColumns(_GENERAL_NODE_KEYS, None)
+    weights: dict[int, np.ndarray] = {}
+
+    def read_internal(obj: dict, node: int) -> tuple[None, list]:
+        children, raw = obj.get("children"), obj.get("weights")
+        if not isinstance(children, list) or len(children) < 2:
+            raise _NodeError(lambda path: f"internal node {path} needs at least two children")
+        if not isinstance(raw, list) or len(raw) != len(children):
+            raise _NodeError(
+                lambda path: f"internal node {path} needs one weight per child "
+                f"({len(children)} children)"
+            )
+        weights[node] = np.asarray([_number(v, "node {} weight") for v in raw])
+        return None, children[::-1]
+
+    columns.walk(root, read_internal)
+    # Reversed pre-order meets every node after its children, last child first.
+    kids: dict[int, list] = {}
+    for node in reversed(range(len(columns.numbers))):
+        if node in weights:
+            obj = GeneralInternal(tuple(reversed(kids.pop(node))), weights[node])
+        else:
+            obj = Leaf(columns.numbers[node])
+        kids.setdefault(columns.parents[node], []).append(obj)
+    return GeneralTree(kids[-1][0], dim)
+
+
+def _tree_header(doc) -> tuple[str, int]:
+    """A tree document's kind and feature dimension, checked."""
     if not isinstance(doc, dict):
         raise TreeFormatError("tree document must be a JSON object")
     kind = doc.get("type")
@@ -533,28 +856,41 @@ def _parse_document(doc) -> BinaryDecisionTree | GeneralTree:
         raise TreeFormatError("feature_dim must be a non-negative integer")
     if "root" not in doc:
         raise TreeFormatError("tree document is missing 'root'")
-    if kind == "binary":
-        if dim < 1:
-            raise TreeFormatError("binary trees need feature_dim >= 1")
-        return BinaryDecisionTree(_parse_binary_node(doc["root"], dim, "root"), dim)
-    return GeneralTree(_parse_general_node(doc["root"], "root"), dim)
+    if kind == "binary" and dim < 1:
+        raise TreeFormatError("binary trees need feature_dim >= 1")
+    return kind, dim
+
+
+def _parse_documents(docs: list) -> list[BinaryDecisionTree | GeneralTree]:
+    """Trees in document order.  The nodes of every binary tree go into one
+    set of columns, and their arrays are derived together at the end."""
+    binary = _BinaryColumns()
+    general: dict[int, GeneralTree] = {}
+    for k, doc in enumerate(docs):
+        kind, dim = _tree_header(doc)
+        if kind == "binary":
+            binary.read(doc["root"], dim)
+        else:
+            general[k] = _read_general(doc["root"], dim)
+    parsed = iter(binary.trees())
+    return [general[k] if k in general else next(parsed) for k in range(len(docs))]
 
 
 def _parse_text(text: str, single: bool) -> list[BinaryDecisionTree | GeneralTree]:
     try:
         doc = json.loads(text)
         if not (isinstance(doc, dict) and doc.get("type") == "ensemble"):
-            return [_parse_document(doc)]
+            return _parse_documents([doc])
         if single:
             raise TreeFormatError("expected a single tree document, got an ensemble")
         trees = doc.get("trees")
         if not isinstance(trees, list):
             raise TreeFormatError("ensemble document needs a 'trees' list")
-        return [_parse_document(t) for t in trees]
+        return _parse_documents(trees)
     except json.JSONDecodeError as exc:
         raise TreeFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError:
-        # The decoder and the node parsers recurse once per level.
+        # The decoder recurses once per level.
         raise TreeFormatError("document is nested too deeply to parse") from None
 
 

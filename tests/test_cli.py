@@ -7,6 +7,7 @@ import pytest
 
 from conftest import chain_document, instance_for_tests
 from treeflat import (
+    BinaryDecisionTree,
     StackedTrees,
     TreeMatrices,
     parse_model,
@@ -423,30 +424,50 @@ class TestBench:
         assert code == 2
 
 
+def scoring_runs(tmp_path, capsys):
+    """Every scoring command (each ``--algo``, ``--soft``, ``compare`` and
+    ``bench``) on a generated single tree and a 6-tree ensemble."""
+    runs = []
+    for count in (1, 6):
+        model, data = tmp_path / f"m{count}.json", tmp_path / f"d{count}.csv"
+        code, _, _ = invoke(
+            [
+                "gen", "--depth", "4", "--dim", "3", "--count", count, "--seed", "5",
+                "--instances", "20", "--out-model", model, "--out-data", data,
+            ],
+            capsys,
+        )
+        assert code == 0
+        runs += [["score", model, data, "--algo", algo] for algo in sorted(cli.ALGORITHMS)]
+        runs += [["compare", model, data], ["bench", model, data, "--repeat", "1"]]
+        if count == 1:
+            runs.append(["score", model, data, "--soft"])
+    return runs
+
+
 class TestOneScoringPath:
     def test_no_command_builds_tree_matrices(self, tmp_path, capsys, monkeypatch):
         def refuse(tree):
             raise AssertionError("the CLI must not build TreeMatrices")
 
         monkeypatch.setattr(TreeMatrices, "build", refuse)
-        for count in (1, 6):
-            model, data = tmp_path / f"m{count}.json", tmp_path / f"d{count}.csv"
-            code, _, _ = invoke(
-                [
-                    "gen", "--depth", "4", "--dim", "3", "--count", count, "--seed", "5",
-                    "--instances", "20", "--out-model", model, "--out-data", data,
-                ],
-                capsys,
-            )
-            assert code == 0
-            runs = [["score", model, data, "--algo", algo] for algo in sorted(cli.ALGORITHMS)]
-            runs += [["compare", model, data], ["bench", model, data, "--repeat", "1"]]
-            if count == 1:
-                runs.append(["score", model, data, "--soft"])
-            for argv in runs:
-                code, out, err = invoke(argv, capsys)
-                assert (code, err) == (0, ""), argv
-                assert out
+        for argv in scoring_runs(tmp_path, capsys):
+            code, out, err = invoke(argv, capsys)
+            assert (code, err) == (0, ""), argv
+            assert out
+
+    def test_no_command_builds_node_objects(self, tmp_path, capsys, monkeypatch):
+        """Parsed models stay node arrays on every scoring path."""
+        runs = scoring_runs(tmp_path, capsys)
+
+        def refuse(tree):
+            raise AssertionError("a scoring command built node objects")
+
+        monkeypatch.setattr(BinaryDecisionTree, "_node_view", refuse)
+        for argv in runs:
+            code, out, err = invoke(argv, capsys)
+            assert (code, err) == (0, ""), argv
+            assert out
 
 
 class TestGen:

@@ -67,6 +67,11 @@ class TestLeafProbabilities:
         with pytest.raises(ValueError):
             leaf_probabilities(np.array([[1.5, 0.5]]))
 
+    @pytest.mark.parametrize("form", [leaf_probabilities, leaf_probabilities_log])
+    def test_nan_entries_rejected(self, form):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            form(np.array([[np.nan, 1.0], [0.5, 1.0]]))
+
     @settings(max_examples=40, deadline=None)
     @given(tree=random_general_trees)
     def test_general_distributions_normalize(self, tree):

@@ -16,11 +16,14 @@ from conftest import (
 from treeflat import (
     BinaryDecisionTree,
     DimensionMismatchError,
+    StackedTrees,
+    TreeMatrices,
     GeneralTree,
     Internal,
     Leaf,
     Predicate,
     TreeFormatError,
+    batch_score,
     generate_random_general_tree,
     generate_random_tree,
     naive_traverse,
@@ -38,6 +41,35 @@ random_trees = st.builds(
     feature_dim=st.just(4),
     seed=st.integers(0, 2**31 - 1),
 )
+
+# A number no test tree holds: written into a document in place of a value
+# JSON's encoder cannot write (an integer too large for a float).
+SENTINEL = 123.456
+
+# Trees with one problem value v or more, at the root and at nested paths.
+# Each split tests x[j] against its threshold (v itself for some).
+def split(j, threshold, left, right):
+    return Internal(Predicate(np.eye(5)[j], threshold), left, right)
+
+
+PROBLEM_TREES = [
+    lambda v: split(0, 0.5, Leaf(v), Leaf(1.0)),
+    lambda v: Internal(Predicate(np.ones(5), v), Leaf(0.0), Leaf(1.0)),
+    lambda v: split(
+        0,
+        v,
+        split(1, 0.5, Leaf(0.1), Leaf(v)),
+        split(2, 0.5, split(3, v, Leaf(0.3), Leaf(0.4)), split(4, 0.5, Leaf(v), Leaf(0.6))),
+    ),
+    lambda v: Internal(
+        Predicate(np.zeros(5), v),
+        split(1, 0.5, Leaf(v), Leaf(0.2)),
+        Internal(Predicate(np.zeros(5), 0.5), Leaf(0.3), Leaf(v)),
+    ),
+    lambda v: Internal(Predicate(np.zeros(5), 0.5), Leaf(0.0), Leaf(1.0)),
+    lambda v: Leaf(v),
+    lambda v: Leaf(1.0),
+]
 
 STALE_NUMBERING = ["reassigned root", "reordered nodes", "reordered leaves", "swapped siblings"]
 
@@ -81,6 +113,17 @@ class TestValidate:
         node = Internal(Predicate(np.ones(5), bad), Leaf(0.0), Leaf(1.0))
         report = validate(BinaryDecisionTree(node, 5))
         assert report.problems == ["internal node root has a non-finite threshold"]
+        # A parsed tree is checked over its arrays, with the same messages in
+        # the same order.  The document holds the number as JSON's NaN,
+        # Infinity or -Infinity, or for 10**400 as 1e400, which reads as inf
+        # (the parser refuses the integer itself).
+        literal = json.dumps(bad) if isinstance(bad, float) else "1e400"
+        for build in PROBLEM_TREES:
+            tree = BinaryDecisionTree(build(bad), 5)
+            text = serialize_tree(BinaryDecisionTree(build(SENTINEL), 5))
+            parsed = parse_tree(text.replace(repr(SENTINEL), literal))
+            assert validate(parsed).problems == validate(tree).problems
+            assert validate(parsed).problems
 
     def test_general_tree_weight_sum_checked(self):
         bad = general_node([Leaf(0.0), Leaf(1.0)], [0.5, 0.6])
@@ -142,6 +185,124 @@ class TestSharedNumbering:
         tree = GeneralTree(general_node([Leaf(0.1), inner, Leaf(0.5)], [0.2, 0.3, 0.5]))
         assert tree.child_spans[0] == [(0, 1), (0, 0), (3, 4)]
         assert validate(tree).problems == [f"internal node root.2 has a malformed child {missing}"]
+
+
+def with_dense_splits_and_ties(tree, seed):
+    """``tree`` with about a third of its splits given dense weights, and
+    instances that tie splits exactly: ``x[f] == threshold`` for a one-hot
+    split (on rows 0-7), ``w . x == threshold``, the oracle's own product,
+    for a dense one (on rows 8-15, which no one-hot tie changes)."""
+    rng = np.random.default_rng(seed)
+    dim = tree.feature_dim
+    X = rng.uniform(size=(16, dim))
+
+    def rebuild(node):
+        if isinstance(node, Leaf):
+            return Leaf(node.value)
+        predicate = node.predicate
+        if rng.random() < 0.35:
+            weights = rng.uniform(-1.0, 1.0, dim)
+            predicate = Predicate(weights, float(weights @ X[8 + rng.integers(8)]))
+        else:
+            X[rng.integers(8), predicate.one_hot_feature] = predicate.threshold
+        return Internal(predicate, rebuild(node.left), rebuild(node.right))
+
+    return BinaryDecisionTree(rebuild(tree.root), dim), X
+
+
+def node_shape(tree):
+    """Each internal node's threshold, weights and children (breadth-first
+    index or leaf position), in breadth-first order."""
+    index = {id(node): j for j, node in enumerate(tree.internal_nodes)}
+
+    def child(node):
+        return ("node", index[id(node)]) if id(node) in index else ("leaf", tree.leaf_position(node))
+
+    return [
+        (n.predicate.threshold, n.predicate.weights.tolist(), child(n.left), child(n.right))
+        for n in tree.internal_nodes
+    ]
+
+
+class TestColumnarParse:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        depth=st.integers(1, 8),
+        dim=st.integers(1, 40),
+        seed=st.integers(0, 2**31 - 1),
+        dense=st.booleans(),
+    )
+    def test_parsed_tree_equals_object_tree(self, depth, dim, seed, dense):
+        tree = generate_random_tree(depth, dim, seed)
+        X = random_instances(8, dim, seed)
+        if dense:
+            tree, X = with_dense_splits_and_ties(tree, seed)
+        X = np.vstack([X, np.full(dim, np.nan), np.full(dim, np.inf), -np.ones(dim)])
+        # Alone, and after another tree in an ensemble, whose nodes and leaves
+        # come first on the model's axes.
+        lead, _ = with_dense_splits_and_ties(generate_random_tree(3, dim, seed + 1), seed + 1)
+        pairs = [(parse_tree(serialize_tree(tree)), tree)]
+        pairs += zip(parse_model(serialize_ensemble([lead, tree])), [lead, tree])
+        for parsed, built in pairs:
+            for name in ("span_array", "leaf_depths", "leaf_values", "thresholds", "weight_matrix"):
+                got, want = getattr(parsed, name), getattr(built, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                np.testing.assert_array_equal(got, want)
+            assert parsed.leaf_spans == built.leaf_spans
+            with np.errstate(invalid="ignore"):
+                assert [naive_traverse(parsed, x) for x in X] == [naive_traverse(built, x) for x in X]
+            assert validate(parsed).ok
+            assert "root" not in vars(parsed)  # the arrays served everything so far
+            assert serialize_tree(parsed) == serialize_tree(built)
+            assert node_shape(parsed) == node_shape(built)
+
+    def test_set_up_and_oracle_read_only_arrays(self, monkeypatch):
+        def refuse(tree):
+            raise AssertionError("node objects built from arrays")
+
+        monkeypatch.setattr(BinaryDecisionTree, "_node_view", refuse)
+        trees = [generate_random_tree(6, 4, seed) for seed in range(5)]
+        parsed = parse_model(serialize_ensemble(trees))
+        assert all(validate(tree).ok for tree in parsed)
+        models = [TreeMatrices.build(tree) for tree in parsed]
+        stacked = StackedTrees.build(parsed)
+        X = random_instances(10, 4, 0)
+        expected = [[naive_traverse(tree, x) for tree in trees] for x in X]
+        assert [[naive_traverse(tree, x) for tree in parsed] for x in X] == expected
+        leaves = np.concatenate([leaves for leaves, _ in batch_score(stacked, X, "qs")])
+        assert leaves.tolist() == expected
+        assert [m.num_leaves for m in models] == [t.num_leaves for t in trees]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"type": "binary", "feature_dim": 1, "root": {
+                    "feature": 0, "threshold": 0.5, "left": {"leaf": 0.0}, "right": {
+                        "feature": 0, "threshold": 0.7, "left": {"leaf": "x"}, "right": {"leaf": 1.0}}}},
+                "leaf root.right.left value must be a number, got 'x'",
+            ),
+            (
+                {"type": "binary", "feature_dim": 2, "root": {
+                    "feature": 0, "threshold": 0.5, "left": {
+                        "feature": 1, "threshold": 0.2, "left": {"leaf": 0.0}, "right": {"leaf": 1.0},
+                        "colour": "red"},
+                    "right": {"leaf": 1.0}}},
+                "node root.left has unexpected keys ['colour']",
+            ),
+            (
+                {"type": "general", "feature_dim": 0, "root": {
+                    "children": [{"leaf": 0.0}, {"children": [[], {"leaf": 1.0}], "weights": [0.5, 0.5]}],
+                    "weights": [0.5, 0.5]}},
+                "node root.2.1 must be an object",
+            ),
+        ],
+        ids=["binary", "binary keys", "general"],
+    )
+    def test_errors_name_the_nested_node(self, doc, message):
+        with pytest.raises(TreeFormatError) as info:
+            parse_tree(json.dumps(doc))
+        assert str(info.value) == message
 
 
 class TestNaiveTraverse:
