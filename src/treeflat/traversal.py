@@ -26,23 +26,40 @@ comes from its node's leaf span.  The dense (leaves x nodes) copies that
 the matrix, sign, ecoc and delta forms read are built on first read.
 
 One table gives each algorithm one row: its per-vector selector, whether
-that reads the signed test vector, its batch hit rule, and whether each
-tree needs exactly one hit.  ``ALGORITHMS`` and ``batch_score`` both read
-it.
+that reads the signed test vector, its batch hit rule, whether each tree
+needs exactly one hit, and for ``qs`` and ``dual`` its word rule.
+``ALGORITHMS`` and ``batch_score`` both read it.
 
 ``batch_score`` is the batch path, the one ``treeflat score`` runs,
 ``compare`` checks and ``bench`` times.  It stacks a model's trees into one
-``StackedTrees``, computes the test matrix of a chunk of instances with one
-product over every node of every tree, and gets each algorithm's score
-vectors in span form.  Every column of right, left and P is constant on the
-leaf ranges ``[lo, mid)`` and ``[mid, hi)`` of its node, so ``right @ t``,
-``left @ (1 - t)`` and ``P s`` are prefix sums of a difference array with
-two or three entries per node: O(N + L) exact int64 work per instance
-instead of O(N * L).  Each tree's exit leaf is its first leaf meeting the
-algorithm's selection rule, and an ensemble's leaf values are added column
-by column in model order, from 0.0, as Python's ``sum`` adds them.
-``naive`` has no batch form: the recursive descent runs once per
-(instance, tree) pair, because it is the oracle.
+``StackedTrees`` and computes the test matrix of a chunk of instances with
+one product over every node of every tree.  Two kernels then pick each
+tree's exit leaf, over the same chunks:
+
+* the word kernels run ``qs`` and ``dual`` when every tree has 2 to 64
+  leaves (``StackedTrees.fits_words``).  Each node's right and left column
+  is one uint64; ``qs`` ANDs the right words of each tree's false nodes,
+  ``dual`` the right word of each false node and the left word of each true
+  one, with one ``np.bitwise_and.reduceat`` over the node axis, and the exit
+  leaf is the lowest set bit.
+* the span form runs the rest: ``_right_hits`` for ``matrix`` (and ``qs``),
+  ``_dual_hits`` for ``dualmatrix`` (and ``dual``) and ``_signed_hits`` for
+  ``sign``, ``ecoc`` and ``delta``.  Every column of right, left and P is
+  constant on the leaf ranges ``[lo, mid)`` and ``[mid, hi)`` of its node,
+  so ``right @ t``, ``left @ (1 - t)`` and ``P s`` are prefix sums of a
+  difference array with two or three entries per node: O(N + L) exact
+  int64 work per instance instead of O(N * L).
+
+A tree of more than 64 leaves sends ``qs`` and ``dual`` to the span form,
+for the whole model: on one full tree and 1000 instances, a multiword
+prototype beat the span form only up to 128 leaves and took 2x to 7x its
+time from 256 to 2048 leaves (the README has the table).
+
+Each tree's exit leaf is its first leaf meeting the algorithm's selection
+rule, and an ensemble's leaf values are added column by column in model
+order, from 0.0, as Python's ``sum`` adds them.  ``naive`` has no batch
+form: the recursive descent runs once per (instance, tree) pair, because it
+is the oracle.
 """
 
 from __future__ import annotations
@@ -92,7 +109,15 @@ __all__ = [
 # Instances per batch chunk are sized so that an (instances x stacked leaves)
 # array holds about this many entries, 256 KiB of int64; the scatter's index
 # and weight arrays, with up to three entries per node, stay under 1 MiB.
+# Every kernel, word or span, takes the same chunks, so ``compare`` can walk
+# the algorithms' chunks in lockstep.
 CHUNK_ENTRIES = 1 << 15
+
+# The word kernels hold a tree's leaves in one uint64.  _LOW_BITS[n] has the
+# lowest n bits set; it is built from Python ints, so _LOW_BITS[64] is exact
+# and no uint64 is ever shifted by 64.
+WORD_BITS = 64
+_LOW_BITS = np.array([(1 << n) - 1 for n in range(WORD_BITS + 1)], dtype=np.uint64)
 
 
 @dataclass
@@ -429,7 +454,12 @@ class StackedTrees:
     ``weight_matrix`` and ``thresholds`` stack every tree's predicates, so
     ``compute_test_matrix`` tests every node of every tree in one product.
     ``spans`` holds each node's ``(lo, mid, hi)`` offset onto the shared leaf
-    axis, on which tree k's leaves start at ``leaf_starts[k]``.
+    axis, on which tree k's leaves start at ``leaf_starts[k]``; its nodes
+    start at ``node_starts[k]`` on the node axis.
+
+    If ``fits_words``, ``right_words`` and ``left_words`` hold each node's
+    right and left column as one uint64, bit i standing for leaf i of the
+    node's tree; they are built on first read.
     """
 
     feature_dim: int
@@ -439,6 +469,7 @@ class StackedTrees:
     leaf_depths: np.ndarray
     leaf_values: np.ndarray
     leaf_starts: np.ndarray
+    node_starts: np.ndarray
 
     @classmethod
     def build(cls, trees: Sequence[BinaryDecisionTree]) -> "StackedTrees":
@@ -456,11 +487,39 @@ class StackedTrees:
             leaf_depths=np.concatenate([t.leaf_depths for t in trees]),
             leaf_values=np.concatenate([t.leaf_values for t in trees]),
             leaf_starts=starts,
+            node_starts=np.cumsum([0] + [t.num_internal for t in trees[:-1]]),
         )
 
     @property
     def num_leaves(self) -> int:
         return len(self.leaf_values)
+
+    @cached_property
+    def fits_words(self) -> bool:
+        """Whether every tree has 2 to 64 leaves: each leaf mask fits one
+        word, and each tree has a node whose word ``reduceat`` starts from."""
+        sizes = np.diff(self.leaf_starts, append=self.num_leaves)
+        return bool(sizes.min() >= 2 and sizes.max() <= WORD_BITS)
+
+    def _word_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per node, its tree's full word and its ``(lo, mid, hi)`` relative
+        to its tree's first leaf.  Needs ``fits_words``."""
+        nodes = np.diff(self.node_starts, append=len(self.thresholds))
+        sizes = np.diff(self.leaf_starts, append=self.num_leaves)
+        lo, mid, hi = (self.spans - np.repeat(self.leaf_starts, nodes)[:, None]).T
+        return np.repeat(_LOW_BITS[sizes], nodes), lo, mid, hi
+
+    @cached_property
+    def right_words(self) -> np.ndarray:
+        """The right column of each node: its tree's leaves but [lo, mid)."""
+        full, lo, mid, _ = self._word_spans()
+        return full ^ _LOW_BITS[mid] ^ _LOW_BITS[lo]
+
+    @cached_property
+    def left_words(self) -> np.ndarray:
+        """The left column of each node: its tree's leaves but [mid, hi)."""
+        full, _, mid, hi = self._word_spans()
+        return full ^ _LOW_BITS[hi] ^ _LOW_BITS[mid]
 
 
 def _test_matrices(model: StackedTrees, X) -> Iterator[np.ndarray]:
@@ -492,6 +551,29 @@ def _signed_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     return ps == model.leaf_depths
 
 
+# The word rules select per entry of the int64 0/1 test matrix by masks:
+# viewed as uint64, t - 1 is all ones where a node is true (t = 0) and -t
+# where it is false (t = 1).  On ensemble-sized chunks this takes half the
+# time of ``np.where``.
+
+
+def _qs_words(model: StackedTrees, t: np.ndarray) -> np.ndarray:
+    """The right column of each false node; true nodes exclude no leaf."""
+    return model.right_words | (t - 1).view(np.uint64)
+
+
+def _dual_words(model: StackedTrees, t: np.ndarray) -> np.ndarray:
+    """The right column of each false node, the left column of each true one."""
+    right, left = model.right_words, model.left_words
+    return left ^ ((right ^ left) & (-t).view(np.uint64))
+
+
+def _exit_error(algorithm: str, count: int, tree: int) -> ValueError:
+    return ValueError(
+        f"{algorithm} traversal found {count} exit leaves in tree {tree}; corrupt model?"
+    )
+
+
 def _first_hits(hits: np.ndarray, starts: np.ndarray, unique: bool, algorithm: str) -> np.ndarray:
     """Position of each tree's first hit on the stacked leaf axis, one row
     per instance; raises unless each tree has a hit (exactly one if unique)."""
@@ -499,12 +581,22 @@ def _first_hits(hits: np.ndarray, starts: np.ndarray, unique: bool, algorithm: s
     bad = counts != 1 if unique else counts == 0
     if bad.any():
         row, tree = np.argwhere(bad)[0]
-        raise ValueError(
-            f"{algorithm} traversal found {counts[row, tree]} exit leaves in "
-            f"tree {tree}; corrupt model?"
-        )
+        raise _exit_error(algorithm, counts[row, tree], tree)
     width = hits.shape[1]
     return np.minimum.reduceat(np.where(hits, np.arange(width), width), starts, axis=1)
+
+
+def _first_bits(words: np.ndarray, model: StackedTrees, unique: bool, algorithm: str) -> np.ndarray:
+    """``_first_hits`` for per-node words: AND each tree's words, and its
+    exit leaf is the lowest set bit of the result."""
+    exits = np.bitwise_and.reduceat(words, model.node_starts, axis=1)
+    lowest = exits & (~exits + np.uint64(1))
+    bad = (exits == 0) | (lowest != exits) if unique else exits == 0
+    if bad.any():
+        row, tree = np.argwhere(bad)[0]
+        raise _exit_error(algorithm, bin(int(exits[row, tree])).count("1"), tree)
+    # A power of two converts to float64 exactly, and frexp reads its exponent.
+    return np.frexp(lowest.astype(np.float64))[1] - 1 + model.leaf_starts
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +610,14 @@ class _Algorithm:
     """One row of the algorithm table.  The selector reads t, or s = 2t - 1
     if ``signed``; the oracle has no batch ``hits`` rule and reads x itself.
     A batch exits each tree at its first hit, which must be its only one if
-    ``unique``."""
+    ``unique``.  A ``words`` rule, if any, replaces ``hits`` on a model that
+    ``fits_words``."""
 
     select: Callable[[TreeMatrices, np.ndarray], TraversalResult]
     signed: bool = False
     hits: Callable[[StackedTrees, np.ndarray], np.ndarray] | None = None
     unique: bool = False
+    words: Callable[[StackedTrees, np.ndarray], np.ndarray] | None = None
 
     def per_vector(self) -> Callable[[TreeMatrices, np.ndarray], TraversalResult]:
         """The selector over one raw feature vector, as a plain function:
@@ -542,8 +636,8 @@ def _naive(mats: TreeMatrices, x) -> TraversalResult:
 
 _TABLE = {
     "naive": _Algorithm(_naive),
-    "qs": _Algorithm(quickscorer_traverse, hits=_right_hits),
-    "dual": _Algorithm(dual_traverse, hits=_dual_hits, unique=True),
+    "qs": _Algorithm(quickscorer_traverse, hits=_right_hits, words=_qs_words),
+    "dual": _Algorithm(dual_traverse, hits=_dual_hits, unique=True, words=_dual_words),
     "matrix": _Algorithm(matrix_traverse, hits=_right_hits),
     "dualmatrix": _Algorithm(dual_matrix_traverse, hits=_dual_hits, unique=True),
     "sign": _Algorithm(sign_traverse, signed=True, hits=_signed_hits, unique=True),
@@ -583,8 +677,12 @@ def batch_score(
     if rule is None or rule.hits is None:
         batched = sorted(name for name, row in _TABLE.items() if row.hits)
         raise ValueError(f"no batch form for {algorithm!r}; choose from {batched}")
+    words = rule.words is not None and model.fits_words
     for t in _test_matrices(model, X):
-        first = _first_hits(rule.hits(model, t), model.leaf_starts, rule.unique, algorithm)
+        if words:
+            first = _first_bits(rule.words(model, t), model, rule.unique, algorithm)
+        else:
+            first = _first_hits(rule.hits(model, t), model.leaf_starts, rule.unique, algorithm)
         del t  # `compare` suspends one generator per algorithm; none keeps its chunk
         yield first - model.leaf_starts + 1, model.leaf_values[first]
 
@@ -604,9 +702,10 @@ def sum_in_model_order(values: np.ndarray) -> np.ndarray:
 
     This is the order in which ``sum`` adds floats on Python 3.11 and
     earlier; Python 3.12 compensates its float sums, which can change the
-    last bit.
+    last bit.  ``cumsum`` adds along a row in order, from the first value
+    rather than from 0.0, which differs only in giving -0.0 for a row of
+    -0.0; adding 0.0 turns that into 0.0.
     """
-    total = np.zeros(len(values))
-    for column in values.T:
-        total += column
-    return total
+    if values.shape[1] == 0:
+        return np.zeros(len(values))
+    return np.cumsum(values, axis=1)[:, -1] + 0.0

@@ -65,7 +65,8 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 class TreeFormatError(ValueError):
-    """Raised when a serialized tree document cannot be parsed."""
+    """Raised when a serialized tree document cannot be parsed, or a tree
+    cannot be serialized."""
 
 
 class DimensionMismatchError(ValueError):
@@ -939,15 +940,23 @@ def _tree_doc(tree: BinaryDecisionTree | GeneralTree) -> dict:
     }
 
 
+def _dump(doc: Callable[[], dict]) -> str:
+    try:
+        return json.dumps(doc(), indent=2) + "\n"
+    except RecursionError:
+        # The document builder and the encoder recurse once per level.
+        raise TreeFormatError("tree is nested too deeply to serialize") from None
+
+
 def serialize_tree(tree: BinaryDecisionTree | GeneralTree) -> str:
-    """Canonical JSON form; ``serialize(parse(text))`` is a fixed point."""
-    return json.dumps(_tree_doc(tree), indent=2) + "\n"
+    """Canonical JSON form; ``serialize(parse(text))`` is a fixed point.
+    Raises ``TreeFormatError`` on a tree nested too deeply to write."""
+    return _dump(lambda: _tree_doc(tree))
 
 
 def serialize_ensemble(trees) -> str:
-    return json.dumps(
-        {"type": "ensemble", "trees": [_tree_doc(t) for t in trees]}, indent=2
-    ) + "\n"
+    """``serialize_tree`` for a list of trees, as one ensemble document."""
+    return _dump(lambda: {"type": "ensemble", "trees": [_tree_doc(t) for t in trees]})
 
 
 # ---------------------------------------------------------------------------

@@ -159,3 +159,28 @@ def chain_document(depth):
     node = '{"feature": 0, "threshold": 0.5, "left": {"leaf": 0.0}, "right": '
     root = node * depth + '{"leaf": 1.0}' + "}" * depth
     return '{"type": "binary", "feature_dim": 1, "root": ' + root + "}"
+
+
+def tree_with_leaves(num_leaves, dim, seed):
+    """A random binary tree with exactly ``num_leaves`` leaves: each subtree's
+    leaves are split at a uniform point, and every node tests one random
+    feature against a uniform threshold."""
+    rng = np.random.default_rng(seed)
+
+    def make(n):
+        if n == 1:
+            return Leaf(float(rng.uniform()))
+        predicate = Predicate.one_hot(int(rng.integers(dim)), float(rng.uniform()), dim)
+        left = int(rng.integers(1, n))
+        return Internal(predicate, make(left), make(n - left))
+
+    return BinaryDecisionTree(make(num_leaves), dim)
+
+
+def chain_tree(depth):
+    """A valid binary tree whose right spine is ``depth`` nodes long, built
+    in a loop."""
+    node = Leaf(1.0)
+    for _ in range(depth):
+        node = Internal(Predicate.one_hot(0, 0.5, 1), Leaf(0.0), node)
+    return BinaryDecisionTree(node, 1)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import chain_document, instance_for_tests
+from conftest import chain_document, chain_tree, instance_for_tests
 from treeflat import (
     BinaryDecisionTree,
     StackedTrees,
@@ -282,6 +282,17 @@ class TestCompare:
         assert code == 0
         assert "agree" in out
 
+    def test_agreement_over_many_chunks(self, tmp_path, capsys, monkeypatch):
+        # Trees of at most 64 leaves, so qs and dual run the word kernels
+        # while the other algorithms run the span form, two rows per chunk.
+        model, data = tmp_path / "m.json", tmp_path / "m.csv"
+        argv = ["gen", "--depth", "6", "--dim", "5", "--count", "30", "--instances", "40"]
+        assert invoke(argv + ["--out-model", model, "--out-data", data], capsys)[0] == 0
+        trees = parse_model(model.read_text())
+        monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 2 * (sum(t.num_leaves for t in trees) + 1))
+        code, out, _ = invoke(["compare", model, data], capsys)
+        assert (code, out) == (0, "all algorithms agree on 40 instances x 30 trees\n")
+
     def test_single_split_single_instance(self, tmp_path, depth1_tree, capsys):
         model = tmp_path / "m.json"
         model.write_text(serialize_tree(depth1_tree))
@@ -510,6 +521,18 @@ class TestGen:
                 "--seed", "3684", "--out-model", model, "--out-data", data,
             ],
             capsys,
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "nested too deeply" in err
+        assert not model.exists() and not data.exists()
+
+    @pytest.mark.parametrize("count", ["1", "2"])
+    def test_tree_too_deep_to_write_exits_2(self, tmp_path, capsys, monkeypatch, count):
+        # A sampled chain too deep for the serializer, but not for the sampler.
+        monkeypatch.setattr(cli, "generate_random_tree", lambda *args: chain_tree(3000))
+        model, data = tmp_path / "m.json", tmp_path / "m.csv"
+        code, _, err = invoke(
+            ["gen", "--count", count, "--out-model", model, "--out-data", data], capsys
         )
         assert code == 2
         assert err.count("\n") == 1 and "nested too deeply" in err

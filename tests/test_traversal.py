@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_shapes, enumerate_paths, instance_for_tests
+from conftest import all_shapes, enumerate_paths, instance_for_tests, tree_with_leaves
 from treeflat import (
     ALGORITHMS,
+    BinaryDecisionTree,
     DimensionMismatchError,
+    Leaf,
     StackedTrees,
     TreeMatrices,
     batch_score,
@@ -522,20 +524,45 @@ def instances_with_ties(trees, count, seed):
     return X
 
 
+def left_fold(row):
+    """Left to right from 0, as sum() adds floats up to Python 3.11."""
+    total = 0
+    for value in row:
+        total += value
+    return total
+
+
 class TestBatchScore:
-    ROWS_PER_CHUNK = 3
+    # Rows per chunk; None keeps the default chunk rule.
+    ROWS_PER_CHUNK = (1, 3, None)
 
     @settings(max_examples=40, deadline=None)
-    @given(args=tree_and_inputs, count=st.integers(1, 5))
-    def test_matches_oracle_per_pair_and_sums_in_model_order(self, args, count):
+    @given(args=tree_and_inputs, count=st.integers(1, 5), wide=st.sampled_from([0, 63, 64, 65]))
+    def test_matches_oracle_per_pair_and_sums_in_model_order(self, args, count, wide):
         depth, tree_seed, x_seed = args
         seeds = np.random.default_rng(tree_seed).integers(0, 2**31, size=count)
         trees = [generate_random_tree(depth, 4, int(seed)) for seed in seeds]
+        if wide:
+            # 63 and 64 leaves fill a word to its last bits; 65 leaves sends
+            # the whole model to the span form.
+            trees.insert(tree_seed % (count + 1), tree_with_leaves(wide, 4, tree_seed))
+        count = len(trees)
         model = StackedTrees.build(trees)
-        step = self.ROWS_PER_CHUNK
+        assert model.fits_words == all(t.num_leaves <= 64 for t in trees)
+        for step in self.ROWS_PER_CHUNK:
+            self.check_against_oracle(trees, model, step, x_seed)
+
+    @staticmethod
+    def check_against_oracle(trees, model, step, x_seed):
+        count = len(trees)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(traversal, "CHUNK_ENTRIES", step * (model.num_leaves + 1))
-            for n in (0, 1, step + 1):
+            if step is None:
+                step = max(1, traversal.CHUNK_ENTRIES // (model.num_leaves + 1))
+                sizes = (0, 1, 7)
+            else:
+                mp.setattr(traversal, "CHUNK_ENTRIES", step * (model.num_leaves + 1))
+                sizes = (0, 1, step + 1)
+            for n in sizes:
                 X = instances_with_ties(trees, n, x_seed)
                 oracle = np.asarray(
                     [[naive_traverse(t, x) for t in trees] for x in X], dtype=np.int64
@@ -552,11 +579,7 @@ class TestBatchScore:
                     ]
                     np.testing.assert_array_equal(values, np.reshape(expected, (n, count)))
                     for row, total in zip(expected, sum_in_model_order(values).tolist()):
-                        # Left to right from 0, as sum() adds floats up to Python 3.11.
-                        folded = 0
-                        for value in row:
-                            folded += value
-                        assert total == folded, name
+                        assert total.hex() == left_fold(row).hex(), name
                 if count == 1:
                     mats = TreeMatrices.build(trees[0])
                     probs = list(batch_soft_attention(model, X))
@@ -564,6 +587,67 @@ class TestBatchScore:
                     for x, row in zip(X, got):
                         s = signed_test_vector(compute_test_vector(trees[0], x))
                         np.testing.assert_array_equal(row, soft_attention(mats, s).probs)
+
+    def test_sum_in_model_order_folds_from_zero(self):
+        rows = [
+            [-0.0, -0.0, -0.0],  # 0.0, as the fold starts from 0.0
+            [1e16, 1.0, -1e16],  # 0.0, not the compensated 1.0
+            [-0.0, 1.0, -1.0],
+            [0.1, 0.2, 0.3],
+            [-1e308, -1e308, 1e308],
+            [1e16] + [1.0] * 15,  # 1e16: each 1.0 is lost, not summed apart first
+        ]
+        with np.errstate(over="ignore"):
+            totals = [sum_in_model_order(np.array([row]))[0] for row in rows]
+        assert [t.hex() for t in totals] == [left_fold(row).hex() for row in rows]
+        assert sum_in_model_order(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_word_kernels_run_only_when_every_tree_fits_a_word(self, monkeypatch):
+        small, wide = tree_with_leaves(64, 4, 1), tree_with_leaves(65, 4, 2)
+        stump = BinaryDecisionTree(Leaf(0.5), 4)  # no node to AND
+        kernels = []
+        for name in ("_first_bits", "_first_hits"):
+            real = getattr(traversal, name)
+            monkeypatch.setattr(
+                traversal, name, lambda *a, real=real, name=name: kernels.append(name) or real(*a)
+            )
+        X = random_instances(9, 4, 3)
+        cases = [
+            ([small, small], True),
+            ([small, wide], False),
+            ([wide, small], False),
+            ([small, stump], False),
+        ]
+        for trees, fits in cases:
+            model = StackedTrees.build(trees)
+            assert model.fits_words == fits
+            oracle = [[naive_traverse(t, x) for t in trees] for x in X]
+            for name in ARITHMETIC:
+                kernels.clear()
+                leaves = np.vstack([leaves for leaves, _ in batch_score(model, X, name)])
+                np.testing.assert_array_equal(leaves, oracle, err_msg=name)
+                words = fits and name in ("qs", "dual")
+                assert set(kernels) == {"_first_bits" if words else "_first_hits"}, name
+
+    def test_word_kernels_raise_on_corrupt_words(self, six_leaf_tree):
+        # Every node false: qs and dual AND every right word, exiting at leaf 6.
+        X = instance_for_tests(six_leaf_tree, [0, 0, 0, 0, 0])[None, :]
+
+        def corrupt(node, word):
+            model = StackedTrees.build([six_leaf_tree])
+            words = model.right_words.copy()
+            words[node] = word
+            vars(model)["right_words"] = words
+            return model
+
+        empty, two = corrupt(0, 0), corrupt(4, 0b111111)  # node 4 splits leaves 5 and 6
+        for name in ("qs", "dual"):
+            with pytest.raises(ValueError, match=f"{name} traversal found 0 exit leaves in tree 0"):
+                list(batch_score(empty, X, name))
+        with pytest.raises(ValueError, match="dual traversal found 2 exit leaves in tree 0"):
+            list(batch_score(two, X, "dual"))
+        [(leaves, _)] = batch_score(two, X, "qs")
+        assert leaves.tolist() == [[5]]
 
     def test_signed_forms_raise_without_a_consensus_leaf(self, six_leaf_tree):
         model = StackedTrees.build([six_leaf_tree])

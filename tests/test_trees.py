@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     binary_to_general,
     chain_document,
+    chain_tree,
     enumerate_paths,
     general_node,
     instance_for_tests,
@@ -463,6 +464,14 @@ class TestSerialization:
         for parse, doc in ((parse_tree, text), (parse_model, text), (parse_model, ensemble)):
             with pytest.raises(TreeFormatError, match="nested too deeply"):
                 parse(doc)
+
+    def test_chain_too_deep_to_serialize_is_a_format_error(self):
+        assert parse_tree(serialize_tree(chain_tree(100))).num_internal == 100
+        tree = chain_tree(3000)
+        assert validate(tree).ok
+        for serialize, arg in ((serialize_tree, tree), (serialize_ensemble, [tree])):
+            with pytest.raises(TreeFormatError, match="nested too deeply to serialize"):
+                serialize(arg)
 
     @pytest.mark.parametrize("where", ["leaf", "threshold", "weight"])
     def test_integer_too_large_for_a_float_is_a_format_error(self, where):
