@@ -338,8 +338,8 @@ def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     tree_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=args.count)]
     try:
-        # The sampler recurses once per level; the serializer raises
-        # TreeFormatError on a tree too deep to write.
+        # The samplers take any depth; the serializer raises TreeFormatError
+        # on a tree too deep to write.
         if args.general:
             trees = [
                 generate_random_general_tree(args.depth, args.fanout, s, args.dim)
@@ -348,7 +348,7 @@ def cmd_gen(args) -> int:
         else:
             trees = [generate_random_tree(args.depth, args.dim, s) for s in tree_seeds]
         text = serialize_tree(trees[0]) if len(trees) == 1 else serialize_ensemble(trees)
-    except (RecursionError, TreeFormatError):
+    except TreeFormatError:
         raise CliError(
             EXIT_USAGE,
             f"--depth {args.depth}: a sampled tree is nested too deeply to generate or write",

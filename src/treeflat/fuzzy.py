@@ -126,11 +126,12 @@ def hard_routing_consistency(tree: BinaryDecisionTree, x) -> bool:
     """Degenerate fuzzy routing must reproduce the hard traversal.
 
     Builds branch probabilities from the test outcomes (1 where the node is
-    true, 0 where false), takes the leaf distribution, and checks it is
-    exactly the indicator of the oracle's exit leaf.
+    true, 0 where false) of the tree's ``split_tests``, the test the oracle
+    routes by, takes the leaf distribution, and checks it is exactly the
+    indicator of the oracle's exit leaf.
     """
     x = np.asarray(x, dtype=np.float64)
-    p = (tree.weight_matrix @ x > tree.thresholds).astype(np.float64)
+    p = np.where(tree.split_tests.false_nodes(x), 0.0, 1.0)
     dist = leaf_probabilities(build_fuzzy_matrix(tree, p))
     expected = np.zeros(tree.num_leaves)
     expected[naive_traverse(tree, x) - 1] = 1.0

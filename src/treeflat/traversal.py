@@ -30,11 +30,16 @@ that reads the signed test vector, its batch hit rule, whether each tree
 needs exactly one hit, and for ``qs`` and ``dual`` its word rule.
 ``ALGORITHMS`` and ``batch_score`` both read it.
 
+Every test vector and test matrix comes from the trees' ``SplitTests``,
+the one split test the oracle also routes by: a one-hot split reads its
+feature, ``x[f] > threshold``, and a dense node its ``dense_products``
+value, which does not depend on how many rows are tested at once.
+
 ``batch_score`` is the batch path, the one ``treeflat score`` runs,
 ``compare`` checks and ``bench`` times.  It stacks a model's trees into one
 ``StackedTrees`` and computes the test matrix of a chunk of instances with
-one product over every node of every tree.  Two kernels then pick each
-tree's exit leaf, over the same chunks:
+one gather over every node of every tree, kept as booleans.  Two kernels
+then pick each tree's exit leaf, over the same chunks:
 
 * the word kernels run ``qs`` and ``dual`` when every tree has 2 to 64
   leaves (``StackedTrees.fits_words``).  Each node's right and left column
@@ -79,7 +84,7 @@ from .matrices import (
     build_right_matrix,
     build_signed_matrix,
 )
-from .trees import BinaryDecisionTree, DimensionMismatchError, naive_traverse
+from .trees import BinaryDecisionTree, DimensionMismatchError, SplitTests, naive_traverse
 
 __all__ = [
     "ALGORITHMS",
@@ -206,14 +211,19 @@ class TreeMatrices:
         return TraversalResult(row + 1, float(self.leaf_values[row]), score, processed)
 
 
-def compute_test_vector(tree: BinaryDecisionTree, x) -> np.ndarray:
-    """Per-node test outcomes for input x: 1 marks a false node, 0 a true one."""
+def _false_nodes(tree: BinaryDecisionTree, x) -> np.ndarray:
+    """``compute_test_vector`` as booleans, which every selector reads."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.feature_dim,):
         raise DimensionMismatchError(
             f"feature vector has shape {x.shape}, expected ({tree.feature_dim},)"
         )
-    return (tree.weight_matrix @ x <= tree.thresholds).astype(np.int64)
+    return tree.split_tests.false_nodes(x)
+
+
+def compute_test_vector(tree: BinaryDecisionTree, x) -> np.ndarray:
+    """Per-node test outcomes for input x: 1 marks a false node, 0 a true one."""
+    return _false_nodes(tree, x).astype(np.int64)
 
 
 def _instance_matrix(tree, X) -> np.ndarray:
@@ -230,8 +240,7 @@ def compute_test_matrix(tree: BinaryDecisionTree | StackedTrees, X) -> np.ndarra
 
     A ``StackedTrees`` gives the outcomes of every node of every tree.
     """
-    X = _instance_matrix(tree, X)
-    return (X @ tree.weight_matrix.T <= tree.thresholds).astype(np.int64)
+    return tree.split_tests.false_nodes(_instance_matrix(tree, X)).astype(np.int64)
 
 
 def signed_test_vector(t) -> np.ndarray:
@@ -263,7 +272,9 @@ def quickscorer_traverse(mats: TreeMatrices, t) -> TraversalResult:
     t = np.asarray(t)
     masks = mats.right_col_masks
     v = mats.full_mask
-    for j in np.flatnonzero(t):
+    # nonzero, not flatnonzero, which costs several times as much on numpy 2
+    # for a vector this short; Python ints index the list faster.
+    for j in t.nonzero()[0].tolist():
         v &= masks[j]
     # lowest set bit, as a 1-based leaf index
     return mats._result((v & -v).bit_length() - 1)
@@ -451,8 +462,8 @@ def mips_leaf_search(leaf_vectors: np.ndarray, query) -> int:
 class StackedTrees:
     """A model's trees on one node axis and one leaf axis.
 
-    ``weight_matrix`` and ``thresholds`` stack every tree's predicates, so
-    ``compute_test_matrix`` tests every node of every tree in one product.
+    ``split_tests`` stacks every tree's split tests, so
+    ``compute_test_matrix`` tests every node of every tree in one gather.
     ``spans`` holds each node's ``(lo, mid, hi)`` offset onto the shared leaf
     axis, on which tree k's leaves start at ``leaf_starts[k]``; its nodes
     start at ``node_starts[k]`` on the node axis.
@@ -463,8 +474,7 @@ class StackedTrees:
     """
 
     feature_dim: int
-    weight_matrix: np.ndarray
-    thresholds: np.ndarray
+    split_tests: SplitTests
     spans: np.ndarray
     leaf_depths: np.ndarray
     leaf_values: np.ndarray
@@ -479,10 +489,16 @@ class StackedTrees:
         if len(dims) > 1:
             raise DimensionMismatchError(f"trees disagree on feature_dim {sorted(dims)}")
         starts = np.cumsum([0] + [t.num_leaves for t in trees[:-1]])
+        # Each tree lists its dense rows in node order, so the model's dense
+        # nodes, in node order, are their concatenation.
+        tests = [t.split_tests for t in trees]
         return cls(
             feature_dim=dims.pop(),
-            weight_matrix=np.concatenate([t.weight_matrix for t in trees]),
-            thresholds=np.concatenate([t.thresholds for t in trees]),
+            split_tests=SplitTests.build(
+                np.concatenate([t.split_features for t in trees]),
+                np.concatenate([t.thresholds for t in trees]),
+                np.concatenate([s.dense_rows for s in tests]),
+            ),
             spans=np.concatenate([t.span_array + lo for t, lo in zip(trees, starts)]),
             leaf_depths=np.concatenate([t.leaf_depths for t in trees]),
             leaf_values=np.concatenate([t.leaf_values for t in trees]),
@@ -504,7 +520,7 @@ class StackedTrees:
     def _word_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per node, its tree's full word and its ``(lo, mid, hi)`` relative
         to its tree's first leaf.  Needs ``fits_words``."""
-        nodes = np.diff(self.node_starts, append=len(self.thresholds))
+        nodes = np.diff(self.node_starts, append=len(self.spans))
         sizes = np.diff(self.leaf_starts, append=self.num_leaves)
         lo, mid, hi = (self.spans - np.repeat(self.leaf_starts, nodes)[:, None]).T
         return np.repeat(_LOW_BITS[sizes], nodes), lo, mid, hi
@@ -523,11 +539,13 @@ class StackedTrees:
 
 
 def _test_matrices(model: StackedTrees, X) -> Iterator[np.ndarray]:
-    """``compute_test_matrix`` over chunks of rows of X, sized by CHUNK_ENTRIES."""
+    """``compute_test_matrix`` over chunks of rows of X, sized by
+    CHUNK_ENTRIES, as booleans: True marks a false node."""
     X = _instance_matrix(model, X)
+    tests = model.split_tests
     step = max(1, CHUNK_ENTRIES // (model.num_leaves + 1))
     for start in range(0, len(X), step):
-        yield compute_test_matrix(model, X[start : start + step])
+        yield tests.false_nodes(X[start : start + step])
 
 
 def _right_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
@@ -551,21 +569,20 @@ def _signed_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     return ps == model.leaf_depths
 
 
-# The word rules select per entry of the int64 0/1 test matrix by masks:
-# viewed as uint64, t - 1 is all ones where a node is true (t = 0) and -t
-# where it is false (t = 1).  On ensemble-sized chunks this takes half the
-# time of ``np.where``.
+# The word rules select per entry of the boolean test matrix by masks: its
+# bytes are 0 or 1, and taken to uint64, t - 1 is all ones where a node is
+# true and -t where it is false.  This is faster than ``np.where``.
 
 
 def _qs_words(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     """The right column of each false node; true nodes exclude no leaf."""
-    return model.right_words | (t - 1).view(np.uint64)
+    return model.right_words | np.subtract(t.view(np.uint8), 1, dtype=np.uint64)
 
 
 def _dual_words(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     """The right column of each false node, the left column of each true one."""
     right, left = model.right_words, model.left_words
-    return left ^ ((right ^ left) & (-t).view(np.uint64))
+    return left ^ ((right ^ left) & np.negative(t.view(np.uint8), dtype=np.uint64))
 
 
 def _exit_error(algorithm: str, count: int, tree: int) -> ValueError:
@@ -626,8 +643,8 @@ class _Algorithm:
         if self.hits is None:
             return select
         if self.signed:
-            return lambda mats, x: select(mats, signed_test_vector(compute_test_vector(mats.tree, x)))
-        return lambda mats, x: select(mats, compute_test_vector(mats.tree, x))
+            return lambda mats, x: select(mats, signed_test_vector(_false_nodes(mats.tree, x)))
+        return lambda mats, x: select(mats, _false_nodes(mats.tree, x))
 
 
 def _naive(mats: TreeMatrices, x) -> TraversalResult:
@@ -682,7 +699,8 @@ def batch_score(
         if words:
             first = _first_bits(rule.words(model, t), model, rule.unique, algorithm)
         else:
-            first = _first_hits(rule.hits(model, t), model.leaf_starts, rule.unique, algorithm)
+            hits = rule.hits(model, t.view(np.int8))
+            first = _first_hits(hits, model.leaf_starts, rule.unique, algorithm)
         del t  # `compare` suspends one generator per algorithm; none keeps its chunk
         yield first - model.leaf_starts + 1, model.leaf_values[first]
 

@@ -26,6 +26,9 @@ Conventions shared by the whole package:
   1-based leaf indices; the matrix row for leaf ``i`` is row ``i - 1``.
 * A node test is ``weights . x > threshold`` (strict).  A true test routes to
   the left child, a false test to the right child; ties count as false.
+  ``SplitTests`` is the one implementation of it: a one-hot split reads
+  ``x[f] > threshold`` straight from its feature, a dense node takes the
+  product of ``dense_products``, and a NaN value fails the test.
 * Trees are treated as immutable once constructed.  All derived numbering is
   recomputed from the structure, never trusted from input files.
 """
@@ -84,7 +87,12 @@ class Predicate:
     threshold: float
 
     def passes(self, x: np.ndarray) -> bool:
-        return float(self.weights @ x) > self.threshold
+        """The split test of ``SplitTests`` for one float64 vector x."""
+        feature = self.one_hot_feature
+        if feature is not None:
+            return float(x[feature]) > self.threshold
+        weights = np.asarray(self.weights, dtype=np.float64)
+        return float(dense_products(weights[None, :], x)[0]) > self.threshold
 
     @classmethod
     def one_hot(cls, feature: int, threshold: float, dim: int) -> "Predicate":
@@ -92,13 +100,77 @@ class Predicate:
         w[feature] = 1.0
         return cls(w, float(threshold))
 
-    @property
+    @cached_property
     def one_hot_feature(self) -> int | None:
         """Index of the single unit weight, or None for a general hyperplane."""
-        nz = np.flatnonzero(self.weights)
-        if len(nz) == 1 and self.weights[nz[0]] == 1.0:
-            return int(nz[0])
-        return None
+        feature = int(_unit_features(np.asarray(self.weights, dtype=np.float64).reshape(1, -1))[0])
+        return feature if feature >= 0 else None
+
+
+def _unit_features(rows: np.ndarray) -> np.ndarray:
+    """Per weight row, the feature of a one-hot split (its only nonzero
+    weight, which is 1.0), or -1 for dense weights."""
+    unit = rows == 1.0
+    one_hot = (np.count_nonzero(rows, axis=1) == 1) & unit.any(axis=1)
+    return np.where(one_hot, unit @ np.arange(rows.shape[1]), -1)
+
+
+# Entries of the elementwise product ``dense_products`` holds at once.
+_DENSE_ENTRIES = 1 << 20
+
+
+def dense_products(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``rows @ x`` for x, or for each row of X: shape ``(..., len(rows))``.
+
+    Each product is the elementwise product summed over the contiguous
+    feature axis, so it is the same float however many rows X has or how
+    they are blocked; a matrix product is not (BLAS rounds differently by
+    shape).  A ``0 * inf`` or ``inf - inf`` gives NaN without a warning.
+    """
+    flat = X.reshape(-1, X.shape[-1])
+    out = np.empty((len(flat), len(rows)))
+    step = max(1, _DENSE_ENTRIES // max(1, rows.size))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, len(flat), step):
+            out[start : start + step] = (flat[start : start + step, None, :] * rows).sum(axis=-1)
+    return out.reshape(*X.shape[:-1], len(rows))
+
+
+@dataclass(frozen=True, eq=False)
+class SplitTests:
+    """The split test of every internal node of a tree or a stacked model.
+
+    Node j tests ``v > thresholds[j]``, where v is column ``gather[j]`` of
+    the instance widened by one column per dense node: a one-hot split
+    reads its feature, and the k-th dense node column ``feature_dim + k``,
+    its ``dense_products`` value with weight row ``dense_rows[k]``.  The
+    test is true where v is greater, so NaN fails it and ±inf route by sign.
+    """
+
+    gather: np.ndarray
+    thresholds: np.ndarray
+    dense_rows: np.ndarray
+
+    @classmethod
+    def build(cls, features: np.ndarray, thresholds: np.ndarray, dense_rows: np.ndarray) -> "SplitTests":
+        """From per-node features (-1 for dense weights) and the weight rows
+        of the dense nodes, in node order."""
+        gather = np.array(features, dtype=np.int64)
+        dense = gather < 0
+        gather[dense] = dense_rows.shape[1] + np.arange(np.count_nonzero(dense))
+        return cls(gather, thresholds, dense_rows)
+
+    def widen(self, X: np.ndarray) -> np.ndarray:
+        """x, or each row of X, followed by its dense products."""
+        if not len(self.dense_rows):
+            return X
+        return np.concatenate([X, dense_products(self.dense_rows, X)], axis=-1)
+
+    def false_nodes(self, X: np.ndarray) -> np.ndarray:
+        """Per node of x, or of each row of X, True where its test is false:
+        ``~(v > threshold)``, not ``v <= threshold``, so a NaN value fails."""
+        t = np.greater(self.widen(X).take(self.gather, axis=-1), self.thresholds)
+        return np.logical_not(t, out=t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,10 +447,41 @@ class BinaryDecisionTree(_Tree):
         )
 
     @cached_property
+    def split_features(self) -> np.ndarray:
+        """Per internal node, the feature of a one-hot split, or -1 where the
+        node has dense weights (``Predicate.one_hot_feature``)."""
+        arrays = self._arrays
+        if arrays is None:
+            features = [n.predicate.one_hot_feature for n in self.internal_nodes]
+            return np.array([-1 if f is None else f for f in features], dtype=np.int64)
+        # A parsed dense row of one unit weight is a one-hot split, as it is
+        # in the node view and after a round trip through serialize_tree.
+        features = arrays.features.copy()
+        features[arrays.dense_index] = _unit_features(arrays.dense_rows)
+        return features
+
+    @cached_property
+    def split_tests(self) -> SplitTests:
+        """Every node's split test, kept for the oracle and the test vectors."""
+        features = self.split_features
+        dense = np.flatnonzero(features < 0)
+        arrays = self._arrays
+        if arrays is None:
+            nodes = self.internal_nodes
+            rows = [np.asarray(nodes[j].predicate.weights, dtype=np.float64) for j in dense.tolist()]
+            rows = np.array(rows).reshape(len(dense), self.feature_dim)
+        else:
+            row_of = np.zeros(self.num_internal, dtype=np.int64)
+            row_of[arrays.dense_index] = np.arange(len(arrays.dense_index))
+            rows = arrays.dense_rows[row_of[dense]].reshape(len(dense), self.feature_dim)
+        return SplitTests.build(features, self.thresholds, rows)
+
+    @cached_property
     def _routing(self) -> tuple[list, list, list]:
-        """A parsed tree's weight rows, thresholds and children as lists, for
-        the oracle's walk."""
-        return list(self.weight_matrix), self.thresholds.tolist(), self._arrays.children.tolist()
+        """A parsed tree's gather index, thresholds and children as lists,
+        for the oracle's walk."""
+        tests = self.split_tests
+        return tests.gather.tolist(), self.thresholds.tolist(), self._arrays.children.tolist()
 
     def _check_internal(self, node: Internal, path: str, problems: list, stack: list) -> None:
         pred = node.predicate
@@ -579,9 +682,10 @@ def naive_traverse(tree: BinaryDecisionTree, x) -> int:
 
     This recursive descent is the ground-truth oracle every arithmetic
     traversal is checked against; it never touches the matrix machinery.
-    A parsed tree is walked through its child arrays with the arithmetic of
-    ``Predicate.passes``, ``float(row @ x) > threshold`` on the same float64
-    weight rows, so its node objects are never built.
+    A parsed tree is walked through its child arrays, testing the value
+    ``SplitTests`` reads for each node (x as Python floats, widened by the
+    dense products) against the threshold, so its node objects are never
+    built.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.feature_dim,):
@@ -589,10 +693,11 @@ def naive_traverse(tree: BinaryDecisionTree, x) -> int:
             f"feature vector has shape {x.shape}, expected ({tree.feature_dim},)"
         )
     if tree._arrays is not None:
-        rows, thresholds, children = tree._routing
+        gather, thresholds, children = tree._routing
+        values = tree.split_tests.widen(x).tolist()
         j = 0 if children else -1
         while j >= 0:
-            j = children[j][0] if float(rows[j] @ x) > thresholds[j] else children[j][1]
+            j = children[j][0] if values[gather[j]] > thresholds[j] else children[j][1]
         return ~j + 1
     node = tree.root
     while isinstance(node, Internal):
@@ -963,7 +1068,42 @@ def serialize_ensemble(trees) -> str:
 # Random generation.  Shapes come from frontier expansion: below the root a
 # frontier node becomes internal with probability 1/2 until the depth bound,
 # so skewed and balanced shapes both occur.  Deterministic in the seed.
+#
+# The samplers visit nodes in pre-order from an explicit stack, so a node
+# draws its numbers before its first subtree does, as a recursive sampler
+# would, and no depth raises RecursionError.  The nodes are then built from
+# the last one back: in reversed pre-order, a node's children are on top of
+# the stack, first child topmost.
 # ---------------------------------------------------------------------------
+
+
+def _sample_preorder(depth_bound: int, rng: np.random.Generator, internal: Callable[[], tuple]) -> list:
+    """Per node in pre-order, ``internal()``'s ``(children, ...)`` or a
+    leaf value.  Below the root a node is a leaf with probability 1/2."""
+    nodes: list = []
+    stack = [0]  # depths of the nodes still to visit, next on top
+    while stack:
+        depth = stack.pop()
+        if depth >= depth_bound or (nodes and rng.random() >= 0.5):
+            nodes.append(float(rng.uniform()))
+            continue
+        node = internal()
+        nodes.append(node)
+        stack.extend([depth + 1] * node[0])
+    return nodes
+
+
+def _assemble(nodes: list, make: Callable[[tuple, list], object]) -> object:
+    """The root of the tree ``_sample_preorder`` listed; ``make`` builds an
+    internal node from its entry and its children."""
+    built: list = []
+    for node in reversed(nodes):
+        if isinstance(node, float):
+            built.append(Leaf(node))
+        else:
+            children = [built.pop() for _ in range(node[0])]
+            built.append(make(node, children))
+    return built[0]
 
 
 def generate_random_tree(depth_bound: int, feature_dim: int, seed: int) -> BinaryDecisionTree:
@@ -978,17 +1118,12 @@ def generate_random_tree(depth_bound: int, feature_dim: int, seed: int) -> Binar
         raise ValueError("feature_dim must be at least 1")
     rng = np.random.default_rng(seed)
 
-    def make(depth: int, force_internal: bool) -> Node:
-        if depth >= depth_bound or (not force_internal and rng.random() >= 0.5):
-            return Leaf(float(rng.uniform()))
-        predicate = Predicate.one_hot(
-            int(rng.integers(feature_dim)), float(rng.uniform()), feature_dim
-        )
-        left = make(depth + 1, False)
-        right = make(depth + 1, False)
-        return Internal(predicate, left, right)
+    def internal() -> tuple:
+        return 2, Predicate.one_hot(int(rng.integers(feature_dim)), float(rng.uniform()), feature_dim)
 
-    return BinaryDecisionTree(make(0, True), feature_dim)
+    nodes = _sample_preorder(depth_bound, rng, internal)
+    root = _assemble(nodes, lambda node, children: Internal(node[1], *children))
+    return BinaryDecisionTree(root, feature_dim)
 
 
 def generate_random_general_tree(
@@ -1002,15 +1137,13 @@ def generate_random_general_tree(
         raise ValueError("max_children must be at least 2")
     rng = np.random.default_rng(seed)
 
-    def make(depth: int, force_internal: bool) -> GNode:
-        if depth >= depth_bound or (not force_internal and rng.random() >= 0.5):
-            return Leaf(float(rng.uniform()))
+    def internal() -> tuple:
         k = int(rng.integers(2, max_children + 1))
-        weights = rng.dirichlet(np.ones(k))
-        children = tuple(make(depth + 1, False) for _ in range(k))
-        return GeneralInternal(children, weights)
+        return k, rng.dirichlet(np.ones(k))
 
-    return GeneralTree(make(0, True), feature_dim)
+    nodes = _sample_preorder(depth_bound, rng, internal)
+    root = _assemble(nodes, lambda node, children: GeneralInternal(tuple(children), node[1]))
+    return GeneralTree(root, feature_dim)
 
 
 def random_instances(count: int, feature_dim: int, seed: int) -> np.ndarray:

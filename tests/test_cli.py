@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from conftest import chain_document, chain_tree, instance_for_tests
 from treeflat import (
     BinaryDecisionTree,
+    Internal,
+    Leaf,
+    Predicate,
     StackedTrees,
     TreeMatrices,
     parse_model,
@@ -17,6 +21,7 @@ from treeflat import (
 )
 from treeflat import cli, traversal
 from treeflat.cli import main
+from treeflat.trees import dense_products
 
 
 def invoke(argv, capsys):
@@ -178,22 +183,20 @@ class TestScore:
                 assert code == 0
                 outputs.add(out)
             assert len(outputs) == 1
-        # A NaN feature fails every `<=` test, so the arithmetic algorithms
-        # see only true nodes and exit at the leftmost leaf; the oracle's `>`
-        # test sends it right instead, so it is left out until non-finite
-        # inputs get one defined meaning.
+        # A NaN feature fails its node's test, in the oracle as in every
+        # arithmetic algorithm, so it routes right: node 0 (x[0] = 0.9) goes
+        # left to node 1, whose NaN sends it right, to leaf 2.
         nan_row = tmp_path / "nan.csv"
         nan_row.write_text("0.9,nan,0.1,0.9,0.1\n")
         for model in (six_leaf_file, tmp_path / "ens.json"):
             outputs = set()
             for algo in sorted(cli.ALGORITHMS):
-                if algo != "naive":
-                    code, out, _ = invoke(["score", model, nan_row, "--algo", algo], capsys)
-                    assert code == 0
-                    outputs.add(out)
+                code, out, err = invoke(["score", model, nan_row, "--algo", algo], capsys)
+                assert (code, err) == (0, "")
+                outputs.add(out)
             assert len(outputs) == 1
         code, out, _ = invoke(["score", six_leaf_file, nan_row, "--algo", "qs"], capsys)
-        assert (code, out) == (0, "1 0.1\n")
+        assert (code, out) == (0, "2 0.2\n")
 
     def test_empty_instances_empty_output(self, six_leaf_file, tmp_path, capsys):
         data = tmp_path / "empty.csv"
@@ -292,6 +295,50 @@ class TestCompare:
         monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 2 * (sum(t.num_leaves for t in trees) + 1))
         code, out, _ = invoke(["compare", model, data], capsys)
         assert (code, out) == (0, "all algorithms agree on 40 instances x 30 trees\n")
+
+    def test_non_finite_rows_agree_without_warnings(self, tmp_path, capsys):
+        # Every path must route a NaN row right, and an inf row by sign
+        # without numpy warning of 0 * inf.
+        model, data = tmp_path / "m.json", tmp_path / "m.csv"
+        argv = ["gen", "--depth", "4", "--dim", "3", "--count", "1", "--seed", "3"]
+        assert invoke(argv + ["--out-model", model, "--out-data", data], capsys)[0] == 0
+        clean = data.read_text()
+        for rows in ("nan,0.5,0.5\n", "inf,-inf,0.5\n-inf,inf,inf\n"):
+            data.write_text(clean + rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = invoke(["compare", model, data], capsys)
+            count = 50 + rows.count("\n")
+            assert (code, out, err) == (0, f"all algorithms agree on {count} instances x 1 trees\n", "")
+
+    @pytest.mark.parametrize("product", ["dot", "dense_products"])
+    def test_dense_weight_ties_agree(self, tmp_path, capsys, product):
+        # A full tree of 7 dense nodes over 50 features, each threshold the
+        # product of instance 4: its 1-D dot product, which a matrix product
+        # over many rows can round differently, or its ``dense_products``
+        # value, an exact tie.
+        rng = np.random.default_rng(2)
+        X = rng.uniform(size=(1200, 50))
+        W = rng.uniform(-1.0, 1.0, (7, 50))
+        if product == "dot":
+            thresholds = [float(w @ X[4]) for w in W]
+        else:
+            thresholds = dense_products(W, X[4]).tolist()
+
+        def node(j):
+            if j >= 7:
+                return Leaf(float(j - 6))
+            return Internal(Predicate(W[j], thresholds[j]), node(2 * j + 1), node(2 * j + 2))
+
+        model, data = tmp_path / "m.json", tmp_path / "m.csv"
+        model.write_text(serialize_tree(BinaryDecisionTree(node(0), 50)))
+        data.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in X))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = invoke(["compare", model, data], capsys)
+        assert (code, out) == (0, "all algorithms agree on 1200 instances x 1 trees\n")
+        if product == "dense_products":  # instance 4 ties every node: false, right, right
+            assert invoke(["score", model, data, "--algo", "naive"], capsys)[1].splitlines()[4] == "8 8"
 
     def test_single_split_single_instance(self, tmp_path, depth1_tree, capsys):
         model = tmp_path / "m.json"
@@ -513,7 +560,7 @@ class TestGen:
             assert validate(tree).ok
 
     def test_tree_nested_too_deeply_exits_2(self, tmp_path, capsys):
-        # Seed 3684 samples a chain deeper than the recursion limit early on.
+        # Seed 3684 samples a tree deeper than the serializer can write.
         model, data = tmp_path / "m.json", tmp_path / "m.csv"
         code, _, err = invoke(
             [

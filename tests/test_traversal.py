@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from treeflat import (
     ALGORITHMS,
     BinaryDecisionTree,
     DimensionMismatchError,
+    Internal,
     Leaf,
+    Predicate,
     StackedTrees,
     TreeMatrices,
     batch_score,
@@ -25,19 +28,23 @@ from treeflat import (
     ecoc_traverse,
     ensemble_score,
     generate_random_tree,
+    hard_routing_consistency,
     linear_hash_test_vector,
     matrix_traverse,
     mips_leaf_search,
     naive_traverse,
+    parse_model,
     quickscorer_traverse,
     random_instances,
     scaled_argmax_invariance_check,
+    serialize_ensemble,
     sign_traverse,
     signed_test_vector,
     soft_attention,
     sum_in_model_order,
 )
-from treeflat import traversal
+from treeflat import traversal, trees as trees_module
+from treeflat.trees import dense_products
 from treeflat.matrices import (
     build_depth_vector,
     build_left_matrix,
@@ -681,3 +688,95 @@ class TestBatchScore:
         model = StackedTrees.build([six_leaf_tree])
         with pytest.raises(DimensionMismatchError):
             list(batch_score(model, np.zeros((0, 4)), "qs"))
+
+
+def hostile_case(seed, count, depth, dim):
+    """Random trees whose splits are one-hot, dense, or one-hot at a
+    threshold of ±1e308, and instances that tie one-hot splits (rows 0-3),
+    tie dense splits under ``dense_products`` (rows 4-7), hold NaN, ±inf
+    and ±1e308 cells (rows 8-11), or are all NaN, all inf or all -inf."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(12, dim))
+
+    def rebuild(node):
+        if isinstance(node, Leaf):
+            return Leaf(node.value)
+        predicate, kind = node.predicate, rng.integers(4)
+        if kind == 0:
+            weights = rng.uniform(-1.0, 1.0, dim) * (rng.random(dim) < 0.7)
+            weights[rng.integers(dim)] = -0.5
+            row = X[4 + rng.integers(4)]
+            tie = rng.random() < 0.5
+            threshold = float(dense_products(weights[None, :], row)[0]) if tie else float(rng.uniform(-1, 1))
+            predicate = Predicate(weights, threshold)
+        elif kind == 1:
+            predicate = Predicate.one_hot(predicate.one_hot_feature, float(rng.choice([-1e308, 1e308])), dim)
+        elif kind == 2:
+            X[rng.integers(4), predicate.one_hot_feature] = predicate.threshold
+        return Internal(predicate, rebuild(node.left), rebuild(node.right))
+
+    seeds = rng.integers(0, 2**31, size=count).tolist()
+    built = [BinaryDecisionTree(rebuild(generate_random_tree(depth, dim, s).root), dim) for s in seeds]
+    cells = rng.random((4, dim)) < 0.5
+    X[8:][cells] = rng.choice([np.nan, np.inf, -np.inf, 1e308, -1e308], size=int(cells.sum()))
+    X = np.vstack([X, np.full(dim, np.nan), np.full(dim, np.inf), np.full(dim, -np.inf)])
+    return built, X
+
+
+class TestHostileInputs:
+    """One split test everywhere: a NaN value fails it, ±inf route by sign,
+    and a dense product is the same float on every path, so every algorithm
+    takes the oracle's leaf on any row, and no RuntimeWarning is raised."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        count=st.integers(1, 3),
+        depth=st.integers(1, 5),
+        dim=st.integers(1, 5),
+    )
+    def test_every_path_takes_the_oracles_leaf(self, seed, count, depth, dim):
+        built, X = hostile_case(seed, count, depth, dim)
+        parsed = parse_model(serialize_ensemble(built))  # the arrays the CLI scores
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = [[naive_traverse(t, x) for t in parsed] for x in X]
+            assert oracle == [[naive_traverse(t, x) for t in built] for x in X]
+            model = StackedTrees.build(parsed)
+            for step in (1, 3, None):  # rows per chunk; None keeps the default rule
+                with pytest.MonkeyPatch.context() as mp:
+                    if step is not None:
+                        mp.setattr(traversal, "CHUNK_ENTRIES", step * (model.num_leaves + 1))
+                    for name in ARITHMETIC:
+                        leaves = np.vstack([leaves for leaves, _ in batch_score(model, X, name)])
+                        np.testing.assert_array_equal(leaves, oracle, err_msg=f"{name}, {step} rows")
+            stacked = compute_test_matrix(model, X)
+            for k, tree in enumerate(parsed):
+                mats = TreeMatrices.build(tree)
+                nodes = slice(model.node_starts[k], model.node_starts[k] + tree.num_internal)
+                for T in (compute_test_matrix(tree, X), compute_test_matrix(built[k], X), stacked[:, nodes]):
+                    assert T.dtype == np.int64
+                    np.testing.assert_array_equal(T, [compute_test_vector(tree, x) for x in X])
+                for i, x in enumerate(X):
+                    assert hard_routing_consistency(tree, x) and hard_routing_consistency(built[k], x)
+                    for name, fn in ALGORITHMS.items():
+                        assert fn(mats, x).leaf_index == oracle[i][k], name
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 50, 129, 300])
+    def test_dense_products_do_not_depend_on_rows(self, dim, monkeypatch):
+        # The oracle takes one row, a batch chunk any number; a matrix
+        # product would round a row differently by the chunk's shape.
+        rng = np.random.default_rng(dim)
+        rows, X = rng.uniform(-1, 1, (9, dim)), rng.uniform(-1, 1, (37, dim))
+        whole = dense_products(rows, X)
+        assert whole.shape == (37, 9)
+        for i, x in enumerate(X):
+            np.testing.assert_array_equal(dense_products(rows, x), whole[i])
+        for block in (1, 3, 5):  # rows of X per elementwise product
+            monkeypatch.setattr(trees_module, "_DENSE_ENTRIES", block * rows.size)
+            np.testing.assert_array_equal(dense_products(rows, X), whole)
+        X[0, 0], X[1, 0] = np.inf, np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            products = dense_products(np.array([[0.0] * dim, [1.0] * dim]), X[:2])
+        assert np.isnan(products[:, 0]).all() and np.isnan(products[1, 1])

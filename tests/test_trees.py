@@ -1,4 +1,7 @@
+import inspect
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from treeflat import (
     DimensionMismatchError,
     StackedTrees,
     TreeMatrices,
+    GeneralInternal,
     GeneralTree,
     Internal,
     Leaf,
@@ -238,7 +242,7 @@ class TestColumnarParse:
         X = random_instances(8, dim, seed)
         if dense:
             tree, X = with_dense_splits_and_ties(tree, seed)
-        X = np.vstack([X, np.full(dim, np.nan), np.full(dim, np.inf), -np.ones(dim)])
+        X = np.vstack([X, np.full(dim, np.nan), np.full(dim, np.inf), np.full(dim, -np.inf), -np.ones(dim)])
         # Alone, and after another tree in an ensemble, whose nodes and leaves
         # come first on the model's axes.
         lead, _ = with_dense_splits_and_ties(generate_random_tree(3, dim, seed + 1), seed + 1)
@@ -250,7 +254,10 @@ class TestColumnarParse:
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), name
                 np.testing.assert_array_equal(got, want)
             assert parsed.leaf_spans == built.leaf_spans
-            with np.errstate(invalid="ignore"):
+            # Non-finite rows included, and without a warning: the parsed tree's
+            # array walk and the object tree's predicates run one split test.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 assert [naive_traverse(parsed, x) for x in X] == [naive_traverse(built, x) for x in X]
             assert validate(parsed).ok
             assert "root" not in vars(parsed)  # the arrays served everything so far
@@ -514,6 +521,46 @@ class TestRandomGeneration:
     def test_leaf_count_invariant(self, tree):
         assert tree.num_leaves == tree.num_internal + 1
         assert validate(tree).ok
+
+    def test_deep_sample_needs_no_recursion(self):
+        # Seed 4325 samples a tree 238 levels deep; with the recursion limit
+        # 100 frames above this one, a sampler that recursed per level would
+        # raise RecursionError.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            tree = generate_random_tree(1500, 1, 4325)
+            report = validate(tree)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert int(tree.leaf_depths.max()) == 238
+        assert report.ok and tree.num_leaves == tree.num_internal + 1
+
+    @pytest.mark.parametrize("seed", [0, 3, 42, 3684])
+    def test_samplers_draw_in_recursive_pre_order(self, seed):
+        # The samplers' draws, in the order of the recursive form they
+        # replace, so that seeded output (``gen``) stays as it was.
+        def binary(depth_bound, dim, rng, depth=0, force=True):
+            if depth >= depth_bound or (not force and rng.random() >= 0.5):
+                return Leaf(float(rng.uniform()))
+            predicate = Predicate.one_hot(int(rng.integers(dim)), float(rng.uniform()), dim)
+            left = binary(depth_bound, dim, rng, depth + 1, False)
+            return Internal(predicate, left, binary(depth_bound, dim, rng, depth + 1, False))
+
+        def general(depth_bound, fanout, rng, depth=0, force=True):
+            if depth >= depth_bound or (not force and rng.random() >= 0.5):
+                return Leaf(float(rng.uniform()))
+            k = int(rng.integers(2, fanout + 1))
+            weights = rng.dirichlet(np.ones(k))
+            children = tuple(general(depth_bound, fanout, rng, depth + 1, False) for _ in range(k))
+            return GeneralInternal(children, weights)
+
+        for depth in (1, 4, 9):
+            want = BinaryDecisionTree(binary(depth, 3, np.random.default_rng(seed)), 3)
+            assert serialize_tree(generate_random_tree(depth, 3, seed)) == serialize_tree(want)
+            want = GeneralTree(general(depth, 4, np.random.default_rng(seed)), 2)
+            got = generate_random_general_tree(depth, 4, seed, feature_dim=2)
+            assert serialize_tree(got) == serialize_tree(want)
 
     def test_general_deterministic_and_valid(self):
         a = generate_random_general_tree(4, 5, 9, feature_dim=3)
