@@ -10,6 +10,11 @@ writes random models plus matching instance files.
 runs; ``naive`` is the per-pair oracle.  The per-vector traversals are the
 reference the tests check, and no command calls them.
 
+``score --soft`` and ``flatten`` print arrays whose values repeat by
+construction (a softmax over a few integer path scores, 0/1 masks), so
+``_format_rows`` formats each distinct value once; the text is the same as
+formatting every entry.
+
 Exit codes: 0 success, 1 algorithms disagreed, 2 usage or parse error,
 3 invalid model, 4 instance data does not fit the model.  The ``treeflat``
 command restores the default action of SIGPIPE where the platform has one,
@@ -135,15 +140,28 @@ def _load_instances(path: str, feature_dim: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _format_matrix(m: np.ndarray, integer: bool) -> str:
+def _format_rows(values: np.ndarray, spec: str, sep: str) -> list[str]:
+    """Each row of a 2-D array as ``sep``-joined ``format(v, spec)`` entries.
+
+    Each distinct entry is formatted once, which pays where values repeat by
+    construction (0/1 masks, a softmax over a few integer path scores) and
+    costs more than a per-entry loop where they do not.  Floats are told
+    apart by bit pattern, so -0.0 and 0.0 keep their own text.
+    """
+    if values.dtype.kind == "f":
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
+        keys, inverse = np.unique(bits.ravel(), return_inverse=True)
+        keys = keys.view(np.float64)
+    else:
+        keys, inverse = np.unique(values.ravel(), return_inverse=True)
+    text = np.array([format(v, spec) for v in keys.tolist()], dtype=object)
+    # numpy 2.0 changed the shape of the inverse, so reshape it here.
+    return [sep.join(row) for row in text[inverse.reshape(values.shape)].tolist()]
+
+
+def _format_matrix(m: np.ndarray, spec: str) -> str:
     rows, cols = m.shape
-    lines = [f"{rows} {cols}"]
-    for row in m:
-        if integer:
-            lines.append(" ".join(str(int(v)) for v in row))
-        else:
-            lines.append(" ".join(f"{float(v):.12g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{rows} {cols}", *_format_rows(m, spec, " ")]) + "\n"
 
 
 def _parse_prob_vector(raw: str, expected: int) -> np.ndarray:
@@ -175,21 +193,21 @@ def cmd_flatten(args) -> int:
     if kind == "path":
         if not isinstance(tree, GeneralTree):
             raise CliError(EXIT_USAGE, "kind 'path' needs a general tree file")
-        sys.stdout.write(_format_matrix(build_general_path_matrix(tree), integer=False))
+        sys.stdout.write(_format_matrix(build_general_path_matrix(tree), ".12g"))
         return EXIT_OK
     if not isinstance(tree, BinaryDecisionTree):
         raise CliError(EXIT_USAGE, f"kind {kind!r} needs a binary tree file")
     if kind == "right":
-        sys.stdout.write(_format_matrix(build_right_matrix(tree).entries, integer=True))
+        sys.stdout.write(_format_matrix(build_right_matrix(tree).entries, "d"))
     elif kind == "left":
-        sys.stdout.write(_format_matrix(build_left_matrix(tree).entries, integer=True))
+        sys.stdout.write(_format_matrix(build_left_matrix(tree).entries, "d"))
     elif kind == "signed":
-        sys.stdout.write(_format_matrix(build_signed_matrix(tree), integer=True))
+        sys.stdout.write(_format_matrix(build_signed_matrix(tree), "d"))
     else:  # fuzzy
         if args.p is None:
             raise CliError(EXIT_USAGE, "kind 'fuzzy' needs --p with one entry per node")
         p = _parse_prob_vector(args.p, tree.num_internal)
-        sys.stdout.write(_format_matrix(build_fuzzy_matrix(tree, p), integer=False))
+        sys.stdout.write(_format_matrix(build_fuzzy_matrix(tree, p), ".12g"))
     return EXIT_OK
 
 
@@ -223,7 +241,7 @@ def cmd_score(args) -> int:
     try:
         if args.soft:
             for probs in batch_soft_attention(StackedTrees.build(trees), X):
-                out.writelines(",".join(f"{p:.12g}" for p in row) + "\n" for row in probs.tolist())
+                out.writelines(line + "\n" for line in _format_rows(probs, ".12g", ","))
         elif args.algo == "naive":
             _write_scores(out, *_naive_scores(trees, X))
         else:

@@ -84,7 +84,13 @@ from .matrices import (
     build_right_matrix,
     build_signed_matrix,
 )
-from .trees import BinaryDecisionTree, DimensionMismatchError, SplitTests, naive_traverse
+from .trees import (
+    BinaryDecisionTree,
+    DimensionMismatchError,
+    SplitTests,
+    _unit_features,
+    naive_traverse,
+)
 
 __all__ = [
     "ALGORITHMS",
@@ -255,6 +261,9 @@ def linear_hash_test_vector(W, gamma, x) -> np.ndarray:
     The raw hash sign marks true tests with +1, which is the opposite polarity
     of the signed test vector, so the result is negated: a tie (W x = gamma)
     therefore comes out +1, i.e. false, matching the strict-> convention.
+    Each row is tested as a tree node is (``SplitTests``): a one-hot row
+    gathers its feature, so NaN and ±inf give ``compute_test_vector``'s
+    outcome and no warning.
     """
     W = np.asarray(W, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
@@ -263,7 +272,8 @@ def linear_hash_test_vector(W, gamma, x) -> np.ndarray:
         raise DimensionMismatchError(
             f"incompatible shapes: W {W.shape}, gamma {gamma.shape}, x {x.shape}"
         )
-    return np.where(W @ x - gamma > 0, -1, 1).astype(np.int64)
+    features = _unit_features(W)
+    return signed_test_vector(SplitTests.build(features, gamma, W[features < 0]).false_nodes(x))
 
 
 def quickscorer_traverse(mats: TreeMatrices, t) -> TraversalResult:

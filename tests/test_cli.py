@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import chain_document, chain_tree, instance_for_tests
 from treeflat import (
@@ -14,7 +17,15 @@ from treeflat import (
     Predicate,
     StackedTrees,
     TreeMatrices,
+    batch_soft_attention,
+    build_fuzzy_matrix,
+    build_general_path_matrix,
+    build_left_matrix,
+    build_right_matrix,
+    build_signed_matrix,
+    generate_random_general_tree,
     parse_model,
+    parse_tree,
     serialize_ensemble,
     serialize_tree,
     validate,
@@ -22,6 +33,30 @@ from treeflat import (
 from treeflat import cli, traversal
 from treeflat.cli import main
 from treeflat.trees import dense_products
+
+
+def reference_rows(values, integer, sep):
+    """The per-entry loop ``_format_rows`` replaces."""
+    if integer:
+        return [sep.join(str(int(v)) for v in row) for row in values]
+    return [sep.join(f"{float(v):.12g}" for v in row) for row in values]
+
+
+def reference_matrix(m, integer):
+    return "".join(f"{line}\n" for line in [f"{m.shape[0]} {m.shape[1]}", *reference_rows(m, integer, " ")])
+
+
+def perfect_tree(depth, dim, seed):
+    """A full binary tree with ``2 ** depth`` leaves and one-hot splits."""
+    rng = np.random.default_rng(seed)
+
+    def make(level):
+        if level == depth:
+            return Leaf(float(rng.uniform()))
+        predicate = Predicate.one_hot(int(rng.integers(dim)), float(rng.uniform()), dim)
+        return Internal(predicate, make(level + 1), make(level + 1))
+
+    return BinaryDecisionTree(make(0), dim)
 
 
 def invoke(argv, capsys):
@@ -147,6 +182,70 @@ class TestFlatten:
         assert code == 3
         assert "invalid" in err
 
+    def test_every_kind_matches_the_per_entry_reference(self, tmp_path, capsys):
+        code, _, _ = invoke(
+            ["gen", "--depth", "7", "--dim", "4", "--seed", "31",
+             "--out-model", tmp_path / "gen.json", "--out-data", tmp_path / "gen.csv"],
+            capsys,
+        )
+        assert code == 0
+        (tmp_path / "full.json").write_text(serialize_tree(perfect_tree(8, 4, 3)))
+        for name in ("gen.json", "full.json"):
+            path = tmp_path / name
+            tree = parse_tree(path.read_text())
+            # 0, 1 and -0.0 among the probabilities: the fuzzy matrix then
+            # holds 0.0 and 1.0 beside p and 1 - p.
+            p = np.random.default_rng(5).uniform(size=tree.num_internal)
+            p[:3] = [0.0, 1.0, -0.0]
+            expected = {
+                "right": reference_matrix(build_right_matrix(tree).entries, True),
+                "left": reference_matrix(build_left_matrix(tree).entries, True),
+                "signed": reference_matrix(build_signed_matrix(tree), True),
+                "fuzzy": reference_matrix(build_fuzzy_matrix(tree, p), False),
+            }
+            for kind, text in expected.items():
+                extra = ["--p", ",".join(f"{v:.17g}" for v in p)] if kind == "fuzzy" else []
+                assert invoke(["flatten", path, kind, *extra], capsys) == (0, text, ""), (name, kind)
+        general = generate_random_general_tree(4, 4, 6, 3)
+        path = tmp_path / "general.json"
+        path.write_text(serialize_tree(general))
+        text = reference_matrix(build_general_path_matrix(parse_tree(path.read_text())), False)
+        assert invoke(["flatten", path, "path"], capsys) == (0, text, "")
+
+
+SPECIAL_FLOATS = [
+    -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1
+]
+SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7)
+
+
+class TestFormatRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64, SHAPES, elements=st.sampled_from(SPECIAL_FLOATS) | st.floats(width=64)
+        ),
+        sep=st.sampled_from([",", " "]),
+    )
+    @example(values=np.array([SPECIAL_FLOATS * 2]), sep=",")
+    @example(values=np.zeros((0, 4)), sep=",")
+    @example(values=np.zeros((3, 0)), sep=",")
+    def test_floats_match_the_per_entry_reference(self, values, sep):
+        assert cli._format_rows(values, ".12g", sep) == reference_rows(values, False, sep)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.one_of(
+            hnp.arrays(np.int64, SHAPES, elements=st.integers(-(2**63), 2**63 - 1) | st.integers(-2, 2)),
+            hnp.arrays(np.uint8, SHAPES, elements=st.integers(0, 1)),
+        ),
+    )
+    @example(values=np.array([[-1, 0, 1, -1], [1, 1, 0, -1]]))
+    @example(values=np.zeros((0, 3), dtype=np.int64))
+    @example(values=np.zeros((2, 0), dtype=np.uint8))
+    def test_integers_match_the_per_entry_reference(self, values):
+        assert cli._format_rows(values, "d", " ") == reference_rows(values, True, " ")
+
 
 class TestScore:
     def test_sign_scores_leaf3(self, six_leaf_file, leaf3_instances, capsys):
@@ -227,6 +326,28 @@ class TestScore:
         assert len(probs) == 6
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         assert int(np.argmax(probs)) + 1 == 3
+
+    def test_soft_text_matches_the_per_entry_reference(self, tmp_path, capsys):
+        code, _, _ = invoke(
+            ["gen", "--depth", "7", "--dim", "4", "--seed", "31", "--instances", "300",
+             "--out-model", tmp_path / "gen.json", "--out-data", tmp_path / "x.csv"],
+            capsys,
+        )
+        assert code == 0
+        with open(tmp_path / "x.csv", "a") as fh:
+            fh.write("nan,0.5,0.5,0.5\ninf,-inf,inf,-inf\n-0.0,-0.0,-0.0,-0.0\n")
+        (tmp_path / "full.json").write_text(serialize_tree(perfect_tree(8, 4, 3)))
+        X = np.loadtxt(tmp_path / "x.csv", delimiter=",")
+        for name in ("gen.json", "full.json"):
+            path = tmp_path / name
+            model = StackedTrees.build(parse_model(path.read_text()))
+            # 303 rows of a 256-leaf tree make three chunks.
+            text = "".join(
+                f"{line}\n"
+                for probs in batch_soft_attention(model, X)
+                for line in reference_rows(probs.tolist(), False, ",")
+            )
+            assert invoke(["score", path, tmp_path / "x.csv", "--soft"], capsys) == (0, text, ""), name
 
     def test_general_tree_not_scorable(self, tmp_path, eight_leaf_general_tree, capsys):
         model = tmp_path / "general.json"

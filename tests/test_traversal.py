@@ -128,6 +128,17 @@ class TestLinearHash:
             s, signed_test_vector(compute_test_vector(tree, x))
         )
 
+    def test_non_finite_rows_agree_with_tree_tests(self):
+        # A matrix product takes 0 * inf = NaN here, which warns and flips node 3.
+        tree = generate_random_tree(3, 3, 1)
+        x = np.array([0.9, 0.9, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = linear_hash_test_vector(tree.weight_matrix, tree.thresholds, x)
+            expected = signed_test_vector(compute_test_vector(tree, x))
+        np.testing.assert_array_equal(expected, [1, 1, -1, -1])
+        np.testing.assert_array_equal(s, expected)
+
     def test_tie_maps_to_false(self):
         W = np.eye(3)
         gamma = np.array([0.5, 0.5, 0.5])
