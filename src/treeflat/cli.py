@@ -140,21 +140,33 @@ def _load_instances(path: str, feature_dim: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def _distinct(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct keys of an array, as Python numbers, and each entry's
+    position among them.  An integer array whose range is no larger than its
+    size is keyed by offset from its minimum, with no sort, when its dtype
+    holds that offset; floats are told apart by bit pattern, so -0.0 and
+    0.0 keep their own text."""
+    if values.dtype.kind == "f":
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
+        keys, inverse = np.unique(bits, return_inverse=True)
+        return keys.view(np.float64).tolist(), inverse
+    if values.dtype.kind in "iu" and values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo <= min(values.size, np.iinfo(values.dtype).max):
+            return list(range(lo, hi + 1)), values - lo
+    keys, inverse = np.unique(values, return_inverse=True)
+    return keys.tolist(), inverse
+
+
 def _format_rows(values: np.ndarray, spec: str, sep: str) -> list[str]:
     """Each row of a 2-D array as ``sep``-joined ``format(v, spec)`` entries.
 
     Each distinct entry is formatted once, which pays where values repeat by
     construction (0/1 masks, a softmax over a few integer path scores) and
-    costs more than a per-entry loop where they do not.  Floats are told
-    apart by bit pattern, so -0.0 and 0.0 keep their own text.
+    costs more than a per-entry loop where they do not.
     """
-    if values.dtype.kind == "f":
-        bits = np.asarray(values, dtype=np.float64).view(np.int64)
-        keys, inverse = np.unique(bits.ravel(), return_inverse=True)
-        keys = keys.view(np.float64)
-    else:
-        keys, inverse = np.unique(values.ravel(), return_inverse=True)
-    text = np.array([format(v, spec) for v in keys.tolist()], dtype=object)
+    keys, inverse = _distinct(values)
+    text = np.array([format(v, spec) for v in keys], dtype=object)
     # numpy 2.0 changed the shape of the inverse, so reshape it here.
     return [sep.join(row) for row in text[inverse.reshape(values.shape)].tolist()]
 

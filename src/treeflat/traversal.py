@@ -36,7 +36,8 @@ feature, ``x[f] > threshold``, and a dense node its ``dense_products``
 value, which does not depend on how many rows are tested at once.
 
 ``batch_score`` is the batch path, the one ``treeflat score`` runs,
-``compare`` checks and ``bench`` times.  It stacks a model's trees into one
+``compare`` checks and ``bench`` times, and ``ensemble_score`` runs as a
+batch of one row.  It stacks a model's trees into one
 ``StackedTrees`` and computes the test matrix of a chunk of instances with
 one gather over every node of every tree, kept as booleans.  Two kernels
 then pick each tree's exit leaf, over the same chunks:
@@ -65,11 +66,16 @@ rule, and an ensemble's leaf values are added column by column in model
 order, from 0.0, as Python's ``sum`` adds them.  ``naive`` has no batch
 form: the recursive descent runs once per (instance, tree) pair, because it
 is the oracle.
+
+``ensemble_score`` stacks a model on its first call with it and keeps that
+one ``StackedTrees`` for later calls with the same trees, for as long as the
+trees live; a call with other trees replaces it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -217,14 +223,16 @@ class TreeMatrices:
         return TraversalResult(row + 1, float(self.leaf_values[row]), score, processed)
 
 
+def _feature_vector(x, dim: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (dim,):
+        raise DimensionMismatchError(f"feature vector has shape {x.shape}, expected ({dim},)")
+    return x
+
+
 def _false_nodes(tree: BinaryDecisionTree, x) -> np.ndarray:
     """``compute_test_vector`` as booleans, which every selector reads."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.feature_dim,):
-        raise DimensionMismatchError(
-            f"feature vector has shape {x.shape}, expected ({tree.feature_dim},)"
-        )
-    return tree.split_tests.false_nodes(x)
+    return tree.split_tests.false_nodes(_feature_vector(x, tree.feature_dim))
 
 
 def compute_test_vector(tree: BinaryDecisionTree, x) -> np.ndarray:
@@ -648,7 +656,8 @@ class _Algorithm:
 
     def per_vector(self) -> Callable[[TreeMatrices, np.ndarray], TraversalResult]:
         """The selector over one raw feature vector, as a plain function:
-        ``ensemble_score`` calls it once per tree."""
+        the ``ALGORITHMS`` entry, the per-vector form the tests check the
+        batch path against."""
         select = self.select
         if self.hits is None:
             return select
@@ -677,11 +686,46 @@ ALGORITHMS: dict[str, Callable[[TreeMatrices, np.ndarray], TraversalResult]] = {
 }
 
 
+# ``ensemble_score``'s stacked model, as one tuple so that replacing it is one
+# assignment: the ids of its trees, the ``StackedTrees``, and a weak
+# reference to each tree.  A reference's callback drops the entry, so the
+# stacked model never outlives its trees and a reused id cannot find it.
+# Building it on the first call rather than in ``TreeMatrices.build`` keeps
+# that cost out of set-up for callers that never score an ensemble.
+_stacked_cache: tuple[tuple[int, ...], StackedTrees, list[weakref.ref]] | None = None
+
+
+def _drop_stacked(ref: weakref.ref) -> None:
+    global _stacked_cache
+    entry = _stacked_cache
+    if entry is not None and ref in entry[2]:
+        _stacked_cache = None
+
+
+def _stacked(trees: list[BinaryDecisionTree], x) -> StackedTrees:
+    """The cached ``StackedTrees`` of these trees, built on a miss."""
+    global _stacked_cache
+    key = tuple(map(id, trees))
+    entry = _stacked_cache
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    # Trees that disagree on feature_dim fail the per-vector shape check.
+    for tree in trees:
+        _feature_vector(x, tree.feature_dim)
+    model = StackedTrees.build(trees)
+    _stacked_cache = (key, model, [weakref.ref(tree, _drop_stacked) for tree in trees])
+    return model
+
+
 def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     """Sum of per-tree exit leaf values under the named algorithm.
 
-    The reduction order is the model order, so results are deterministic;
-    an empty ensemble scores 0.
+    Every arithmetic algorithm scores x as a batch of one row through
+    ``batch_score``, over the trees stacked into one ``StackedTrees``.  The
+    first call with a model stacks it; later calls with the same trees
+    reuse it for as long as the trees live.  ``naive`` runs the oracle once
+    per tree.  Leaf values are added in model order, as Python floats, so
+    results are deterministic; an empty ensemble scores 0.
     """
     try:
         fn = ALGORITHMS[algorithm]
@@ -689,7 +733,15 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
         ) from None
-    return float(sum(fn(mats, x).leaf_value for mats in models))
+    if _TABLE[algorithm].hits is None:
+        return float(sum(fn(mats, x).leaf_value for mats in models))
+    trees = [mats.tree for mats in models]
+    if not trees:
+        return 0.0
+    model = _stacked(trees, x)
+    x = _feature_vector(x, model.feature_dim)
+    _, values = next(batch_score(model, x[None, :], algorithm))
+    return float(sum(values[0].tolist()))
 
 
 def batch_score(

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import math
+import re
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -505,6 +508,142 @@ class TestEnsemble:
         for x in X:
             scores = {name: ensemble_score(models, x, name) for name in ALGORITHMS}
             assert len(set(scores.values())) == 1, scores
+
+
+def per_vector_sum(models, x, name):
+    """What ``ensemble_score`` returned when it ran one selector per tree."""
+    return float(sum(ALGORITHMS[name](m, x).leaf_value for m in models))
+
+
+def signed_zero_tree(dim):
+    return BinaryDecisionTree(Internal(Predicate.one_hot(0, 0.5, dim), Leaf(-0.0), Leaf(-0.0)), dim)
+
+
+def cancelling_tree(dim):
+    """Leaf values whose sum depends on the order they are added in."""
+    left = Internal(Predicate.one_hot(1, 0.5, dim), Leaf(1e16), Leaf(-1e16))
+    return BinaryDecisionTree(Internal(Predicate.one_hot(0, 0.5, dim), left, Leaf(1.0)), dim)
+
+
+def word_ensemble(dim=4):
+    """Trees of 2 to 64 leaves, so ``qs`` and ``dual`` run the word kernels."""
+    trees = [tree_with_leaves(n, dim, n) for n in (2, 7, 33, 64)]
+    trees += [generate_random_tree(5, dim, seed) for seed in range(8)]
+    trees += [cancelling_tree(dim), signed_zero_tree(dim), cancelling_tree(dim)]
+    return [t for t in trees if t.num_leaves >= 2]
+
+
+@pytest.fixture
+def empty_stack_cache():
+    """No stacked model cached before or after the test.  Set directly:
+    ``monkeypatch`` would put back an entry whose trees may have died."""
+    traversal._stacked_cache = None
+    yield
+    traversal._stacked_cache = None
+
+
+@pytest.fixture
+def stack_builds(monkeypatch, empty_stack_cache):
+    """A list that grows by one at each ``StackedTrees.build``."""
+    builds = []
+    real = StackedTrees.build
+    monkeypatch.setattr(StackedTrees, "build", lambda trees: builds.append(1) or real(trees))
+    return builds
+
+
+class TestCachedEnsembleScore:
+    """``ensemble_score`` scores x as a batch of one over a stacked model
+    that is built on the first call and cached while its trees live."""
+
+    @staticmethod
+    def models_and_rows(kind):
+        if kind == "hostile":
+            built, X = hostile_case(11, 3, 4, 4)
+            trees = parse_model(serialize_ensemble(built))
+        elif kind == "signed zero":  # sums to 0.0, as sum() adds from 0
+            trees = [signed_zero_tree(4), signed_zero_tree(4)]
+            X = random_instances(4, 4, 1)
+        else:
+            trees = word_ensemble()
+            if kind == "span":
+                trees.insert(5, tree_with_leaves(100, 4, 5))
+            X = instances_with_ties(trees, 25, 3)
+        assert StackedTrees.build(trees).fits_words == (kind != "span")
+        return [TreeMatrices.build(t) for t in trees], X
+
+    @pytest.mark.parametrize("kind", ["words", "span", "hostile", "signed zero"])
+    def test_equals_the_per_vector_sum_bit_for_bit(self, kind, empty_stack_cache):
+        models, X = self.models_and_rows(kind)
+        for x in X:
+            for name in ALGORITHMS:
+                got = ensemble_score(models, x, name)
+                assert got.hex() == per_vector_sum(models, x, name).hex(), (name, x)
+
+    def test_model_is_stacked_once_and_rebuilt_for_other_trees(self, stack_builds):
+        models = [TreeMatrices.build(t) for t in word_ensemble()]
+        other = [TreeMatrices.build(generate_random_tree(4, 4, s)) for s in range(20, 26)]
+        X = random_instances(50, 4, 8)
+        for x in X:
+            assert ensemble_score(models, x, "qs") == per_vector_sum(models, x, "qs")
+        assert len(stack_builds) == 1
+        # Other lists of the same TreeMatrices reuse the entry too.
+        assert ensemble_score(list(models), X[0], "dual") == per_vector_sum(models, X[0], "dual")
+        assert len(stack_builds) == 1
+        # One entry: each switch between two models rebuilds, and each model
+        # keeps its own sums.
+        for x in X[:5]:
+            for model in (other, models):
+                assert ensemble_score(model, x, "sign") == per_vector_sum(model, x, "sign")
+        assert len(stack_builds) == 11
+        for changed in (models[::-1], models[:3], models[1:], models + models[:1]):
+            before = len(stack_builds)
+            for x in X[:3]:
+                assert ensemble_score(changed, x, "qs") == per_vector_sum(changed, x, "qs")
+            assert len(stack_builds) == before + 1
+
+    def test_cache_does_not_outlive_its_trees(self, empty_stack_cache):
+        trees = word_ensemble()
+        models = [TreeMatrices.build(t) for t in trees]
+        ensemble_score(models, np.zeros(4), "qs")
+        stacked = weakref.ref(traversal._stacked_cache[1])
+        del trees, models
+        gc.collect()
+        assert stacked() is None
+        assert traversal._stacked_cache is None
+
+    def test_no_per_vector_selector_runs(self, monkeypatch, empty_stack_cache):
+        models, X = self.models_and_rows("span")
+        expected = {name: [per_vector_sum(models, x, name) for x in X] for name in ARITHMETIC}
+
+        def refuse(tree, x):
+            raise AssertionError("a per-vector selector ran")
+
+        monkeypatch.setattr(traversal, "_false_nodes", refuse)
+        for name in ARITHMETIC:
+            assert [ensemble_score(models, x, name) for x in X] == expected[name], name
+
+    def test_errors_keep_their_type_and_message(self, six_leaf_mats, stack_builds):
+        names = sorted(ALGORITHMS)
+        with pytest.raises(ValueError, match=re.escape(f"unknown algorithm 'fastest'; choose from {names}")):
+            ensemble_score([six_leaf_mats], np.zeros(5), "fastest")
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            ensemble_score([], np.zeros(5), "fastest")
+        narrow = TreeMatrices.build(generate_random_tree(3, 4, 1))
+        cases = [
+            ([six_leaf_mats], np.zeros(4), "(4,), expected (5,)"),
+            ([six_leaf_mats], np.zeros((1, 5)), "(1, 5), expected (5,)"),
+            ([six_leaf_mats, narrow], np.zeros(5), "(5,), expected (4,)"),
+            ([six_leaf_mats, narrow], np.zeros(4), "(4,), expected (5,)"),
+            ([narrow, six_leaf_mats], np.zeros(4), "(4,), expected (5,)"),
+        ]
+        for warm in (False, True):
+            if warm:  # the same errors once the one-tree model is cached
+                ensemble_score([six_leaf_mats], np.zeros(5), "qs")
+            for models, x, message in cases:
+                for name in ALGORITHMS:
+                    with pytest.raises(DimensionMismatchError, match=re.escape(f"feature vector has shape {message}")):
+                        ensemble_score(models, x, name)
+        assert len(stack_builds) == 1
 
 
 class TestRegistry:
