@@ -140,19 +140,24 @@ def _load_instances(path: str, feature_dim: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+# An integer array spanning at most this many values, as flatten's 0/1
+# masks and -1/0/1 signed matrix do, is keyed by offset from its minimum.
+_OFFSET_KEYS = 3
+
+
 def _distinct(values: np.ndarray) -> tuple[list, np.ndarray]:
     """The distinct keys of an array, as Python numbers, and each entry's
-    position among them.  An integer array whose range is no larger than its
-    size is keyed by offset from its minimum, with no sort, when its dtype
-    holds that offset; floats are told apart by bit pattern, so -0.0 and
-    0.0 keep their own text."""
+    position among them.  An integer array of at most ``_OFFSET_KEYS``
+    consecutive values is keyed by offset from its minimum, with no sort;
+    any other is sorted by ``np.unique``.  Floats are told apart by bit
+    pattern, so -0.0 and 0.0 keep their own text."""
     if values.dtype.kind == "f":
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
         keys, inverse = np.unique(bits, return_inverse=True)
         return keys.view(np.float64).tolist(), inverse
     if values.dtype.kind in "iu" and values.size:
         lo, hi = int(values.min()), int(values.max())
-        if hi - lo <= min(values.size, np.iinfo(values.dtype).max):
+        if hi - lo < _OFFSET_KEYS:
             return list(range(lo, hi + 1)), values - lo
     keys, inverse = np.unique(values, return_inverse=True)
     return keys.tolist(), inverse

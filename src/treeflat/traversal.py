@@ -37,10 +37,10 @@ value, which does not depend on how many rows are tested at once.
 
 ``batch_score`` is the batch path, the one ``treeflat score`` runs,
 ``compare`` checks and ``bench`` times, and ``ensemble_score`` runs as a
-batch of one row.  It stacks a model's trees into one
-``StackedTrees`` and computes the test matrix of a chunk of instances with
-one gather over every node of every tree, kept as booleans.  Two kernels
-then pick each tree's exit leaf, over the same chunks:
+batch of one row once it has stacked a model.  It stacks a model's trees
+into one ``StackedTrees`` and computes the test matrix of a chunk of
+instances with one gather over every node of every tree, kept as booleans.
+Two kernels then pick each tree's exit leaf, over the same chunks:
 
 * the word kernels run ``qs`` and ``dual`` when every tree has 2 to 64
   leaves (``StackedTrees.fits_words``).  Each node's right and left column
@@ -67,9 +67,10 @@ order, from 0.0, as Python's ``sum`` adds them.  ``naive`` has no batch
 form: the recursive descent runs once per (instance, tree) pair, because it
 is the oracle.
 
-``ensemble_score`` stacks a model on its first call with it and keeps that
-one ``StackedTrees`` for later calls with the same trees, for as long as the
-trees live; a call with other trees replaces it.
+``ensemble_score`` runs each tree's per-vector selector on the first call
+with a model, stacks the model on the second consecutive call with the same
+trees and keeps that one ``StackedTrees`` for later calls with them, for as
+long as the trees live; a call with other trees starts over.
 """
 
 from __future__ import annotations
@@ -232,7 +233,13 @@ def _feature_vector(x, dim: int) -> np.ndarray:
 
 def _false_nodes(tree: BinaryDecisionTree, x) -> np.ndarray:
     """``compute_test_vector`` as booleans, which every selector reads."""
-    return tree.split_tests.false_nodes(_feature_vector(x, tree.feature_dim))
+    # Checked inline, not through _feature_vector: ensemble_score runs this
+    # once per tree of a model it has not stacked, where one more call per
+    # tree cost about 3% of a call on a 200-tree model.
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (tree.feature_dim,):
+        _feature_vector(x, tree.feature_dim)  # raises the shape error
+    return tree.split_tests.false_nodes(x)
 
 
 def compute_test_vector(tree: BinaryDecisionTree, x) -> np.ndarray:
@@ -506,22 +513,34 @@ class StackedTrees:
         dims = {t.feature_dim for t in trees}
         if len(dims) > 1:
             raise DimensionMismatchError(f"trees disagree on feature_dim {sorted(dims)}")
-        starts = np.cumsum([0] + [t.num_leaves for t in trees[:-1]])
+        # One pass over the trees, then one concatenation per field and one
+        # offset add for the whole model: ``ensemble_score`` pays this build
+        # inside one scalar call.  On a 200-tree model it took 0.38 ms, where
+        # one offset add and one attribute read per tree and field took 0.99.
+        features, thresholds, dense_rows, spans, depths, values = zip(
+            *(
+                (t.split_features, t.thresholds, t.split_tests.dense_rows,
+                 t.span_array, t.leaf_depths, t.leaf_values)
+                for t in trees
+            )
+        )
+        leaves = np.fromiter(map(len, depths), np.int64, len(trees))
+        nodes = np.fromiter(map(len, spans), np.int64, len(trees))
+        starts = np.cumsum(leaves) - leaves
+        spans = np.concatenate(spans)
+        spans += np.repeat(starts, nodes)[:, None]
         # Each tree lists its dense rows in node order, so the model's dense
         # nodes, in node order, are their concatenation.
-        tests = [t.split_tests for t in trees]
         return cls(
             feature_dim=dims.pop(),
             split_tests=SplitTests.build(
-                np.concatenate([t.split_features for t in trees]),
-                np.concatenate([t.thresholds for t in trees]),
-                np.concatenate([s.dense_rows for s in tests]),
+                np.concatenate(features), np.concatenate(thresholds), np.concatenate(dense_rows)
             ),
-            spans=np.concatenate([t.span_array + lo for t, lo in zip(trees, starts)]),
-            leaf_depths=np.concatenate([t.leaf_depths for t in trees]),
-            leaf_values=np.concatenate([t.leaf_values for t in trees]),
+            spans=spans,
+            leaf_depths=np.concatenate(depths),
+            leaf_values=np.concatenate(values),
             leaf_starts=starts,
-            node_starts=np.cumsum([0] + [t.num_internal for t in trees[:-1]]),
+            node_starts=np.cumsum(nodes) - nodes,
         )
 
     @property
@@ -656,8 +675,9 @@ class _Algorithm:
 
     def per_vector(self) -> Callable[[TreeMatrices, np.ndarray], TraversalResult]:
         """The selector over one raw feature vector, as a plain function:
-        the ``ALGORITHMS`` entry, the per-vector form the tests check the
-        batch path against."""
+        the ``ALGORITHMS`` entry, which ``ensemble_score`` sums over a
+        model it has not stacked, and the per-vector form the tests check
+        the batch path against."""
         select = self.select
         if self.hits is None:
             return select
@@ -686,13 +706,16 @@ ALGORITHMS: dict[str, Callable[[TreeMatrices, np.ndarray], TraversalResult]] = {
 }
 
 
-# ``ensemble_score``'s stacked model, as one tuple so that replacing it is one
-# assignment: the ids of its trees, the ``StackedTrees``, and a weak
-# reference to each tree.  A reference's callback drops the entry, so the
-# stacked model never outlives its trees and a reused id cannot find it.
-# Building it on the first call rather than in ``TreeMatrices.build`` keeps
-# that cost out of set-up for callers that never score an ensemble.
-_stacked_cache: tuple[tuple[int, ...], StackedTrees, list[weakref.ref]] | None = None
+# ``ensemble_score``'s last model, as one tuple so that replacing it is one
+# assignment: the ids of its trees, their ``StackedTrees`` once built (else
+# None), and a weak reference to each tree of a built one.  A reference's
+# callback drops the entry, so the stacked model never outlives its trees
+# and a reused id cannot find it.  A model is stacked on its second
+# consecutive call: a call with other trees than the last call's sums the
+# per-vector selectors, as the first call with a model does, so a caller
+# that scores a model once or alternates models pays no build.  Nothing is
+# stacked in ``TreeMatrices.build``, so set-up never pays for it either.
+_stacked_cache: tuple[tuple[int, ...], StackedTrees | None, list[weakref.ref]] | None = None
 
 
 def _drop_stacked(ref: weakref.ref) -> None:
@@ -702,17 +725,25 @@ def _drop_stacked(ref: weakref.ref) -> None:
         _stacked_cache = None
 
 
-def _stacked(trees: list[BinaryDecisionTree], x) -> StackedTrees:
-    """The cached ``StackedTrees`` of these trees, built on a miss."""
+def _stacked(trees: list[BinaryDecisionTree], x) -> StackedTrees | None:
+    """The cached ``StackedTrees`` of these trees, built when the last call
+    had the same trees; None, and these trees remembered, when it did not."""
     global _stacked_cache
     key = tuple(map(id, trees))
     entry = _stacked_cache
-    if entry is not None and entry[0] == key:
+    if entry is None or entry[0] != key:
+        # Ids only: should other trees reuse them, they are what gets stacked.
+        _stacked_cache = (key, None, [])
+        return None
+    if entry[1] is not None:
         return entry[1]
-    # Trees that disagree on feature_dim fail the per-vector shape check.
-    for tree in trees:
-        _feature_vector(x, tree.feature_dim)
-    model = StackedTrees.build(trees)
+    try:
+        model = StackedTrees.build(trees)
+    except DimensionMismatchError:
+        # x fails the per-vector shape check of some tree; raise its error.
+        for tree in trees:
+            _feature_vector(x, tree.feature_dim)
+        raise
     _stacked_cache = (key, model, [weakref.ref(tree, _drop_stacked) for tree in trees])
     return model
 
@@ -720,12 +751,14 @@ def _stacked(trees: list[BinaryDecisionTree], x) -> StackedTrees:
 def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     """Sum of per-tree exit leaf values under the named algorithm.
 
-    Every arithmetic algorithm scores x as a batch of one row through
-    ``batch_score``, over the trees stacked into one ``StackedTrees``.  The
-    first call with a model stacks it; later calls with the same trees
-    reuse it for as long as the trees live.  ``naive`` runs the oracle once
-    per tree.  Leaf values are added in model order, as Python floats, so
-    results are deterministic; an empty ensemble scores 0.
+    From the second consecutive call with the same trees on, every
+    arithmetic algorithm scores x as a batch of one row through
+    ``batch_score``, over the trees stacked into one ``StackedTrees`` that
+    is kept for as long as the trees live, and reads only each
+    ``models[i].tree``.  A call with other trees than the last call's, and
+    ``naive`` always, sums the ``ALGORITHMS`` selector of each tree.  Both
+    add the leaf values in model order, as Python floats, so they return
+    the same float; an empty ensemble scores 0.
     """
     try:
         fn = ALGORITHMS[algorithm]
@@ -733,12 +766,10 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
         ) from None
-    if _TABLE[algorithm].hits is None:
-        return float(sum(fn(mats, x).leaf_value for mats in models))
     trees = [mats.tree for mats in models]
-    if not trees:
-        return 0.0
-    model = _stacked(trees, x)
+    model = _stacked(trees, x) if trees and _TABLE[algorithm].hits else None
+    if model is None:
+        return float(sum(fn(mats, x).leaf_value for mats in models))
     x = _feature_vector(x, model.feature_dim)
     _, values = next(batch_score(model, x[None, :], algorithm))
     return float(sum(values[0].tolist()))

@@ -495,8 +495,10 @@ class TestEnsemble:
         assert ensemble_score([], np.zeros(3), "qs") == 0.0
 
     def test_unknown_algorithm_rejected(self, six_leaf_mats):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            ensemble_score([six_leaf_mats], np.zeros(5), "fastest")
+        message = f"unknown algorithm 'fastest'; choose from {sorted(ALGORITHMS)}"
+        for models in ([six_leaf_mats], []):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ensemble_score(models, np.zeros(5), "fastest")
 
     def test_all_algorithms_agree_on_a_100_tree_ensemble(self):
         rng = np.random.default_rng(17)
@@ -515,8 +517,13 @@ def per_vector_sum(models, x, name):
     return float(sum(ALGORITHMS[name](m, x).leaf_value for m in models))
 
 
+def constant_tree(value, dim):
+    """Two leaves of one value, so the tree adds ``value`` for every x."""
+    return BinaryDecisionTree(Internal(Predicate.one_hot(0, 0.5, dim), Leaf(value), Leaf(value)), dim)
+
+
 def signed_zero_tree(dim):
-    return BinaryDecisionTree(Internal(Predicate.one_hot(0, 0.5, dim), Leaf(-0.0), Leaf(-0.0)), dim)
+    return constant_tree(-0.0, dim)
 
 
 def cancelling_tree(dim):
@@ -553,7 +560,8 @@ def stack_builds(monkeypatch, empty_stack_cache):
 
 class TestCachedEnsembleScore:
     """``ensemble_score`` scores x as a batch of one over a stacked model
-    that is built on the first call and cached while its trees live."""
+    that is built on the second consecutive call with the same trees and
+    cached while they live; a call with other trees sums the selectors."""
 
     @staticmethod
     def models_and_rows(kind):
@@ -579,41 +587,47 @@ class TestCachedEnsembleScore:
                 got = ensemble_score(models, x, name)
                 assert got.hex() == per_vector_sum(models, x, name).hex(), (name, x)
 
-    def test_model_is_stacked_once_and_rebuilt_for_other_trees(self, stack_builds):
+    def test_model_is_stacked_on_its_second_consecutive_call(self, stack_builds):
         models = [TreeMatrices.build(t) for t in word_ensemble()]
         other = [TreeMatrices.build(generate_random_tree(4, 4, s)) for s in range(20, 26)]
         X = random_instances(50, 4, 8)
-        for x in X:
+        for i, x in enumerate(X):
             assert ensemble_score(models, x, "qs") == per_vector_sum(models, x, "qs")
-        assert len(stack_builds) == 1
+            assert len(stack_builds) == min(i, 1)
         # Other lists of the same TreeMatrices reuse the entry too.
         assert ensemble_score(list(models), X[0], "dual") == per_vector_sum(models, X[0], "dual")
         assert len(stack_builds) == 1
-        # One entry: each switch between two models rebuilds, and each model
-        # keeps its own sums.
+        # Alternating models never builds, and each model keeps its own sums.
         for x in X[:5]:
             for model in (other, models):
                 assert ensemble_score(model, x, "sign") == per_vector_sum(model, x, "sign")
-        assert len(stack_builds) == 11
+        assert len(stack_builds) == 1
         for changed in (models[::-1], models[:3], models[1:], models + models[:1]):
             before = len(stack_builds)
             for x in X[:3]:
                 assert ensemble_score(changed, x, "qs") == per_vector_sum(changed, x, "qs")
             assert len(stack_builds) == before + 1
+        # Right after a model is stacked, its reverse is another model: in
+        # this order the sum keeps the 1.0, in the reverse it loses it.
+        ordered = [TreeMatrices.build(constant_tree(v, 4)) for v in (1e16, -1e16, 1.0)]
+        for model, total in ((ordered, 1.0), (ordered, 1.0), (ordered[::-1], 0.0)):
+            assert ensemble_score(model, X[0], "qs") == total
 
     def test_cache_does_not_outlive_its_trees(self, empty_stack_cache):
         trees = word_ensemble()
         models = [TreeMatrices.build(t) for t in trees]
-        ensemble_score(models, np.zeros(4), "qs")
+        for _ in range(2):
+            ensemble_score(models, np.zeros(4), "qs")
         stacked = weakref.ref(traversal._stacked_cache[1])
         del trees, models
         gc.collect()
         assert stacked() is None
         assert traversal._stacked_cache is None
 
-    def test_no_per_vector_selector_runs(self, monkeypatch, empty_stack_cache):
+    def test_no_per_vector_selector_runs_once_stacked(self, monkeypatch, empty_stack_cache):
         models, X = self.models_and_rows("span")
         expected = {name: [per_vector_sum(models, x, name) for x in X] for name in ARITHMETIC}
+        ensemble_score(models, X[0], "qs")
 
         def refuse(tree, x):
             raise AssertionError("a per-vector selector ran")
@@ -622,28 +636,25 @@ class TestCachedEnsembleScore:
         for name in ARITHMETIC:
             assert [ensemble_score(models, x, name) for x in X] == expected[name], name
 
-    def test_errors_keep_their_type_and_message(self, six_leaf_mats, stack_builds):
-        names = sorted(ALGORITHMS)
-        with pytest.raises(ValueError, match=re.escape(f"unknown algorithm 'fastest'; choose from {names}")):
-            ensemble_score([six_leaf_mats], np.zeros(5), "fastest")
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            ensemble_score([], np.zeros(5), "fastest")
+    def test_shape_errors_keep_their_type_and_message(self, six_leaf_mats, stack_builds):
         narrow = TreeMatrices.build(generate_random_tree(3, 4, 1))
         cases = [
             ([six_leaf_mats], np.zeros(4), "(4,), expected (5,)"),
             ([six_leaf_mats], np.zeros((1, 5)), "(1, 5), expected (5,)"),
+            # Trees that disagree on feature_dim: the first tree x misfits.
             ([six_leaf_mats, narrow], np.zeros(5), "(5,), expected (4,)"),
             ([six_leaf_mats, narrow], np.zeros(4), "(4,), expected (5,)"),
             ([narrow, six_leaf_mats], np.zeros(4), "(4,), expected (5,)"),
         ]
-        for warm in (False, True):
-            if warm:  # the same errors once the one-tree model is cached
-                ensemble_score([six_leaf_mats], np.zeros(5), "qs")
-            for models, x, message in cases:
-                for name in ALGORITHMS:
+        for models, x, message in cases:
+            for name in ARITHMETIC:
+                traversal._stacked_cache = None
+                # The first call sums the selectors, the second stacks the model.
+                for builds in (0, 1):
                     with pytest.raises(DimensionMismatchError, match=re.escape(f"feature vector has shape {message}")):
                         ensemble_score(models, x, name)
-        assert len(stack_builds) == 1
+                    assert len(stack_builds) == builds
+                stack_builds.clear()
 
 
 class TestRegistry:
