@@ -2,8 +2,9 @@
 
 A fuzzy tree routes left with probability p and right with 1 - p at each
 node; the probability of landing on a leaf is the product of that leaf's
-matrix row.  General trees route over k weighted edges per node and reduce
-to binary trees by chaining splits.
+matrix row, or, in path form, of the factors of its ancestors alone.
+General trees route over k weighted edges per node and reduce to binary
+trees by chaining splits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import build_fuzzy_matrix, build_general_path_matrix
+from .matrices import _branch_factors, build_fuzzy_matrix, build_general_path_matrix
 from .trees import (
     BinaryDecisionTree,
     GeneralInternal,
@@ -28,6 +29,7 @@ __all__ = [
     "convert_general_to_binary",
     "general_leaf_distribution",
     "hard_routing_consistency",
+    "leaf_distribution",
     "leaf_probabilities",
     "leaf_probabilities_log",
 ]
@@ -78,6 +80,28 @@ def leaf_probabilities_log(m) -> LeafDistribution:
             "the logarithmic form needs strictly positive entries"
         )
     return LeafDistribution(np.exp(np.log(m).sum(axis=1)))
+
+
+def leaf_distribution(tree: BinaryDecisionTree, p) -> LeafDistribution:
+    """Leaf routing distribution of a fuzzy binary tree in path form.
+
+    Each leaf's probability is the product of its ancestors' factors, p_j
+    where it lies in node j's left subtree and 1 - p_j in the right, taken
+    root first.  That is its fuzzy-matrix row with the 1.0 entries left out,
+    and multiplying by 1.0 is exact, so the result equals
+    ``leaf_probabilities(build_fuzzy_matrix(tree, p))`` bit for bit, in
+    O(sum of leaf depths) rather than O(leaves x nodes).  p is checked as
+    ``build_fuzzy_matrix`` checks it.
+    """
+    factors = _branch_factors(tree, p)
+    if not tree.num_internal:
+        return LeafDistribution(np.ones(tree.num_leaves))
+    _, branch = tree._path_cells
+    depths = tree.leaf_depths
+    ends = np.cumsum(depths)
+    if ends[-1] != len(branch):
+        raise ValueError("tree is malformed: its leaf depths do not match its leaf spans")
+    return LeafDistribution(np.multiply.reduceat(factors[branch], ends - depths))
 
 
 def convert_general_to_binary(

@@ -13,6 +13,11 @@ node (breadth-first):
   p, whose row products give the leaf routing distribution;
 * general path matrix: rows carry the edge weights of the unique root-to-leaf
   path of a k-ary tree, 1 elsewhere.
+
+Only a leaf's ancestors differ from the background value (1, or 0 in P).  The
+four binary-tree builders each allocate the background and make one flat-index
+write of the tree's (leaf, ancestor) table, ``_path_cells``, which the tree
+builds on first use and keeps; ``fuzzy.leaf_distribution`` reads it too.
 """
 
 from __future__ import annotations
@@ -89,9 +94,9 @@ def build_right_matrix(tree: BinaryDecisionTree) -> BitMatrix:
     Column j zeroes the left subtree of node j (those leaves are unreachable
     once node j tests false); the rightmost leaf's row is all ones.
     """
+    cell, branch = tree._path_cells
     m = np.ones((tree.num_leaves, tree.num_internal), dtype=np.uint8)
-    for j, (lo, mid, _hi) in enumerate(tree.leaf_spans):
-        m[lo:mid, j] = 0
+    m.reshape(-1)[cell[branch < tree.num_internal]] = 0
     return BitMatrix(m)
 
 
@@ -101,9 +106,9 @@ def build_left_matrix(tree: BinaryDecisionTree) -> BitMatrix:
     Column j zeroes the right subtree of node j; the leftmost leaf's row is
     all ones.
     """
+    cell, branch = tree._path_cells
     m = np.ones((tree.num_leaves, tree.num_internal), dtype=np.uint8)
-    for j, (_lo, mid, hi) in enumerate(tree.leaf_spans):
-        m[mid:hi, j] = 0
+    m.reshape(-1)[cell[branch >= tree.num_internal]] = 0
     return BitMatrix(m)
 
 
@@ -119,16 +124,33 @@ def build_signed_matrix(tree: BinaryDecisionTree) -> np.ndarray:
     ancestor's right subtree (the ancestor must test false), -1 where it sits
     in the left subtree, 0 at non-ancestors.
     """
+    cell, branch = tree._path_cells
     m = np.zeros((tree.num_leaves, tree.num_internal), dtype=np.int64)
-    for j, (lo, mid, hi) in enumerate(tree.leaf_spans):
-        m[lo:mid, j] = -1
-        m[mid:hi, j] = 1
+    m.reshape(-1)[cell] = np.where(branch < tree.num_internal, -1, 1)
     return m
 
 
 def build_depth_vector(tree: BinaryDecisionTree) -> np.ndarray:
     """Per-leaf depth in edges; equals the L1 norm of each signed-matrix row."""
     return tree.leaf_depths.copy()
+
+
+def _branch_factors(tree: BinaryDecisionTree, p) -> np.ndarray:
+    """``concatenate([p, 1 - p])`` for branch probabilities p, checked: the
+    factor of every (leaf, ancestor) cell, indexed by the cell's branch.
+
+    Adding 0.0 turns a p_j of -0.0 into the 0.0 that the mixture's
+    p_j + 0 * (1 - p_j) gives.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (tree.num_internal,):
+        raise ValueError(
+            f"probability vector has shape {p.shape}, expected ({tree.num_internal},)"
+        )
+    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
+        raise ValueError("branch probabilities must lie in [0, 1]")
+    p = p + 0.0
+    return np.concatenate([p, 1.0 - p])
 
 
 def build_fuzzy_matrix(tree: BinaryDecisionTree, p) -> np.ndarray:
@@ -138,22 +160,13 @@ def build_fuzzy_matrix(tree: BinaryDecisionTree, p) -> np.ndarray:
     the right subtree, and 1 elsewhere.  Degenerate probabilities 0 and 1 are
     allowed so hard trees embed exactly.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (tree.num_internal,):
-        raise ValueError(
-            f"probability vector has shape {p.shape}, expected ({tree.num_internal},)"
-        )
-    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
-        raise ValueError("branch probabilities must lie in [0, 1]")
-    # Each column is filled from its node's leaf span, and equals the
-    # mixture bit for bit: outside the subtree p_j + (1 - p_j) rounds to 1
-    # for every p_j in [0, 1], and + 0.0 turns a p_j of -0.0 into the 0.0
-    # that p_j + 0 * (1 - p_j) gives.
-    p = p + 0.0
+    factors = _branch_factors(tree, p)
+    # Outside node j's subtree the mixture is p_j + (1 - p_j), which rounds
+    # to 1 for every p_j in [0, 1], so writing only the (leaf, ancestor)
+    # cells gives it bit for bit.
+    cell, branch = tree._path_cells
     m = np.ones((tree.num_leaves, tree.num_internal), dtype=np.float64)
-    for j, (lo, mid, hi) in enumerate(tree.leaf_spans):
-        m[lo:mid, j] = p[j]
-        m[mid:hi, j] = 1.0 - p[j]
+    m.reshape(-1)[cell] = factors[branch]
     return m
 
 

@@ -425,6 +425,30 @@ class BinaryDecisionTree(_Tree):
         return np.asarray(self.leaf_spans, dtype=np.int64).reshape(-1, 3)
 
     @cached_property
+    def _path_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every (leaf, ancestor) cell of the leaf-by-node matrices, as
+        ``(cell, branch)`` in row-major order: by leaf, then by node, so the
+        root comes first in each row.  ``cell`` is ``leaf * N + node`` and
+        ``branch`` is ``node`` for a leaf in the node's left subtree and
+        ``N + node`` for one in its right subtree, so ``branch`` indexes
+        ``concatenate([p, 1 - p])``.
+
+        The matrix builders and ``leaf_distribution`` build it on first use;
+        loading and scoring never read it.
+        """
+        n = self.num_internal
+        lo, mid, hi = self.span_array.T
+        starts = np.concatenate([lo, mid])
+        # A tree that shares a node object can have hi < mid; the node's
+        # right slice is then empty, as the slice mid:hi is.
+        lengths = np.maximum(np.concatenate([mid - lo, hi - mid]), 0)
+        branch = np.repeat(np.arange(2 * n), lengths)
+        leaf = np.arange(len(branch)) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        cell = leaf * n + branch - n * (branch >= n)
+        order = np.argsort(cell, kind="stable")
+        return cell[order], branch[order]
+
+    @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Stacked predicate weights, one row per internal node.  A parsed
         tree fills it with one scatter of the one-hot features, plus its

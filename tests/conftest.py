@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from treeflat import (
     BinaryDecisionTree,
@@ -8,6 +9,9 @@ from treeflat import (
     Internal,
     Leaf,
     Predicate,
+    generate_random_tree,
+    parse_tree,
+    serialize_tree,
 )
 
 
@@ -184,3 +188,72 @@ def chain_tree(depth):
     for _ in range(depth):
         node = Internal(Predicate.one_hot(0, 0.5, 1), Leaf(0.0), node)
     return BinaryDecisionTree(node, 1)
+
+
+def shared_leaf_tree():
+    """An invalid two-node tree that uses one leaf object twice: as the
+    inner node's left child and the root's right child."""
+    shared = Leaf(0.0)
+    split = Predicate.one_hot(0, 0.5, 1)
+    return BinaryDecisionTree(Internal(split, Internal(split, shared, Leaf(1.0)), shared), 1)
+
+
+def span_loop_matrices(tree, p):
+    """The right, left, signed and fuzzy matrices filled column by column
+    from each node's leaf span: the reference for the builders' one scatter
+    of the (leaf, ancestor) table."""
+    shape = (tree.num_leaves, tree.num_internal)
+    right, left = np.ones(shape, dtype=np.uint8), np.ones(shape, dtype=np.uint8)
+    signed, fuzzy = np.zeros(shape, dtype=np.int64), np.ones(shape)
+    p = np.asarray(p, dtype=np.float64) + 0.0
+    for j, (lo, mid, hi) in enumerate(tree.leaf_spans):
+        right[lo:mid, j] = 0
+        left[mid:hi, j] = 0
+        signed[lo:mid, j] = -1
+        signed[mid:hi, j] = 1
+        fuzzy[lo:mid, j] = p[j]
+        fuzzy[mid:hi, j] = 1.0 - p[j]
+    return right, left, signed, fuzzy
+
+
+def same_bits(got, expected):
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, and a NaN
+    payload counts."""
+    return (
+        got.dtype == expected.dtype
+        and got.shape == expected.shape
+        and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+    )
+
+
+# Branch probabilities at the edges of [0, 1] and of the float range, where
+# a product could round differently if its factors were taken in another
+# order, and uniform ones.
+EDGE_PROBABILITIES = [0.0, 1.0, -0.0, 1e-300, 5e-324]
+
+
+@st.composite
+def fuzzy_cases(draw):
+    """A binary tree, object-built or parsed, with one branch probability
+    per node: ragged ``gen`` trees, right-spine chains, a depth-1 tree and
+    trees of a given leaf count."""
+    kind = draw(st.sampled_from(["gen", "chain", "depth1", "leaves"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if kind == "gen":
+        tree = generate_random_tree(draw(st.integers(1, 8)), 3, seed)
+    elif kind == "chain":
+        tree = chain_tree(draw(st.integers(1, 40)))
+    elif kind == "depth1":
+        tree = BinaryDecisionTree(one_hot_node(0, Leaf(0.25), Leaf(0.75), dim=1), 1)
+    else:
+        tree = tree_with_leaves(draw(st.integers(2, 80)), 3, seed)
+    if draw(st.booleans()):
+        tree = parse_tree(serialize_tree(tree))
+    p = draw(
+        st.lists(
+            st.one_of(st.sampled_from(EDGE_PROBABILITIES), st.floats(0.0, 1.0)),
+            min_size=tree.num_internal,
+            max_size=tree.num_internal,
+        )
+    )
+    return tree, np.asarray(p, dtype=np.float64)

@@ -17,6 +17,7 @@ from treeflat import (
     Predicate,
     StackedTrees,
     TreeMatrices,
+    batch_score,
     batch_soft_attention,
     build_fuzzy_matrix,
     build_general_path_matrix,
@@ -399,6 +400,43 @@ class TestScore:
         )
         assert code == 2
         assert "single tree" in err
+
+
+def test_scoring_never_builds_the_path_table(tmp_path, capsys, monkeypatch):
+    """Only the dense matrix builders and ``leaf_distribution`` build a
+    tree's (leaf, ancestor) table; loading, set-up, ``score`` and
+    ``compare`` never do, so they pay neither its time nor its memory."""
+    # 64 leaves run the word kernels, 128 the span form.
+    built = [perfect_tree(6, 5, 1), perfect_tree(7, 5, 2)]
+    model, single, data = tmp_path / "m.json", tmp_path / "s.json", tmp_path / "x.csv"
+    model.write_text(serialize_ensemble(built))
+    single.write_text(serialize_tree(built[0]))
+    X = np.random.default_rng(4).uniform(size=(20, 5))
+    data.write_text("".join(",".join(map(str, row)) + "\n" for row in X))
+    loaded = []
+    real_parse = cli.parse_model
+
+    def parse_and_keep(text):
+        trees = real_parse(text)
+        loaded.extend(trees)
+        return trees
+
+    monkeypatch.setattr(cli, "parse_model", parse_and_keep)
+    for algo in sorted(cli.ALGORITHMS):
+        assert invoke(["score", model, data, "--algo", algo], capsys)[0] == 0, algo
+    assert invoke(["score", single, data, "--soft"], capsys)[0] == 0
+    assert invoke(["compare", model, data], capsys)[0] == 0
+    assert len(loaded) == 2 * len(cli.ALGORITHMS) + 3
+    for trees in (built, loaded[:2]):
+        for tree in trees:
+            TreeMatrices.build(tree)
+        stacked = StackedTrees.build(trees)
+        for algo in sorted(set(cli.ALGORITHMS) - {"naive"}):
+            list(batch_score(stacked, X, algo))
+    list(batch_soft_attention(StackedTrees.build(built[:1]), X))
+    assert not [t for t in built + loaded if "_path_cells" in t.__dict__]
+    build_right_matrix(built[0])
+    assert "_path_cells" in built[0].__dict__
 
 
 class TestCompare:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import general_node, instance_for_tests
+from conftest import fuzzy_cases, general_node, instance_for_tests, same_bits, shared_leaf_tree
 from treeflat import (
     GeneralTree,
     Leaf,
@@ -14,9 +14,11 @@ from treeflat import (
     generate_random_general_tree,
     generate_random_tree,
     hard_routing_consistency,
+    leaf_distribution,
     leaf_probabilities,
     leaf_probabilities_log,
     naive_traverse,
+    parse_tree,
     random_instances,
     validate,
 )
@@ -78,6 +80,48 @@ class TestLeafProbabilities:
         dist = general_leaf_distribution(tree)
         assert dist.is_normalized
         assert (dist.probs >= 0).all()
+
+
+class TestPathForm:
+    """``leaf_distribution`` multiplies only each leaf's ancestor factors,
+    root first, and equals the dense pair bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fuzzy_cases())
+    def test_bit_identical_to_the_dense_pair(self, case):
+        tree, p = case
+        dense = leaf_probabilities(build_fuzzy_matrix(tree, p)).probs
+        assert same_bits(leaf_distribution(tree, p).probs, dense)
+
+    def test_golden_half_half_routing(self, six_leaf_tree):
+        dist = leaf_distribution(six_leaf_tree, [0.5, 0.5, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(dist.probs, [0.25, 0.25, 0.5, 0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "p",
+        [np.full(4, 0.5), np.full((5, 1), 0.5), [0.5, 0.5, 1.5, 0.5, 0.5], [0.5, -1e-300, 0.5, 0.5, 0.5],
+         [0.5, 0.5, 0.5, np.nan, 0.5]],
+        ids=["short", "two-dimensional", "above one", "below zero", "nan"],
+    )
+    def test_rejects_p_as_the_dense_form_does(self, six_leaf_tree, p):
+        with pytest.raises(ValueError) as dense:
+            build_fuzzy_matrix(six_leaf_tree, p)
+        with pytest.raises(ValueError) as path:
+            leaf_distribution(six_leaf_tree, p)
+        assert str(path.value) == str(dense.value)
+
+    def test_leaf_root_tree_gives_one(self):
+        # It parses, though validate wants an internal node.
+        stump = parse_tree('{"type": "binary", "feature_dim": 2, "root": {"leaf": 0.5}}')
+        probs = leaf_distribution(stump, []).probs
+        assert same_bits(probs, np.ones(1))
+        assert same_bits(probs, leaf_probabilities(build_fuzzy_matrix(stump, [])).probs)
+
+    def test_shared_node_tree_rejected(self):
+        # A leaf object used twice leaves the table shorter than the depths
+        # say, so the segments could not line up with the leaves.
+        with pytest.raises(ValueError, match="malformed"):
+            leaf_distribution(shared_leaf_tree(), [0.5, 0.5])
 
 
 class TestLogForm:

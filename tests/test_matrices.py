@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_shapes, binary_to_general, subtree_leaves
+from conftest import (
+    all_shapes,
+    binary_to_general,
+    fuzzy_cases,
+    same_bits,
+    shared_leaf_tree,
+    span_loop_matrices,
+    subtree_leaves,
+)
 from treeflat import (
     BitMatrix,
     GeneralTree,
@@ -23,6 +31,7 @@ from treeflat import (
     prune_leaf,
     recover_tree,
     serialize_tree,
+    validate,
 )
 
 RIGHT_6x5 = np.array(
@@ -225,6 +234,45 @@ class TestFuzzyMatrix:
             build_fuzzy_matrix(depth1_tree, [float("nan")])
         with pytest.raises(ValueError):
             build_fuzzy_matrix(depth1_tree, [0.2, 0.3])
+
+
+class TestScatterBuilders:
+    """Each builder writes the cached (leaf, ancestor) table in one scatter,
+    bit for bit what the per-span loop writes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fuzzy_cases())
+    def test_bit_identical_to_the_span_loop(self, case):
+        tree, p = case
+        right, left, signed, fuzzy = span_loop_matrices(tree, p)
+        assert same_bits(build_right_matrix(tree).entries, right)
+        assert same_bits(build_left_matrix(tree).entries, left)
+        assert same_bits(build_signed_matrix(tree), signed)
+        assert same_bits(build_fuzzy_matrix(tree, p), fuzzy)
+
+    def test_table_is_row_major_and_root_first(self, six_leaf_tree):
+        cell, branch = six_leaf_tree._path_cells
+        assert cell.tolist() == sorted(cell.tolist())
+        n = six_leaf_tree.num_internal
+        rows = [[] for _ in range(six_leaf_tree.num_leaves)]
+        for c, b in zip(cell.tolist(), branch.tolist()):
+            assert c % n == b % n
+            rows[c // n].append(b)
+        # Leaf 3 lies right of node 0, then left of nodes 2 and 3.
+        assert rows == [[0, 1], [0, 6], [5, 2, 3], [5, 2, 8], [5, 7, 4], [5, 7, 9]]
+
+    def test_shared_node_tree_matches_the_span_loop(self):
+        # The inner node's right span runs backwards (hi < mid), and both
+        # forms write nothing there.
+        tree = shared_leaf_tree()
+        assert not validate(tree).ok
+        lo, mid, hi = tree.leaf_spans[1]
+        assert hi < mid
+        right, left, signed, fuzzy = span_loop_matrices(tree, [0.3, 0.6])
+        assert same_bits(build_right_matrix(tree).entries, right)
+        assert same_bits(build_left_matrix(tree).entries, left)
+        assert same_bits(build_signed_matrix(tree), signed)
+        assert same_bits(build_fuzzy_matrix(tree, [0.3, 0.6]), fuzzy)
 
 
 class TestGeneralPathMatrix:
