@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import _branch_factors, build_fuzzy_matrix, build_general_path_matrix
+from .matrices import build_general_path_matrix
 from .trees import (
     BinaryDecisionTree,
     GeneralInternal,
@@ -92,16 +92,16 @@ def leaf_distribution(tree: BinaryDecisionTree, p) -> LeafDistribution:
     ``leaf_probabilities(build_fuzzy_matrix(tree, p))`` bit for bit, in
     O(sum of leaf depths) rather than O(leaves x nodes).  p is checked as
     ``build_fuzzy_matrix`` checks it.
+
+    That holds for every tree ``validate`` accepts.  A tree whose leaf
+    depths do not match its leaf spans (one that uses a node object twice)
+    raises ValueError here, where the dense pair returns a value.
     """
-    factors = _branch_factors(tree, p)
+    factors = tree._branch_factors(p)
     if not tree.num_internal:
         return LeafDistribution(np.ones(tree.num_leaves))
-    _, branch = tree._path_cells
-    depths = tree.leaf_depths
-    ends = np.cumsum(depths)
-    if ends[-1] != len(branch):
-        raise ValueError("tree is malformed: its leaf depths do not match its leaf spans")
-    return LeafDistribution(np.multiply.reduceat(factors[branch], ends - depths))
+    branch, starts = tree._path_rows
+    return LeafDistribution(np.multiply.reduceat(factors[branch], starts))
 
 
 def convert_general_to_binary(
@@ -151,12 +151,13 @@ def hard_routing_consistency(tree: BinaryDecisionTree, x) -> bool:
 
     Builds branch probabilities from the test outcomes (1 where the node is
     true, 0 where false) of the tree's ``split_tests``, the test the oracle
-    routes by, takes the leaf distribution, and checks it is exactly the
-    indicator of the oracle's exit leaf.
+    routes by, takes the leaf distribution in path form, which equals the
+    dense pair's bit for bit, and checks it is exactly the indicator of the
+    oracle's exit leaf.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.where(tree.split_tests.false_nodes(x), 0.0, 1.0)
-    dist = leaf_probabilities(build_fuzzy_matrix(tree, p))
+    dist = leaf_distribution(tree, p)
     expected = np.zeros(tree.num_leaves)
     expected[naive_traverse(tree, x) - 1] = 1.0
     return bool(np.array_equal(dist.probs, expected))

@@ -135,24 +135,6 @@ def build_depth_vector(tree: BinaryDecisionTree) -> np.ndarray:
     return tree.leaf_depths.copy()
 
 
-def _branch_factors(tree: BinaryDecisionTree, p) -> np.ndarray:
-    """``concatenate([p, 1 - p])`` for branch probabilities p, checked: the
-    factor of every (leaf, ancestor) cell, indexed by the cell's branch.
-
-    Adding 0.0 turns a p_j of -0.0 into the 0.0 that the mixture's
-    p_j + 0 * (1 - p_j) gives.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (tree.num_internal,):
-        raise ValueError(
-            f"probability vector has shape {p.shape}, expected ({tree.num_internal},)"
-        )
-    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
-        raise ValueError("branch probabilities must lie in [0, 1]")
-    p = p + 0.0
-    return np.concatenate([p, 1.0 - p])
-
-
 def build_fuzzy_matrix(tree: BinaryDecisionTree, p) -> np.ndarray:
     """left * diag(p) + right * diag(1 - p) for branch probabilities p.
 
@@ -160,7 +142,7 @@ def build_fuzzy_matrix(tree: BinaryDecisionTree, p) -> np.ndarray:
     the right subtree, and 1 elsewhere.  Degenerate probabilities 0 and 1 are
     allowed so hard trees embed exactly.
     """
-    factors = _branch_factors(tree, p)
+    factors = tree._branch_factors(p)
     # Outside node j's subtree the mixture is p_j + (1 - p_j), which rounds
     # to 1 for every p_j in [0, 1], so writing only the (leaf, ancestor)
     # cells gives it bit for bit.

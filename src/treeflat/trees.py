@@ -424,29 +424,63 @@ class BinaryDecisionTree(_Tree):
         internal node."""
         return np.asarray(self.leaf_spans, dtype=np.int64).reshape(-1, 3)
 
+    def _branch_factors(self, p) -> np.ndarray:
+        """``concatenate([p, 1 - p])`` for branch probabilities p, checked:
+        the factor of every (leaf, ancestor) cell, indexed by the cell's
+        ``branch`` in ``_path_cells``.
+
+        Adding 0.0 turns a p_j of -0.0 into the 0.0 that the mixture's
+        p_j + 0 * (1 - p_j) gives.
+        """
+        p = np.asarray(p, dtype=np.float64)
+        if p.shape != (self.num_internal,):
+            raise ValueError(
+                f"probability vector has shape {p.shape}, expected ({self.num_internal},)"
+            )
+        if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
+            raise ValueError("branch probabilities must lie in [0, 1]")
+        p = p + 0.0
+        return np.concatenate([p, 1.0 - p])
+
     @cached_property
     def _path_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Every (leaf, ancestor) cell of the leaf-by-node matrices, as
-        ``(cell, branch)`` in row-major order: by leaf, then by node, so the
-        root comes first in each row.  ``cell`` is ``leaf * N + node`` and
-        ``branch`` is ``node`` for a leaf in the node's left subtree and
-        ``N + node`` for one in its right subtree, so ``branch`` indexes
-        ``concatenate([p, 1 - p])``.
+        ``(cell, branch)``, node by node: each node's leaves ``lo..hi-1``.
+        ``cell`` is ``leaf * N + node`` and ``branch`` is ``node`` for a leaf
+        in the node's left subtree and ``N + node`` for one in its right
+        subtree, so ``branch`` indexes ``_branch_factors``.  Every cell comes
+        once, so a builder writes them in any order.
 
         The matrix builders and ``leaf_distribution`` build it on first use;
         loading and scoring never read it.
         """
         n = self.num_internal
         lo, mid, hi = self.span_array.T
-        starts = np.concatenate([lo, mid])
         # A tree that shares a node object can have hi < mid; the node's
         # right slice is then empty, as the slice mid:hi is.
-        lengths = np.maximum(np.concatenate([mid - lo, hi - mid]), 0)
-        branch = np.repeat(np.arange(2 * n), lengths)
-        leaf = np.arange(len(branch)) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        cell = leaf * n + branch - n * (branch >= n)
-        order = np.argsort(cell, kind="stable")
-        return cell[order], branch[order]
+        lengths = np.maximum(mid, hi) - lo
+        # The array methods, not np.repeat and np.cumsum: on a 33-leaf tree
+        # those functions' dispatch costs more than the work.
+        node = np.arange(n).repeat(lengths)
+        leaf = np.arange(len(node)) + (lo + lengths - lengths.cumsum())[node]
+        return leaf * n + node, node + n * (leaf >= mid[node])
+
+    @cached_property
+    def _path_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_path_cells``'s branches in row-major order, by leaf and then by
+        node, and the start of each leaf's row in it.  Breadth-first
+        numbering puts a node after its parent, so each row runs root
+        first.  Only ``leaf_distribution`` reads it.
+
+        Raises ValueError when a leaf's row length differs from its depth:
+        a tree that uses a node object twice, whose rows would not line up
+        with the leaves.
+        """
+        cell, branch = self._path_cells
+        depths = self.leaf_depths
+        if not np.array_equal(np.bincount(cell // self.num_internal, minlength=len(depths)), depths):
+            raise ValueError("tree is malformed: its leaf depths do not match its leaf spans")
+        return branch[np.argsort(cell)], depths.cumsum() - depths
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:

@@ -118,8 +118,8 @@ class TestPathForm:
         assert same_bits(probs, leaf_probabilities(build_fuzzy_matrix(stump, [])).probs)
 
     def test_shared_node_tree_rejected(self):
-        # A leaf object used twice leaves the table shorter than the depths
-        # say, so the segments could not line up with the leaves.
+        # A leaf object used twice gives rows whose lengths differ from the
+        # leaf depths, so the segments could not line up with the leaves.
         with pytest.raises(ValueError, match="malformed"):
             leaf_distribution(shared_leaf_tree(), [0.5, 0.5])
 

@@ -250,16 +250,20 @@ class TestScatterBuilders:
         assert same_bits(build_signed_matrix(tree), signed)
         assert same_bits(build_fuzzy_matrix(tree, p), fuzzy)
 
-    def test_table_is_row_major_and_root_first(self, six_leaf_tree):
+    def test_table_cells_and_rows(self, six_leaf_tree):
         cell, branch = six_leaf_tree._path_cells
-        assert cell.tolist() == sorted(cell.tolist())
         n = six_leaf_tree.num_internal
+        assert len(set(cell.tolist())) == len(cell)
         rows = [[] for _ in range(six_leaf_tree.num_leaves)]
-        for c, b in zip(cell.tolist(), branch.tolist()):
+        for c, b in sorted(zip(cell.tolist(), branch.tolist())):
             assert c % n == b % n
             rows[c // n].append(b)
         # Leaf 3 lies right of node 0, then left of nodes 2 and 3.
         assert rows == [[0, 1], [0, 6], [5, 2, 3], [5, 2, 8], [5, 7, 4], [5, 7, 9]]
+        # The path form's rows: the same branches, row-major and root first.
+        row_branches, starts = six_leaf_tree._path_rows
+        assert row_branches.tolist() == [b for row in rows for b in row]
+        assert starts.tolist() == [0, 2, 4, 7, 10, 13]
 
     def test_shared_node_tree_matches_the_span_loop(self):
         # The inner node's right span runs backwards (hi < mid), and both
