@@ -5,9 +5,11 @@ instances with a chosen algorithm, ``compare`` cross-checks every algorithm
 against the recursive oracle, ``bench`` measures throughput, and ``gen``
 writes random models plus matching instance files.
 
-``score``, ``compare`` and ``bench`` run every arithmetic algorithm as
-``batch_score``, so ``compare`` checks and ``bench`` times what ``score``
-runs; ``naive`` is the per-pair oracle.  The per-vector traversals are the
+``score`` and ``bench`` run every arithmetic algorithm as ``batch_score``,
+and ``compare`` runs them all at once as ``batch_leaves``, whose chunks
+share one test matrix and each distinct rule.  Both run the same code per
+chunk, so ``compare`` checks and ``bench`` times what ``score`` runs;
+``naive`` is the per-pair oracle.  The per-vector traversals are the
 reference the tests check, and no command calls them.
 
 ``score --soft`` and ``flatten`` print arrays whose values repeat by
@@ -46,6 +48,7 @@ from .matrices import (
 from .traversal import (
     ALGORITHMS,
     StackedTrees,
+    batch_leaves,
     batch_score,
     batch_soft_attention,
     sum_in_model_order,
@@ -123,7 +126,7 @@ def _load_instances(path: str, feature_dim: int) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            row = [float(v) for v in line.split(",")]
+            row = list(map(float, line.split(",")))
         except ValueError as exc:
             raise CliError(
                 EXIT_USAGE, f"{path}:{lineno}: not a CSV row of floats"
@@ -290,12 +293,13 @@ def _first_disagreement(
     trees: Sequence[BinaryDecisionTree], model: StackedTrees, X: np.ndarray
 ) -> Disagreement | None:
     """The first (instance, tree, algorithm in ``ALGORITHMS`` order) where a
-    batch misses the oracle; batches run in lockstep, one chunk in memory."""
+    batch misses the oracle.  ``batch_leaves`` runs every algorithm on each
+    chunk, one chunk in memory: the chunk's test matrix and each distinct
+    rule are computed once."""
     names = [n for n in ALGORITHMS if n != "naive"]
     expected, _ = _naive_scores(trees, X)
     start = 0
-    for chunks in zip(*(batch_score(model, X, name) for name in names)):
-        got = np.stack([leaves for leaves, _ in chunks], axis=2)
+    for got in batch_leaves(model, X, names):
         oracle = expected[start : start + len(got)]
         bad = np.argwhere(got != oracle[:, :, None])
         if len(bad):

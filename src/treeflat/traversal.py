@@ -28,19 +28,23 @@ the matrix, sign, ecoc and delta forms read are built on first read.
 One table gives each algorithm one row: its per-vector selector, whether
 that reads the signed test vector, its batch hit rule, whether each tree
 needs exactly one hit, and for ``qs`` and ``dual`` its word rule.
-``ALGORITHMS`` and ``batch_score`` both read it.
+``ALGORITHMS`` and the batch path both read it.
 
 Every test vector and test matrix comes from the trees' ``SplitTests``,
 the one split test the oracle also routes by: a one-hot split reads its
 feature, ``x[f] > threshold``, and a dense node its ``dense_products``
 value, which does not depend on how many rows are tested at once.
 
-``batch_score`` is the batch path, the one ``treeflat score`` runs,
-``compare`` checks and ``bench`` times, and ``ensemble_score`` runs as a
-batch of one row once it has stacked a model.  It stacks a model's trees
-into one ``StackedTrees`` and computes the test matrix of a chunk of
-instances with one gather over every node of every tree, kept as booleans.
-Two kernels then pick each tree's exit leaf, over the same chunks:
+``batch_leaves`` is the batch path, the one ``treeflat compare`` checks:
+it runs any list of algorithms over a model's trees, stacked into one
+``StackedTrees``, a chunk of instances at a time.  Each chunk's test
+matrix is computed once, with one gather over every node of every tree,
+kept as booleans.  On it each distinct rule function below runs once, and
+each distinct selection (rule and whether a hit must be unique) once, for
+all the named algorithms.  ``batch_score`` is the one-name case, the one
+``treeflat score`` runs and ``bench`` times, and ``ensemble_score`` runs it
+as a batch of one row once it has stacked a model.  Two kernels pick each
+tree's exit leaf, over the same chunks:
 
 * the word kernels run ``qs`` and ``dual`` when every tree has 2 to 64
   leaves (``StackedTrees.fits_words``).  Each node's right and left column
@@ -104,6 +108,7 @@ __all__ = [
     "StackedTrees",
     "TraversalResult",
     "TreeMatrices",
+    "batch_leaves",
     "batch_score",
     "batch_soft_attention",
     "compute_test_matrix",
@@ -127,8 +132,8 @@ __all__ = [
 # Instances per batch chunk are sized so that an (instances x stacked leaves)
 # array holds about this many entries, 256 KiB of int64; the scatter's index
 # and weight arrays, with up to three entries per node, stay under 1 MiB.
-# Every kernel, word or span, takes the same chunks, so ``compare`` can walk
-# the algorithms' chunks in lockstep.
+# ``batch_leaves`` tests each chunk once and runs every algorithm it names,
+# word or span kernel, on that one test matrix.
 CHUNK_ENTRIES = 1 << 15
 
 # The word kernels hold a tree's leaves in one uint64.  _LOW_BITS[n] has the
@@ -628,9 +633,10 @@ def _exit_error(algorithm: str, count: int, tree: int) -> ValueError:
     )
 
 
-def _first_hits(hits: np.ndarray, starts: np.ndarray, unique: bool, algorithm: str) -> np.ndarray:
+def _first_hits(hits: np.ndarray, model: StackedTrees, unique: bool, algorithm: str) -> np.ndarray:
     """Position of each tree's first hit on the stacked leaf axis, one row
     per instance; raises unless each tree has a hit (exactly one if unique)."""
+    starts = model.leaf_starts
     counts = np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
     bad = counts != 1 if unique else counts == 0
     if bad.any():
@@ -775,26 +781,69 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     return float(sum(values[0].tolist()))
 
 
+def _check_batch_names(names: Sequence[str]) -> None:
+    """Raise unless every name has a batch form."""
+    for name in names:
+        row = _TABLE.get(name)
+        if row is None or row.hits is None:
+            batched = sorted(n for n, r in _TABLE.items() if r.hits)
+            raise ValueError(f"no batch form for {name!r}; choose from {batched}")
+
+
+def _chunk_exits(model: StackedTrees, t: np.ndarray, names: Sequence[str]) -> list[np.ndarray]:
+    """Each named algorithm's exit positions on the stacked leaf axis for one
+    chunk's boolean test matrix t, in the order of ``names``.
+
+    Algorithms that name the same rule function share its result, and those
+    that also agree on ``unique`` share the selection, so each runs once per
+    chunk.  The names are worked through in order, so the first one whose
+    selection fails raises its error, as if each ran on its own.
+    """
+    rules: dict[Callable, np.ndarray] = {}
+    selections: dict[tuple[Callable, bool], np.ndarray] = {}
+    exits = []
+    for name in names:
+        row = _TABLE[name]
+        if row.words is not None and model.fits_words:
+            rule, select, tests = row.words, _first_bits, t
+        else:
+            rule, select, tests = row.hits, _first_hits, t.view(np.int8)
+        key = (rule, row.unique)
+        if key not in selections:
+            if rule not in rules:
+                rules[rule] = rule(model, tests)
+            selections[key] = select(rules[rule], model, row.unique, name)
+        exits.append(selections[key])
+    return exits
+
+
+def batch_leaves(model: StackedTrees, X, names: Sequence[str]) -> Iterator[np.ndarray]:
+    """Exit leaves of every tree under each named algorithm for the rows of
+    X, one chunk at a time.
+
+    Yields a (rows, trees, algorithms) array per chunk of rows:
+    ``leaves[i, k, a]`` is tree k's 1-based exit leaf for row i under
+    ``names[a]``.  Each chunk's test matrix is computed once for all of
+    them.  ``names`` holds one or more algorithms with a batch form.
+    """
+    _check_batch_names(names)
+    starts = model.leaf_starts[:, None]
+    for t in _test_matrices(model, X):
+        yield np.stack(_chunk_exits(model, t, names), axis=2) - starts + 1
+
+
 def batch_score(
     model: StackedTrees, X, algorithm: str
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Exit leaves of every tree for the rows of X, one chunk at a time.
+    """Exit leaves of every tree for the rows of X, one chunk at a time:
+    ``batch_leaves`` for one algorithm, with the leaf values.
 
     Yields ``(leaves, values)`` per chunk of rows: ``leaves[i, k]`` is tree
     k's 1-based exit leaf for row i and ``values[i, k]`` its leaf value.
     """
-    rule = _TABLE.get(algorithm)
-    if rule is None or rule.hits is None:
-        batched = sorted(name for name, row in _TABLE.items() if row.hits)
-        raise ValueError(f"no batch form for {algorithm!r}; choose from {batched}")
-    words = rule.words is not None and model.fits_words
+    _check_batch_names([algorithm])
     for t in _test_matrices(model, X):
-        if words:
-            first = _first_bits(rule.words(model, t), model, rule.unique, algorithm)
-        else:
-            hits = rule.hits(model, t.view(np.int8))
-            first = _first_hits(hits, model.leaf_starts, rule.unique, algorithm)
-        del t  # `compare` suspends one generator per algorithm; none keeps its chunk
+        [first] = _chunk_exits(model, t, [algorithm])
         yield first - model.leaf_starts + 1, model.leaf_values[first]
 
 

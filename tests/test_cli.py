@@ -318,6 +318,20 @@ class TestScore:
         )
         assert code == 2
 
+    def test_csv_cells_parse_as_float_does(self, tmp_path):
+        # An underscore, padding and a signed zero: each cell is float()'s value.
+        data = tmp_path / "x.csv"
+        data.write_text("1_0, inf ,-0.0\n\n0.5,nan,-1e308\n")
+        X = cli._load_instances(str(data), 3)
+        assert X.dtype == np.float64
+        assert [v.hex() for v in X.ravel().tolist()] == [
+            v.hex() for v in (10.0, float("inf"), -0.0, 0.5, float("nan"), -1e308)
+        ]
+        data.write_text("0.1,0.2,0.3\n0.1,,0.3\n")
+        with pytest.raises(cli.CliError, match=r"x\.csv:2: not a CSV row of floats") as info:
+            cli._load_instances(str(data), 3)
+        assert info.value.code == 2
+
     def test_dimension_mismatch_exits_4(self, six_leaf_file, tmp_path, capsys):
         data = tmp_path / "narrow.csv"
         data.write_text("0.1,0.2\n")
@@ -571,21 +585,22 @@ class TestCompare:
 
 
 def wrong_leaves(monkeypatch, wrong):
-    """Make ``cli.batch_score`` report leaf 1 (or 2 where the truth is 1) at
+    """Make ``cli.batch_leaves`` report leaf 1 (or 2 where the truth is 1) at
     the given (instance, tree) pairs of the given algorithms."""
-    real = cli.batch_score
+    real = cli.batch_leaves
 
-    def patched(model, X, algorithm):
+    def patched(model, X, names):
         start = 0
-        for leaves, values in real(model, X, algorithm):
+        for leaves in real(model, X, names):
             leaves = leaves.copy()
-            for i, k in wrong.get(algorithm, []):
-                if start <= i < start + len(leaves):
-                    leaves[i - start, k] = 2 if leaves[i - start, k] == 1 else 1
+            for a, name in enumerate(names):
+                for i, k in wrong.get(name, []):
+                    if start <= i < start + len(leaves):
+                        leaves[i - start, k, a] = 2 if leaves[i - start, k, a] == 1 else 1
             start += len(leaves)
-            yield leaves, values
+            yield leaves
 
-    monkeypatch.setattr(cli, "batch_score", patched)
+    monkeypatch.setattr(cli, "batch_leaves", patched)
 
 
 class TestBench:

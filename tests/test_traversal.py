@@ -21,6 +21,7 @@ from treeflat import (
     Predicate,
     StackedTrees,
     TreeMatrices,
+    batch_leaves,
     batch_score,
     batch_soft_attention,
     compute_test_matrix,
@@ -844,11 +845,132 @@ class TestBatchScore:
         for name in ("naive", "fastest"):
             with pytest.raises(ValueError, match="no batch form"):
                 list(batch_score(model, np.zeros((1, 5)), name))
+            with pytest.raises(ValueError, match=f"no batch form for '{name}'"):
+                list(batch_leaves(model, np.zeros((1, 5)), ["qs", name]))
 
     def test_dimension_mismatch_raises_even_without_rows(self, six_leaf_tree):
         model = StackedTrees.build([six_leaf_tree])
         with pytest.raises(DimensionMismatchError):
             list(batch_score(model, np.zeros((0, 4)), "qs"))
+
+
+def shared_path_models(dim=3):
+    """A word model (three trees of at most 64 leaves), a span model (one
+    tree of 100 leaves) and a mixed one (the word trees and one tree of 65
+    leaves), each parsed as the CLI parses it."""
+    small = [tree_with_leaves(n, dim, n) for n in (2, 40, 64)]
+    return {
+        "word": parse_model(serialize_ensemble(small)),
+        "span": parse_model(serialize_ensemble([tree_with_leaves(100, dim, 7)])),
+        "mixed": parse_model(serialize_ensemble(small + [tree_with_leaves(65, dim, 9)])),
+    }
+
+
+def parsed_rows(trees, count, seed):
+    """``instances_with_ties`` rows, then NaN and ±inf rows parsed from CSV
+    text, as the CLI reads them."""
+    text = ["nan,0.5,0.5", "inf,-inf,0.5", "-inf,inf,nan", "inf,inf,inf"]
+    extra = np.array([list(map(float, line.split(","))) for line in text])
+    return np.vstack([instances_with_ties(trees, count, seed), extra])
+
+
+class TestBatchLeaves:
+    def test_every_chunk_equals_batch_score_per_name(self):
+        for kind, trees in shared_path_models().items():
+            model = StackedTrees.build(trees)
+            assert model.fits_words == (kind == "word")
+            X = parsed_rows(trees, 7, 3)
+            for step in (3, None):  # rows per chunk; None keeps the default rule
+                with pytest.MonkeyPatch.context() as mp:
+                    if step is not None:
+                        mp.setattr(traversal, "CHUNK_ENTRIES", step * (model.num_leaves + 1))
+                    for rows in (X[:0], X[-1:], X):
+                        self.check_chunks(model, trees, rows, f"{kind}, {step} rows")
+
+    @staticmethod
+    def check_chunks(model, trees, rows, where):
+        chunks = list(batch_leaves(model, rows, ARITHMETIC))
+        for a, name in enumerate(ARITHMETIC):
+            alone = list(batch_score(model, rows, name))
+            assert len(alone) == len(chunks), (where, name)
+            for got, (leaves, _) in zip(chunks, alone):
+                assert got.shape == (len(leaves), len(trees), len(ARITHMETIC))
+                assert got.dtype == leaves.dtype
+                np.testing.assert_array_equal(got[:, :, a], leaves, err_msg=f"{where}, {name}")
+        oracle = np.reshape([[naive_traverse(t, x) for t in trees] for x in rows], (len(rows), len(trees)))
+        got = np.concatenate([np.zeros((0, len(trees), len(ARITHMETIC)), np.int64)] + chunks)
+        np.testing.assert_array_equal(got, np.repeat(oracle[:, :, None], len(ARITHMETIC), axis=2))
+        # Any subset, in any order, gives the same columns.
+        names = ["ecoc", "qs", "matrix"]
+        subset = list(batch_leaves(model, rows, names))
+        assert len(subset) == len(chunks)
+        for got, whole in zip(subset, chunks):
+            np.testing.assert_array_equal(got, whole[:, :, [ARITHMETIC.index(n) for n in names]])
+
+    @pytest.mark.parametrize(
+        "kind, rules, selections",
+        [
+            # qs and dual run their word rules; matrix, dualmatrix and the
+            # signed rule the span form: sign and delta share one selection.
+            ("word", 5, 6),
+            # qs shares matrix's rule and selection, dual dualmatrix's, and
+            # sign and delta share theirs; ecoc has its own selection.
+            ("span", 3, 4),
+            ("mixed", 3, 4),
+        ],
+    )
+    def test_each_chunk_tests_and_evaluates_each_rule_once(self, monkeypatch, kind, rules, selections):
+        trees = shared_path_models()[kind]
+        model = StackedTrees.build(trees)
+        X = parsed_rows(trees, 7, 5)
+        monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 4 * (model.num_leaves + 1))
+        calls = {}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(*args)
+
+            return wrapper
+
+        wrapped = {}  # one wrapper per rule function, so rows that share one still do
+        for name in ARITHMETIC:
+            row = traversal._TABLE[name]
+            for rule in (row.hits, row.words):
+                if rule is not None and rule not in wrapped:
+                    wrapped[rule] = counted(rule, rule.__name__)
+            words = wrapped[row.words] if row.words else None
+            monkeypatch.setitem(
+                traversal._TABLE, name, dataclasses.replace(row, hits=wrapped[row.hits], words=words)
+            )
+        for name in ("_first_hits", "_first_bits"):
+            monkeypatch.setattr(traversal, name, counted(getattr(traversal, name), "select"))
+        tests = trees_module.SplitTests
+        monkeypatch.setattr(tests, "false_nodes", counted(tests.false_nodes, "false_nodes"))
+        chunks = list(batch_leaves(model, X, ARITHMETIC))
+        assert len(chunks) == 3  # 11 rows, 4 per chunk
+        ran = {key: count for key, count in calls.items() if key not in ("false_nodes", "select")}
+        assert len(ran) == rules
+        assert set(ran.values()) == {3}
+        assert calls["false_nodes"] == 3
+        assert calls["select"] == 3 * selections
+
+    def test_first_failing_name_raises(self, six_leaf_tree):
+        # A depth vector one too large leaves the signed rules no hit; an
+        # emptied span leaves the dual rules two hits for leaves 1 and 2.
+        model = StackedTrees.build([six_leaf_tree])
+        spans = model.spans.copy()
+        spans[1] = 0
+        X = instance_for_tests(six_leaf_tree, [1, 1, 0, 0, 0])[None, :]
+        cases = [
+            (dataclasses.replace(model, leaf_depths=model.leaf_depths + 1), ARITHMETIC, "sign traversal found 0"),
+            (dataclasses.replace(model, leaf_depths=model.leaf_depths + 1), ["ecoc", "sign"], "ecoc traversal found 0"),
+            (dataclasses.replace(model, spans=spans), ARITHMETIC, "dual traversal found 2"),
+            (dataclasses.replace(model, spans=spans), ["matrix", "dualmatrix"], "dualmatrix traversal found 2"),
+        ]
+        for corrupt, names, message in cases:
+            with pytest.raises(ValueError, match=message):
+                list(batch_leaves(corrupt, X, names))
 
 
 def hostile_case(seed, count, depth, dim):
