@@ -63,11 +63,13 @@ class BitMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.ascontiguousarray(np.asarray(self.entries, dtype=np.uint8))
+        e = np.asarray(self.entries)
         if e.ndim != 2:
             raise ValueError("bit matrix must be two-dimensional")
-        if e.size and e.max() > 1:
+        # Checked before the cast, which wraps 256 to 0 and cuts 0.5 to 0.
+        if not (e.max(initial=0) <= 1 if e.dtype == np.uint8 else ((e == 0) | (e == 1)).all()):
             raise ValueError("bit matrix entries must be 0 or 1")
+        e = np.ascontiguousarray(e, dtype=np.uint8)
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -216,10 +218,10 @@ def matrix_rank(m) -> int:
     if arr.ndim != 2:
         raise ValueError("rank is defined for two-dimensional matrices")
     if not np.issubdtype(arr.dtype, np.integer):
-        if not np.equal(arr, np.rint(arr)).all():
+        if not (np.isfinite(arr) & np.equal(arr, np.rint(arr))).all():
             raise ValueError("matrix_rank requires integer entries")
-        arr = arr.astype(np.int64)
-    rows = [[int(v) for v in row] for row in arr]
+    # Python ints straight from the entries: no int64 cast to overflow.
+    rows = [[int(v) for v in row] for row in arr.tolist()]
     n_rows = len(rows)
     n_cols = arr.shape[1]
     rank = 0

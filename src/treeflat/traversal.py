@@ -19,11 +19,11 @@ threshold count as false.
 
 These per-vector functions take one test vector and one ``TreeMatrices``
 bundle; they are the paper's dense and bitwise forms and the reference the
-tests check the batch path against.  ``TreeMatrices.build`` computes the
-depth vector, the leaf values and the packed right and left column masks,
-which are all that ``qs``, ``dual`` and ``soft_attention`` read; each mask
-comes from its node's leaf span.  The dense (leaves x nodes) copies that
-the matrix, sign, ecoc and delta forms read are built on first read.
+tests check the batch path against.  ``TreeMatrices.build`` keeps only the
+tree: the depth vector and the packed right and left column masks that
+``qs``, ``dual`` and ``soft_attention`` read, each mask from its node's leaf
+span, and the dense (leaves x nodes) copies that the matrix, sign, ecoc and
+delta forms read, are built on first read.
 
 One table gives each algorithm one row: its per-vector selector, whether
 that reads the signed test vector, its batch hit rule, whether each tree
@@ -72,15 +72,15 @@ form: the recursive descent runs once per (instance, tree) pair, because it
 is the oracle.
 
 ``ensemble_score`` runs each tree's per-vector selector on the first call
-with a model, stacks the model on the second consecutive call with the same
-trees and keeps that one ``StackedTrees`` for later calls with them, for as
-long as the trees live; a call with other trees starts over.
+with a model.  The second call in a row that the same first bundle leads
+with the same trees stacks them, and that bundle keeps the ``StackedTrees``
+for later such calls, so it lives as long as the bundle; a call with other
+trees re-keys the bundle and starts over.  The module holds no state.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -159,38 +159,59 @@ class TraversalResult:
 class TreeMatrices:
     """Working set for one tree, for the per-vector traversal algorithms.
 
-    ``build`` computes only what the bitwise selectors and ``soft_attention``
-    read: the depth vector, the leaf values and the packed right and left
-    column masks, each straight from the node's leaf span.  The dense copies
-    (``right``, ``left``, ``right_int``, ``left_int`` and ``signed``) are
-    built by the ``matrices`` builders the first time they are read, and
-    kept.  Caching one turns the instance's attribute storage into a plain
-    dict, which makes every attribute read slower, so the selectors read
-    the fields they loop over once, before the loop."""
+    ``build`` keeps only the tree.  ``leaf_values``, ``num_leaves`` and
+    ``num_internal`` read it; every other field is derived from it the first
+    time it is read, and kept.  The depth vector, ``full_mask`` and the
+    packed right and left column masks, which the bitwise selectors and
+    ``soft_attention`` read, come straight from each node's leaf span; the
+    dense copies (``right``, ``left``, ``right_int``, ``left_int`` and
+    ``signed``) from the ``matrices`` builders.
+
+    ``_stack`` is ``ensemble_score``'s entry for the calls this bundle leads:
+    the trees of the last such call and, once built, their ``StackedTrees``.
+    It holds trees, never bundles, so no cycle keeps it past this bundle."""
 
     tree: BinaryDecisionTree
-    depths: np.ndarray
-    leaf_values: np.ndarray
-    right_col_masks: list[int] = field(repr=False)
-    left_col_masks: list[int] = field(repr=False)
-    full_mask: int = field(repr=False, default=0)
+    _stack: tuple[tuple[BinaryDecisionTree, ...], StackedTrees | None] = field(
+        default_factory=lambda: ((), None), init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, tree: BinaryDecisionTree) -> "TreeMatrices":
-        # Bit i is leaf row i.  A right column clears the node's left leaves
-        # [lo, mid), a left column its right leaves [mid, hi).  Each list is
-        # built in one pass: on a 2048-leaf tree, right masks interleaved in
-        # memory with left ones made the qs loop about 5% slower.
-        full = (1 << tree.num_leaves) - 1
-        spans = tree.leaf_spans
-        return cls(
-            tree=tree,
-            depths=build_depth_vector(tree),
-            leaf_values=tree.leaf_values,
-            right_col_masks=[full ^ ((1 << mid) - (1 << lo)) for lo, mid, _ in spans],
-            left_col_masks=[full ^ ((1 << hi) - (1 << mid)) for _, mid, hi in spans],
-            full_mask=full,
-        )
+        return cls(tree)
+
+    @property
+    def leaf_values(self) -> np.ndarray:
+        return self.tree.leaf_values
+
+    @property
+    def num_leaves(self) -> int:
+        return self.tree.num_leaves
+
+    @property
+    def num_internal(self) -> int:
+        return self.tree.num_internal
+
+    @cached_property
+    def depths(self) -> np.ndarray:
+        return build_depth_vector(self.tree)
+
+    # Bit i is leaf row i.  A right column clears the node's left leaves
+    # [lo, mid), a left column its right leaves [mid, hi).
+
+    @cached_property
+    def full_mask(self) -> int:
+        return (1 << self.tree.num_leaves) - 1
+
+    @cached_property
+    def right_col_masks(self) -> list[int]:
+        full = self.full_mask
+        return [full ^ ((1 << mid) - (1 << lo)) for lo, mid, _ in self.tree.leaf_spans]
+
+    @cached_property
+    def left_col_masks(self) -> list[int]:
+        full = self.full_mask
+        return [full ^ ((1 << hi) - (1 << mid)) for _, mid, hi in self.tree.leaf_spans]
 
     @cached_property
     def right(self) -> BitMatrix:
@@ -211,14 +232,6 @@ class TreeMatrices:
     @cached_property
     def signed(self) -> np.ndarray:
         return build_signed_matrix(self.tree)
-
-    @property
-    def num_leaves(self) -> int:
-        return len(self.leaf_values)
-
-    @property
-    def num_internal(self) -> int:
-        return len(self.right_col_masks)
 
     @cached_property
     def normalized_leaf_vectors(self) -> np.ndarray:
@@ -450,8 +463,8 @@ def scaled_argmax_invariance_check(mats: TreeMatrices, t, scale) -> bool:
         raise ValueError(
             f"scale vector has shape {scale.shape}, expected ({mats.num_internal},)"
         )
-    if scale.size and scale.min() <= 0:
-        raise ValueError("scale entries must be positive")
+    if not ((scale > 0) & np.isfinite(scale)).all():
+        raise ValueError("scale entries must be positive and finite")
     baseline = matrix_traverse(mats, t).leaf_index
     # Ties between candidate leaves are exact: each sums the same scale terms.
     # fsum is correctly rounded, so equal term multisets give equal floats,
@@ -681,9 +694,9 @@ class _Algorithm:
 
     def per_vector(self) -> Callable[[TreeMatrices, np.ndarray], TraversalResult]:
         """The selector over one raw feature vector, as a plain function:
-        the ``ALGORITHMS`` entry, which ``ensemble_score`` sums over a
-        model it has not stacked, and the per-vector form the tests check
-        the batch path against."""
+        the ``ALGORITHMS`` entry, which ``ensemble_score`` sums over the
+        bundles of a call it does not score on a stacked model, and the
+        per-vector form the tests check the batch path against."""
         select = self.select
         if self.hits is None:
             return select
@@ -712,59 +725,39 @@ ALGORITHMS: dict[str, Callable[[TreeMatrices, np.ndarray], TraversalResult]] = {
 }
 
 
-# ``ensemble_score``'s last model, as one tuple so that replacing it is one
-# assignment: the ids of its trees, their ``StackedTrees`` once built (else
-# None), and a weak reference to each tree of a built one.  A reference's
-# callback drops the entry, so the stacked model never outlives its trees
-# and a reused id cannot find it.  A model is stacked on its second
-# consecutive call: a call with other trees than the last call's sums the
-# per-vector selectors, as the first call with a model does, so a caller
-# that scores a model once or alternates models pays no build.  Nothing is
-# stacked in ``TreeMatrices.build``, so set-up never pays for it either.
-_stacked_cache: tuple[tuple[int, ...], StackedTrees | None, list[weakref.ref]] | None = None
-
-
-def _drop_stacked(ref: weakref.ref) -> None:
-    global _stacked_cache
-    entry = _stacked_cache
-    if entry is not None and ref in entry[2]:
-        _stacked_cache = None
-
-
-def _stacked(trees: list[BinaryDecisionTree], x) -> StackedTrees | None:
-    """The cached ``StackedTrees`` of these trees, built when the last call
-    had the same trees; None, and these trees remembered, when it did not."""
-    global _stacked_cache
-    key = tuple(map(id, trees))
-    entry = _stacked_cache
-    if entry is None or entry[0] != key:
-        # Ids only: should other trees reuse them, they are what gets stacked.
-        _stacked_cache = (key, None, [])
+def _stack_for(models: Sequence[TreeMatrices], x) -> StackedTrees | None:
+    """The ``StackedTrees`` of the models' trees, built on the second call in
+    a row that the same first bundle leads with the same trees, and kept on
+    that bundle; None, and these trees remembered there, on any other call."""
+    lead = models[0]
+    trees = tuple([mats.tree for mats in models])
+    keyed, model = lead._stack
+    if keyed != trees:
+        lead._stack = (trees, None)
         return None
-    if entry[1] is not None:
-        return entry[1]
-    try:
-        model = StackedTrees.build(trees)
-    except DimensionMismatchError:
-        # x fails the per-vector shape check of some tree; raise its error.
-        for tree in trees:
-            _feature_vector(x, tree.feature_dim)
-        raise
-    _stacked_cache = (key, model, [weakref.ref(tree, _drop_stacked) for tree in trees])
+    if model is None:
+        try:
+            model = StackedTrees.build(trees)
+        except DimensionMismatchError:
+            # x fails the per-vector shape check of some tree; raise its error.
+            for tree in trees:
+                _feature_vector(x, tree.feature_dim)
+            raise
+        lead._stack = (trees, model)
     return model
 
 
 def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     """Sum of per-tree exit leaf values under the named algorithm.
 
-    From the second consecutive call with the same trees on, every
-    arithmetic algorithm scores x as a batch of one row through
-    ``batch_score``, over the trees stacked into one ``StackedTrees`` that
-    is kept for as long as the trees live, and reads only each
-    ``models[i].tree``.  A call with other trees than the last call's, and
-    ``naive`` always, sums the ``ALGORITHMS`` selector of each tree.  Both
-    add the leaf values in model order, as Python floats, so they return
-    the same float; an empty ensemble scores 0.
+    A call led by the same bundle ``models[0]`` with the same trees as the
+    last call it led stacks the trees into one ``StackedTrees``, kept on that
+    bundle, and from then on every arithmetic algorithm scores x as a batch
+    of one row through ``batch_score``, reading only each ``models[i].tree``.
+    Any other call, and ``naive`` always, sums the ``ALGORITHMS`` selector of
+    each tree, and an arithmetic call remembers its trees on its first
+    bundle.  Both add the leaf values in model order, as Python floats, so
+    they return the same float; an empty ensemble scores 0.
     """
     try:
         fn = ALGORITHMS[algorithm]
@@ -772,8 +765,7 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
         ) from None
-    trees = [mats.tree for mats in models]
-    model = _stacked(trees, x) if trees and _TABLE[algorithm].hits else None
+    model = _stack_for(models, x) if models and _TABLE[algorithm].hits else None
     if model is None:
         return float(sum(fn(mats, x).leaf_value for mats in models))
     x = _feature_vector(x, model.feature_dim)

@@ -113,6 +113,28 @@ class TestBitMatrices:
         with pytest.raises(ValueError):
             BitMatrix(np.array([[0, 2]]))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0.5, 1.7]],  # the uint8 cast cut these to [[0, 1]]
+            np.array([[256, 1]], dtype=np.int64),  # wrapped to [[0, 1]]
+            np.array([[-255, 0]], dtype=np.int64),  # wrapped to [[1, 0]]
+            [[np.nan, 1.0]],  # stored as 0, with a RuntimeWarning
+            np.array([[2, 0]], dtype=np.uint8),
+        ],
+    )
+    def test_checks_entries_before_the_cast(self, bad):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            BitMatrix(bad)
+
+    @pytest.mark.parametrize(
+        "good", [[[0.0, 1.0]], [[False, True]], np.array([[0, 1]], dtype=np.int64)]
+    )
+    def test_accepts_zero_one_floats_bools_and_ints(self, good):
+        entries = BitMatrix(good).entries
+        assert entries.dtype == np.uint8
+        np.testing.assert_array_equal(entries, [[0, 1]])
+
     @settings(max_examples=60, deadline=None)
     @given(tree=random_trees)
     def test_zero_sets_match_explicit_subtree_walk(self, tree):
@@ -382,6 +404,17 @@ class TestRank:
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValueError):
             matrix_rank(np.array([[0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="requires integer entries"):
+            matrix_rank(np.array([[bad, 1], [1, 2]]))
+
+    def test_huge_integral_floats_rank_exactly(self):
+        # Cast through int64, 1e300 and 2e300 both became -2**63, which made
+        # the second matrix rank 2.
+        assert matrix_rank(np.array([[1e300, 1], [1, 2]])) == 2
+        assert matrix_rank(np.array([[1e300, 2e300], [1, 2]])) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -171,7 +171,11 @@ class TestTreeMatricesBuild:
         assert mats.right_col_masks == right.packed_columns()
         assert mats.left_col_masks == left.packed_columns()
         assert mats.full_mask == (1 << tree.num_leaves) - 1
-        np.testing.assert_array_equal(mats.depths, build_depth_vector(tree))
+        assert (mats.num_leaves, mats.num_internal) == right.shape
+        for name, expected in (("depths", build_depth_vector(tree)), ("leaf_values", tree.leaf_values)):
+            got = getattr(mats, name)
+            assert got.dtype == expected.dtype, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
         np.testing.assert_array_equal(mats.right.entries, right.entries)
         np.testing.assert_array_equal(mats.left.entries, left.entries)
         for name, expected in (
@@ -182,6 +186,10 @@ class TestTreeMatricesBuild:
             got = getattr(mats, name)
             assert got.dtype == np.int64, name
             np.testing.assert_array_equal(got, expected, err_msg=name)
+
+    def test_build_keeps_only_the_tree(self, six_leaf_tree):
+        mats = TreeMatrices.build(six_leaf_tree)
+        assert vars(mats) == {"tree": six_leaf_tree, "_stack": ((), None)}
 
     def test_bitwise_and_soft_paths_build_no_dense_matrix(self, monkeypatch):
         def refuse(tree):
@@ -463,6 +471,12 @@ class TestScaledArgmaxInvariance:
                 six_leaf_mats, np.zeros(5, int), np.array([1, 1, 0, 1, 1.0])
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_finite_and_nonpositive_scales_rejected(self, six_leaf_mats, bad):
+        scale = np.array([1, 1, bad, 1, 1.0])
+        with pytest.raises(ValueError, match="scale entries must be positive and finite"):
+            scaled_argmax_invariance_check(six_leaf_mats, np.zeros(5, int), scale)
+
 
 class TestMips:
     def test_golden_query(self, six_leaf_mats):
@@ -542,16 +556,7 @@ def word_ensemble(dim=4):
 
 
 @pytest.fixture
-def empty_stack_cache():
-    """No stacked model cached before or after the test.  Set directly:
-    ``monkeypatch`` would put back an entry whose trees may have died."""
-    traversal._stacked_cache = None
-    yield
-    traversal._stacked_cache = None
-
-
-@pytest.fixture
-def stack_builds(monkeypatch, empty_stack_cache):
+def stack_builds(monkeypatch):
     """A list that grows by one at each ``StackedTrees.build``."""
     builds = []
     real = StackedTrees.build
@@ -559,10 +564,15 @@ def stack_builds(monkeypatch, empty_stack_cache):
     return builds
 
 
+def fresh_bundles(trees):
+    return [TreeMatrices.build(t) for t in trees]
+
+
 class TestCachedEnsembleScore:
     """``ensemble_score`` scores x as a batch of one over a stacked model
-    that is built on the second consecutive call with the same trees and
-    cached while they live; a call with other trees sums the selectors."""
+    that is built on the second call in a row that one first bundle leads
+    with the same trees, and kept on that bundle; any other call sums the
+    per-vector selectors."""
 
     @staticmethod
     def models_and_rows(kind):
@@ -578,30 +588,27 @@ class TestCachedEnsembleScore:
                 trees.insert(5, tree_with_leaves(100, 4, 5))
             X = instances_with_ties(trees, 25, 3)
         assert StackedTrees.build(trees).fits_words == (kind != "span")
-        return [TreeMatrices.build(t) for t in trees], X
+        return fresh_bundles(trees), X
 
     @pytest.mark.parametrize("kind", ["words", "span", "hostile", "signed zero"])
-    def test_equals_the_per_vector_sum_bit_for_bit(self, kind, empty_stack_cache):
+    def test_equals_the_per_vector_sum_bit_for_bit(self, kind):
+        # Two models in turn, the second the first reversed: each is scored
+        # cold, then stacked, then warm, and keeps its own order of addition.
         models, X = self.models_and_rows(kind)
         for x in X:
             for name in ALGORITHMS:
-                got = ensemble_score(models, x, name)
-                assert got.hex() == per_vector_sum(models, x, name).hex(), (name, x)
+                for model in (models, models[::-1]):
+                    got = ensemble_score(model, x, name)
+                    assert got.hex() == per_vector_sum(model, x, name).hex(), (name, x)
 
     def test_model_is_stacked_on_its_second_consecutive_call(self, stack_builds):
-        models = [TreeMatrices.build(t) for t in word_ensemble()]
-        other = [TreeMatrices.build(generate_random_tree(4, 4, s)) for s in range(20, 26)]
+        models = fresh_bundles(word_ensemble())
         X = random_instances(50, 4, 8)
         for i, x in enumerate(X):
             assert ensemble_score(models, x, "qs") == per_vector_sum(models, x, "qs")
             assert len(stack_builds) == min(i, 1)
         # Other lists of the same TreeMatrices reuse the entry too.
         assert ensemble_score(list(models), X[0], "dual") == per_vector_sum(models, X[0], "dual")
-        assert len(stack_builds) == 1
-        # Alternating models never builds, and each model keeps its own sums.
-        for x in X[:5]:
-            for model in (other, models):
-                assert ensemble_score(model, x, "sign") == per_vector_sum(model, x, "sign")
         assert len(stack_builds) == 1
         for changed in (models[::-1], models[:3], models[1:], models + models[:1]):
             before = len(stack_builds)
@@ -610,22 +617,67 @@ class TestCachedEnsembleScore:
             assert len(stack_builds) == before + 1
         # Right after a model is stacked, its reverse is another model: in
         # this order the sum keeps the 1.0, in the reverse it loses it.
-        ordered = [TreeMatrices.build(constant_tree(v, 4)) for v in (1e16, -1e16, 1.0)]
+        ordered = fresh_bundles([constant_tree(v, 4) for v in (1e16, -1e16, 1.0)])
         for model, total in ((ordered, 1.0), (ordered, 1.0), (ordered[::-1], 0.0)):
             assert ensemble_score(model, X[0], "qs") == total
 
-    def test_cache_does_not_outlive_its_trees(self, empty_stack_cache):
+    def test_alternating_models_stack_once_each(self, stack_builds):
+        models = fresh_bundles(word_ensemble())
+        other = fresh_bundles(generate_random_tree(4, 4, s) for s in range(20, 26))
+        for x in random_instances(6, 4, 9):
+            for model in (other, models):
+                assert ensemble_score(model, x, "sign") == per_vector_sum(model, x, "sign")
+        assert len(stack_builds) == 2
+        stacked = [model[0]._stack[1] for model in (models, other)]
+        assert None not in stacked and stacked[0] is not stacked[1]
+
+    def test_lists_sharing_a_first_bundle_never_stack_while_they_alternate(self, stack_builds):
+        models = fresh_bundles(word_ensemble())
+        shared = models[:1] + fresh_bundles(generate_random_tree(4, 4, s) for s in range(20, 26))
+        for x in random_instances(6, 4, 10):
+            for model in (shared, models):
+                assert ensemble_score(model, x, "qs") == per_vector_sum(model, x, "qs")
+        assert stack_builds == []
+
+    def test_fresh_bundles_never_stack(self, stack_builds):
         trees = word_ensemble()
-        models = [TreeMatrices.build(t) for t in trees]
+        for x in random_instances(4, 4, 11):
+            models = fresh_bundles(trees)
+            assert ensemble_score(models, x, "qs") == per_vector_sum(models, x, "qs")
+        assert stack_builds == []
+
+    def test_swapping_one_tree_rekeys_the_bundle(self, stack_builds):
+        models = fresh_bundles(word_ensemble())
+        x = random_instances(1, 4, 12)[0]
+        for _ in range(2):
+            stacked = ensemble_score(models, x, "qs")
+        swapped = list(models)
+        swapped[4] = TreeMatrices.build(constant_tree(1e6, 4))
+        expected = per_vector_sum(swapped, x, "qs")
+        assert expected != stacked
+        assert ensemble_score(swapped, x, "qs") == expected
+        assert models[0]._stack == (tuple(m.tree for m in swapped), None)
+        assert ensemble_score(swapped, x, "qs") == expected
+        assert len(stack_builds) == 2
+        # The stack went with the old key: the first list starts over.
+        assert ensemble_score(models, x, "qs") == stacked
+        assert models[0]._stack[1] is None
+
+    def test_cache_does_not_outlive_its_trees(self):
+        # Freed by reference counting when the trees and bundles go: no cycle.
+        trees = word_ensemble()
+        models = fresh_bundles(trees)
         for _ in range(2):
             ensemble_score(models, np.zeros(4), "qs")
-        stacked = weakref.ref(traversal._stacked_cache[1])
-        del trees, models
-        gc.collect()
-        assert stacked() is None
-        assert traversal._stacked_cache is None
+        stacked = weakref.ref(models[0]._stack[1])
+        gc.disable()
+        try:
+            del trees, models
+            assert stacked() is None
+        finally:
+            gc.enable()
 
-    def test_no_per_vector_selector_runs_once_stacked(self, monkeypatch, empty_stack_cache):
+    def test_no_per_vector_selector_runs_once_stacked(self, monkeypatch):
         models, X = self.models_and_rows("span")
         expected = {name: [per_vector_sum(models, x, name) for x in X] for name in ARITHMETIC}
         ensemble_score(models, X[0], "qs")
@@ -637,19 +689,19 @@ class TestCachedEnsembleScore:
         for name in ARITHMETIC:
             assert [ensemble_score(models, x, name) for x in X] == expected[name], name
 
-    def test_shape_errors_keep_their_type_and_message(self, six_leaf_mats, stack_builds):
-        narrow = TreeMatrices.build(generate_random_tree(3, 4, 1))
+    def test_shape_errors_keep_their_type_and_message(self, six_leaf_tree, stack_builds):
+        narrow = generate_random_tree(3, 4, 1)
         cases = [
-            ([six_leaf_mats], np.zeros(4), "(4,), expected (5,)"),
-            ([six_leaf_mats], np.zeros((1, 5)), "(1, 5), expected (5,)"),
+            ([six_leaf_tree], np.zeros(4), "(4,), expected (5,)"),
+            ([six_leaf_tree], np.zeros((1, 5)), "(1, 5), expected (5,)"),
             # Trees that disagree on feature_dim: the first tree x misfits.
-            ([six_leaf_mats, narrow], np.zeros(5), "(5,), expected (4,)"),
-            ([six_leaf_mats, narrow], np.zeros(4), "(4,), expected (5,)"),
-            ([narrow, six_leaf_mats], np.zeros(4), "(4,), expected (5,)"),
+            ([six_leaf_tree, narrow], np.zeros(5), "(5,), expected (4,)"),
+            ([six_leaf_tree, narrow], np.zeros(4), "(4,), expected (5,)"),
+            ([narrow, six_leaf_tree], np.zeros(4), "(4,), expected (5,)"),
         ]
-        for models, x, message in cases:
+        for trees, x, message in cases:
             for name in ARITHMETIC:
-                traversal._stacked_cache = None
+                models = fresh_bundles(trees)
                 # The first call sums the selectors, the second stacks the model.
                 for builds in (0, 1):
                     with pytest.raises(DimensionMismatchError, match=re.escape(f"feature vector has shape {message}")):
