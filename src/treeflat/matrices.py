@@ -23,6 +23,7 @@ builds on first use and keeps; ``fuzzy.leaf_distribution`` reads it too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -210,16 +211,23 @@ def matrix_rank(m) -> int:
     """Exact rank over the rationals by fraction-free elimination.
 
     Works on integer matrices only; no floating point is involved, so the
-    rank claims on bit and signed matrices are checked exactly.
+    rank claims on bit and signed matrices are checked exactly.  An object
+    array must hold integers, such as Python ints of any size; a float
+    array, integral values.
     """
     if isinstance(m, BitMatrix):
         m = m.entries
     arr = np.asarray(m)
     if arr.ndim != 2:
         raise ValueError("rank is defined for two-dimensional matrices")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not (np.isfinite(arr) & np.equal(arr, np.rint(arr))).all():
-            raise ValueError("matrix_rank requires integer entries")
+    if arr.dtype == object:
+        integral = all(isinstance(v, Integral) for v in arr.flat)
+    else:
+        integral = np.issubdtype(arr.dtype, np.integer) or (
+            np.isfinite(arr) & np.equal(arr, np.rint(arr))
+        ).all()
+    if not integral:
+        raise ValueError("matrix_rank requires integer entries")
     # Python ints straight from the entries: no int64 cast to overflow.
     rows = [[int(v) for v in row] for row in arr.tolist()]
     n_rows = len(rows)

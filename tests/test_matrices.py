@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -372,8 +374,6 @@ class TestMaskVectors:
 
 def _fraction_rank(m):
     """Plain Gaussian elimination over exact rationals; independent oracle."""
-    from fractions import Fraction
-
     rows = [[Fraction(int(v)) for v in row] for row in np.asarray(m)]
     rank = 0
     n_cols = len(rows[0]) if rows else 0
@@ -415,6 +415,18 @@ class TestRank:
         # the second matrix rank 2.
         assert matrix_rank(np.array([[1e300, 1], [1, 2]])) == 2
         assert matrix_rank(np.array([[1e300, 2e300], [1, 2]])) == 1
+
+    def test_python_int_objects_rank_exactly(self):
+        # Entries beyond int64 and float64 precision: 2**70 + 1 is not a float.
+        assert matrix_rank(np.array([[2**70, 1], [1, 0]], dtype=object)) == 2
+        assert matrix_rank(np.array([[2**70 + 1, 2**71 + 2], [1, 2]], dtype=object)) == 1
+        assert matrix_rank(np.array([[2**70 + 1, 2**71 + 1], [1, 2]], dtype=object)) == 2
+        assert matrix_rank(np.array([[np.int64(3), True], [6, 2]], dtype=object)) == 1
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2, 1), 2.0, "1", None])
+    def test_rejects_non_integer_objects(self, bad):
+        with pytest.raises(ValueError, match="requires integer entries"):
+            matrix_rank(np.array([[bad, 1], [1, 2]], dtype=object))
 
     @settings(max_examples=60, deadline=None)
     @given(

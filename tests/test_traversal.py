@@ -906,6 +906,113 @@ class TestBatchScore:
             list(batch_score(model, np.zeros((0, 4)), "qs"))
 
 
+def full_tree(depth, dim, rng):
+    """A full tree of 2**depth leaves with random one-hot splits."""
+
+    def make(level):
+        if level == depth:
+            return Leaf(float(rng.uniform()))
+        predicate = Predicate.one_hot(int(rng.integers(dim)), float(rng.uniform()), dim)
+        return Internal(predicate, make(level + 1), make(level + 1))
+
+    return BinaryDecisionTree(make(0), dim)
+
+
+def chain(length, dim, rng):
+    """A chain of ``length`` nodes, each continuing on a random side."""
+    node = Leaf(float(rng.uniform()))
+    for _ in range(length):
+        predicate = Predicate.one_hot(int(rng.integers(dim)), float(rng.uniform()), dim)
+        leaf = Leaf(float(rng.uniform()))
+        node = Internal(predicate, node, leaf) if rng.random() < 0.5 else Internal(predicate, leaf, node)
+    return BinaryDecisionTree(node, dim)
+
+
+def cover_model(seed, kinds, lone, wide, dim=3):
+    """Trees of the given kinds ("full", "unbalanced", "chain"), with a lone
+    leaf inserted at position ``lone`` (None for none) and, if ``wide``, a
+    tree of 65 to 130 leaves, which sends ``qs`` to the span form."""
+    rng = np.random.default_rng(seed)
+    makers = {
+        "full": lambda: full_tree(int(rng.integers(1, 5)), dim, rng),
+        "unbalanced": lambda: tree_with_leaves(int(rng.integers(2, 40)), dim, int(rng.integers(2**31))),
+        "chain": lambda: chain(int(rng.integers(1, 30)), dim, rng),
+    }
+    trees = [makers[kind]() for kind in kinds]
+    if wide:
+        trees.insert(int(rng.integers(len(trees) + 1)), tree_with_leaves(int(rng.integers(65, 131)), dim, seed))
+    if lone is not None:
+        trees.insert(min(lone, len(trees)), BinaryDecisionTree(Leaf(float(rng.uniform())), dim))
+    return trees
+
+
+class TestRightCover:
+    """``_right_hits`` picks leaves by interval coverage; it must equal the
+    dense rule, right @ t = sum(t) tree by tree, on every tree shape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kinds=st.lists(st.sampled_from(["full", "unbalanced", "chain"]), min_size=1, max_size=4),
+        lone=st.sampled_from([None, 0, 1, 99]),  # none, first, second, last
+        wide=st.booleans(),
+    )
+    def test_equals_the_dense_rule_and_the_oracle(self, seed, kinds, lone, wide):
+        trees = cover_model(seed, kinds, lone, wide)
+        model = StackedTrees.build(trees)
+        X = parsed_rows(trees, 6, seed)
+        assert model.fits_words == all(2 <= t.num_leaves <= 64 for t in trees)
+        for rows in (X[:1], X[-1:], X):
+            t = model.split_tests.false_nodes(rows)
+            hits = traversal._right_hits(model, t)
+            assert hits.shape == (len(rows), model.num_leaves)
+            for k, tree in enumerate(trees):
+                nodes = t[:, model.node_starts[k] : model.node_starts[k] + tree.num_internal].astype(np.int64)
+                dense = nodes @ TreeMatrices.build(tree).right_int.T == nodes.sum(axis=1, keepdims=True)
+                leaves = slice(model.leaf_starts[k], model.leaf_starts[k] + tree.num_leaves)
+                np.testing.assert_array_equal(hits[:, leaves], dense, err_msg=f"tree {k}")
+        oracle = [[naive_traverse(tree, x) for tree in trees] for x in X]
+        for step in (1, 4, None):  # rows per chunk; None keeps the default rule
+            with pytest.MonkeyPatch.context() as mp:
+                if step is not None:
+                    mp.setattr(traversal, "CHUNK_ENTRIES", step * (model.num_leaves + 1))
+                for name in ("qs", "matrix"):
+                    leaves = np.vstack([leaves for leaves, _ in batch_score(model, X, name)])
+                    np.testing.assert_array_equal(leaves, oracle, err_msg=f"{name}, {step} rows")
+
+    @pytest.mark.parametrize(
+        "node, span",
+        [
+            (0, (0, 6, 6)),  # the root's left interval stretched over all six leaves
+            (4, (4, 6, 6)),  # node 4's reaches leaf 6, the only leaf the others leave
+        ],
+    )
+    def test_spans_covering_every_leaf_leave_no_exit(self, six_leaf_tree, node, span):
+        # A lone leaf second keeps qs off the word kernels.
+        stump = BinaryDecisionTree(Leaf(0.5), 5)
+        model = StackedTrees.build([six_leaf_tree, stump])
+        assert not model.fits_words
+        spans = model.spans.copy()
+        spans[node] = span
+        corrupt = dataclasses.replace(model, spans=spans)
+        X = instance_for_tests(six_leaf_tree, [0, 0, 0, 0, 0])[None, :]  # every node false
+        [(leaves, _)] = batch_score(model, X, "qs")
+        assert leaves.tolist() == [[6, 1]]
+        for name in ("qs", "matrix"):
+            with pytest.raises(ValueError, match=f"{name} traversal found 0 exit leaves in tree 0"):
+                list(batch_score(corrupt, X, name))
+
+    def test_cover_refuses_2_to_the_31_leaves_before_allocating(self, monkeypatch):
+        # With numpy out of reach, any allocation fails with AttributeError:
+        # the bound must be checked first, and one leaf fewer passes it.
+        monkeypatch.setattr(traversal, "np", None)
+        spans = np.zeros((0, 3), np.int64)
+        with pytest.raises(ValueError, match=r"fewer than 2\*\*31 leaves"):
+            traversal._Cover.build(spans, 2**31)
+        with pytest.raises(AttributeError):
+            traversal._Cover.build(spans, 2**31 - 1)
+
+
 def shared_path_models(dim=3):
     """A word model (three trees of at most 64 leaves), a span model (one
     tree of 100 leaves) and a mixed one (the word trees and one tree of 65
