@@ -186,7 +186,8 @@ def _format_matrix(m: np.ndarray, spec: str) -> str:
 
 def _parse_prob_vector(raw: str, expected: int) -> np.ndarray:
     try:
-        values = [float(v) for v in raw.split(",")]
+        # An empty list is the one a tree with no node takes.
+        values = [float(v) for v in raw.split(",")] if raw else []
     except ValueError as exc:
         raise CliError(EXIT_USAGE, "--p must be a comma-separated float list") from exc
     if len(values) != expected:

@@ -16,8 +16,14 @@ node (breadth-first):
 
 Only a leaf's ancestors differ from the background value (1, or 0 in P).  The
 four binary-tree builders each allocate the background and make one flat-index
-write of the tree's (leaf, ancestor) table, ``_path_cells``, which the tree
-builds on first use and keeps; ``fuzzy.leaf_distribution`` reads it too.
+write of the tree's (leaf, ancestor) table, which the tree builds on first use
+and keeps.  The right, left and signed matrices are row-major, for the integer
+matrix-vector products of the per-vector traversals, and index the table by
+``_path_cells``; ``fuzzy.leaf_distribution`` reads that form too.  The fuzzy
+and general path matrices are stored column-major (the transpose of a nodes x
+leaves buffer, indexed by ``_path_cols`` for the fuzzy one), so the row
+products of ``fuzzy.leaf_probabilities`` run down the columns, multiplying all
+leaves at once, in the same order and to the same bits.
 """
 
 from __future__ import annotations
@@ -144,25 +150,32 @@ def build_fuzzy_matrix(tree: BinaryDecisionTree, p) -> np.ndarray:
     Entry (i, j) is p_j when leaf i is in node j's left subtree, 1 - p_j in
     the right subtree, and 1 elsewhere.  Degenerate probabilities 0 and 1 are
     allowed so hard trees embed exactly.
+
+    The (leaves x nodes) result is F-contiguous: the transpose of the (nodes x
+    leaves) buffer the table is written into.  Its values are those of the
+    row-major matrix; ``leaf_probabilities`` then multiplies whole columns,
+    which is several times faster on large trees and gives the same bits.
     """
     factors = tree._branch_factors(p)
     # Outside node j's subtree the mixture is p_j + (1 - p_j), which rounds
     # to 1 for every p_j in [0, 1], so writing only the (leaf, ancestor)
     # cells gives it bit for bit.
-    cell, branch = tree._path_cells
-    m = np.ones((tree.num_leaves, tree.num_internal), dtype=np.float64)
+    cell, branch = tree._path_cols
+    m = np.ones((tree.num_internal, tree.num_leaves), dtype=np.float64)
     m.reshape(-1)[cell] = factors[branch]
-    return m
+    return m.T
 
 
 def build_general_path_matrix(tree: GeneralTree) -> np.ndarray:
     """Entry (l, n) is the weight of node n's edge on the root-to-l path,
-    or 1 when node n is not on that path."""
-    m = np.ones((tree.num_leaves, tree.num_internal), dtype=np.float64)
+    or 1 when node n is not on that path.  F-contiguous, as the fuzzy matrix
+    is: each node's child spans are filled as contiguous runs of its
+    column."""
+    m = np.ones((tree.num_internal, tree.num_leaves), dtype=np.float64)
     for j, node in enumerate(tree.internal_nodes):
         for k, (lo, hi) in enumerate(tree.child_spans[j]):
-            m[lo:hi, j] = node.weights[k]
-    return m
+            m[j, lo:hi] = node.weights[k]
+    return m.T
 
 
 def build_mask_vector(tree: GeneralTree, node: int, child: int) -> np.ndarray:

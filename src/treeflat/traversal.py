@@ -368,7 +368,8 @@ def sign_traverse(mats: TreeMatrices, s) -> TraversalResult:
 
     The comparison runs on integers (P s against the depth vector), so no
     floating-point tolerance is involved; the returned score vector is the
-    float form of v.
+    float form of v.  A tree that is a lone leaf has an empty codeword,
+    which every test vector matches, so its one entry is 1.
     """
     s = np.asarray(s, dtype=np.int64)
     ps = mats.signed @ s
@@ -377,20 +378,22 @@ def sign_traverse(mats: TreeMatrices, s) -> TraversalResult:
         raise ValueError(
             f"signed traversal found {hits.size} consensus leaves; corrupt matrices?"
         )
-    return mats._result(int(hits[0]), score=ps / mats.depths)
+    score = ps / mats.depths if mats.num_internal else np.ones(1)
+    return mats._result(int(hits[0]), score=score)
 
 
 def ecoc_traverse(mats: TreeMatrices, s) -> TraversalResult:
     """Scan leaves in order and return the first whose codeword agreement
     <P_i, s> / <P_i, P_i> equals 1; the score vector holds the agreements
-    actually computed, in scan order."""
+    actually computed, in scan order.  A lone leaf's empty codeword agrees
+    fully: 1."""
     s = np.asarray(s, dtype=np.int64)
     signed, depths = mats.signed, mats.depths
     similarities: list[float] = []
     for i in range(mats.num_leaves):
         dot = int(signed[i] @ s)
         depth = int(depths[i])
-        similarities.append(dot / depth)
+        similarities.append(dot / depth if depth else 1.0)
         if dot == depth:
             return mats._result(i, score=np.asarray(similarities))
     raise ValueError("no leaf codeword matched the signed test vector; corrupt matrices?")
@@ -451,10 +454,12 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 def soft_attention(mats: TreeMatrices, s) -> LeafDistribution:
     """Softmax of inv(D) P s: a smooth distribution over leaves whose argmax
-    is the hard exit leaf.  P s is computed in span form as a batch of one."""
+    is the hard exit leaf.  P s is computed in span form as a batch of one.
+    A lone leaf's P s is 0 and is divided by 1, not by its depth 0; its
+    softmax is 1 either way."""
     s = np.asarray(s, dtype=np.int64)
     scores = _signed_scores(mats.tree.span_array, mats.num_leaves, s[None, :])
-    return LeafDistribution(_softmax_rows(scores / mats.depths)[0])
+    return LeafDistribution(_softmax_rows(scores / (mats.depths if mats.num_internal else 1))[0])
 
 
 def scaled_argmax_invariance_check(mats: TreeMatrices, t, scale) -> bool:
@@ -895,9 +900,10 @@ def batch_soft_attention(model: StackedTrees, X) -> Iterator[np.ndarray]:
     (instances x leaves) array of probabilities per chunk.  Single trees only."""
     if len(model.leaf_starts) != 1:
         raise ValueError("soft attention works on a single tree, not an ensemble")
+    depths = model.leaf_depths if len(model.spans) else 1  # as soft_attention divides
     for t in _test_matrices(model, X):
         ps = _signed_scores(model.spans, model.num_leaves, signed_test_vector(t))
-        yield _softmax_rows(ps / model.leaf_depths)
+        yield _softmax_rows(ps / depths)
 
 
 def sum_in_model_order(values: np.ndarray) -> np.ndarray:

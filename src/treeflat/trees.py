@@ -426,8 +426,8 @@ class BinaryDecisionTree(_Tree):
 
     def _branch_factors(self, p) -> np.ndarray:
         """``concatenate([p, 1 - p])`` for branch probabilities p, checked:
-        the factor of every (leaf, ancestor) cell, indexed by the cell's
-        ``branch`` in ``_path_cells``.
+        the factor of every (leaf, ancestor) pair, indexed by the pair's
+        ``branch`` in ``_path_table``.
 
         Adding 0.0 turns a p_j of -0.0 into the 0.0 that the mixture's
         p_j + 0 * (1 - p_j) gives.
@@ -442,17 +442,12 @@ class BinaryDecisionTree(_Tree):
         p = p + 0.0
         return np.concatenate([p, 1.0 - p])
 
-    @cached_property
-    def _path_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every (leaf, ancestor) cell of the leaf-by-node matrices, as
-        ``(cell, branch)``, node by node: each node's leaves ``lo..hi-1``.
-        ``cell`` is ``leaf * N + node`` and ``branch`` is ``node`` for a leaf
-        in the node's left subtree and ``N + node`` for one in its right
-        subtree, so ``branch`` indexes ``_branch_factors``.  Every cell comes
-        once, so a builder writes them in any order.
-
-        The matrix builders and ``leaf_distribution`` build it on first use;
-        loading and scoring never read it.
+    def _path_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (leaf, ancestor) pair of the tree as ``(leaf, node,
+        branch)``, node by node: each node's leaves ``lo..hi-1``.
+        ``branch`` is ``node`` for a leaf in the node's left subtree and
+        ``N + node`` for one in its right subtree, so it indexes
+        ``_branch_factors``.  Every pair comes once.
         """
         n = self.num_internal
         lo, mid, hi = self.span_array.T
@@ -463,7 +458,32 @@ class BinaryDecisionTree(_Tree):
         # those functions' dispatch costs more than the work.
         node = np.arange(n).repeat(lengths)
         leaf = np.arange(len(node)) + (lo + lengths - lengths.cumsum())[node]
-        return leaf * n + node, node + n * (leaf >= mid[node])
+        return leaf, node, node + n * (leaf >= mid[node])
+
+    @cached_property
+    def _path_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_path_table`` as ``(cell, branch)`` for the row-major (leaves x
+        nodes) matrices: ``cell`` is ``leaf * N + node``, the pair's flat
+        index.  Every cell comes once, so a builder writes them in any
+        order.
+
+        The right, left and signed builders and ``leaf_distribution`` build
+        it on first use; loading and scoring never read it.
+        """
+        leaf, node, branch = self._path_table()
+        return leaf * self.num_internal + node, branch
+
+    @cached_property
+    def _path_cols(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_path_table`` as ``(cell, branch)`` for a (nodes x leaves)
+        buffer, the column-major storage of a (leaves x nodes) matrix:
+        ``cell`` is ``node * L + leaf``.  Node by node, each node's leaves
+        are consecutive, so the index only grows.  Only
+        ``build_fuzzy_matrix`` reads it; the tree builds it once, so no
+        call pays for the index.
+        """
+        leaf, node, branch = self._path_table()
+        return node * self.num_leaves + leaf, branch
 
     @cached_property
     def _path_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -631,15 +651,15 @@ def _is_finite_number(x) -> bool:
 
 def _parsed_problems(tree: BinaryDecisionTree) -> list[str]:
     """``_validate`` for a parsed tree.  The parser lets through only
-    non-finite numbers, all-zero dense weights and a leaf as root.  When the
-    arrays hold one of them, a walk over the arrays reports each with the
-    object walk's message and path, in its order (right child first)."""
+    non-finite numbers and all-zero dense weights.  When the arrays hold one
+    of them, a walk over the arrays reports each with the object walk's
+    message and path, in its order (right child first)."""
     arrays = tree._arrays
     thresholds, values = tree.thresholds, tree.leaf_values
     zero = arrays.dense_index[~arrays.dense_rows.any(axis=1)]
-    if len(thresholds) and not len(zero) and np.isfinite(thresholds).all() and np.isfinite(values).all():
+    if not len(zero) and np.isfinite(thresholds).all() and np.isfinite(values).all():
         return []
-    problems = [] if len(thresholds) else ["tree must have at least one internal node"]
+    problems: list[str] = []
     zero, thresholds, values = set(zero.tolist()), thresholds.tolist(), values.tolist()
     children = arrays.children.tolist()
     stack = [(0 if children else -1, "root")]
@@ -664,7 +684,10 @@ def _validate(tree: _Tree) -> list[str]:
     if tree.root is None:
         return ["tree has no root"]
     problems: list[str] = []
-    if isinstance(tree.root, Leaf):
+    binary = isinstance(tree, BinaryDecisionTree)
+    # A lone leaf is a binary tree, which every traversal routes to leaf 1,
+    # but not a general one: ``convert_general_to_binary`` needs a node.
+    if not binary and isinstance(tree.root, Leaf):
         problems.append("tree must have at least one internal node")
     internal, check_internal = tree._internal, tree._check_internal
     seen: set[int] = set()
@@ -689,7 +712,6 @@ def _validate(tree: _Tree) -> list[str]:
         else:
             problems.append(f"node {path} is neither internal nor leaf")
     leaf_count = len(leaves_right_to_left)
-    binary = isinstance(tree, BinaryDecisionTree)
     if binary and internal_count and leaf_count != internal_count + 1:
         problems.append(
             f"leaf count {leaf_count} does not equal internal count {internal_count} + 1"
@@ -708,10 +730,10 @@ def _numbering_matches(tree: _Tree, leaves_right_to_left: list[Leaf]) -> bool:
     it starts at the root and the internal children of its nodes, taken in
     order, are the rest of it.
     """
-    nodes = tree.internal_nodes
-    if not nodes or nodes[0] is not tree.root:
+    nodes, internal = tree.internal_nodes, tree._internal
+    # The root comes first; a tree with no node lists none.
+    if (nodes[0] is not tree.root) if nodes else isinstance(tree.root, internal):
         return False
-    internal = tree._internal
     checked = 1  # nodes[:checked] are the root and the children met so far
     for k, node in enumerate(nodes):
         if k == checked:  # the stored list runs past the breadth-first order

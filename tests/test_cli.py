@@ -25,6 +25,7 @@ from treeflat import (
     build_right_matrix,
     build_signed_matrix,
     generate_random_general_tree,
+    naive_traverse,
     parse_model,
     parse_tree,
     serialize_ensemble,
@@ -177,9 +178,10 @@ class TestFlatten:
             assert err.count("\n") == 1 and "too large for a float" in err
 
     def test_invalid_tree_exits_3(self, tmp_path, capsys):
+        # A general tree needs an internal node (a binary one does not).
         path = tmp_path / "leafonly.json"
-        path.write_text('{"type": "binary", "feature_dim": 1, "root": {"leaf": 1.0}}')
-        code, _, err = invoke(["flatten", path, "right"], capsys)
+        path.write_text('{"type": "general", "feature_dim": 1, "root": {"leaf": 1.0}}')
+        code, _, err = invoke(["flatten", path, "path"], capsys)
         assert code == 3
         assert "invalid" in err
 
@@ -218,6 +220,41 @@ SPECIAL_FLOATS = [
     -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1
 ]
 SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7)
+
+
+class TestLoneLeafModel:
+    """A binary tree with no internal node is valid: every command runs on
+    it, alone or leading an ensemble, and agrees with the oracle."""
+
+    LONE = '{"type": "binary", "feature_dim": 4, "root": {"leaf": 0.25}}'
+
+    def files(self, tmp_path):
+        lone, led, data = tmp_path / "lone.json", tmp_path / "led.json", tmp_path / "x.csv"
+        lone.write_text(self.LONE)
+        other = perfect_tree(5, 4, 9)
+        led.write_text(serialize_ensemble([parse_tree(self.LONE), other]))
+        X = np.random.default_rng(3).uniform(size=(40, 4))
+        X[:2] = [[np.nan, 0.5, 0.5, 0.5], [np.inf, -np.inf, 0.5, np.inf]]
+        np.savetxt(data, X, delimiter=",")
+        totals = [0.25 + float(other.leaf_values[naive_traverse(other, x) - 1]) for x in X]
+        return lone, led, data, [f"{t:.12g}\n" for t in totals]
+
+    def test_every_command_exits_0(self, tmp_path, capsys):
+        lone, led, data, totals = self.files(tmp_path)
+        for algo in sorted(cli.ALGORITHMS):
+            assert invoke(["score", led, data, "--algo", algo], capsys) == (0, "".join(totals), ""), algo
+            code, out, err = invoke(["score", lone, data, "--algo", algo], capsys)
+            assert (code, out, err) == (0, "1 0.25\n" * 40, ""), algo
+        assert invoke(["score", lone, data, "--soft"], capsys) == (0, "1\n" * 40, "")
+        for model, count in ((led, 2), (lone, 1)):
+            expected = f"all algorithms agree on 40 instances x {count} trees\n"
+            assert invoke(["compare", model, data], capsys) == (0, expected, "")
+            code, out, err = invoke(["bench", model, data, "--repeat", "1"], capsys)
+            assert (code, err) == (0, "") and "ok" in out
+        for kind in ("right", "left", "signed"):
+            assert invoke(["flatten", lone, kind], capsys) == (0, "1 0\n\n", ""), kind
+        # A tree with no node takes an empty probability list.
+        assert invoke(["flatten", lone, "fuzzy", "--p", ""], capsys) == (0, "1 0\n\n", "")
 
 
 class TestFormatRows:

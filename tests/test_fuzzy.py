@@ -124,6 +124,49 @@ class TestPathForm:
             leaf_distribution(shared_leaf_tree(), [0.5, 0.5])
 
 
+# Factors whose products round differently if taken in another order: runs
+# of 1.0, zeros of both signs, subnormals, and small factors whose products
+# underflow into the subnormals, beside uniform ones.
+SPECIAL_ENTRIES = np.array([1.0, 1.0, 1.0, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1 - 2**-53])
+
+
+@st.composite
+def routing_matrices(draw):
+    rows, cols = draw(st.integers(1, 30)), draw(st.integers(0, 60))
+    special, small = draw(st.sampled_from([(0.0, 0.0), (0.3, 0.3), (0.9, 0.0), (0.0, 0.9)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = rng.uniform(size=(rows, cols))
+    m = rng.uniform(size=(rows, cols))
+    m = np.where(kind < small, 10.0 ** rng.uniform(-20, -3, size=m.shape), m)
+    return np.where(kind > 1 - special, rng.choice(SPECIAL_ENTRIES, size=m.shape), m)
+
+
+class TestLayout:
+    """Row products do not depend on the matrix layout: numpy multiplies
+    each row left to right along a C row and down F columns alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=routing_matrices())
+    def test_c_and_f_copies_give_the_same_bits(self, m):
+        c, f = np.ascontiguousarray(m), np.asfortranarray(m)
+        assert c.flags.c_contiguous and f.flags.f_contiguous
+        probs = leaf_probabilities(c).probs
+        assert same_bits(leaf_probabilities(f).probs, probs)
+        # The left-to-right product, one factor at a time.
+        expected = np.ones(len(m))
+        for j in range(m.shape[1]):
+            expected = expected * m[:, j]
+        assert same_bits(probs, expected)
+        if (m > 0.0).all():
+            assert same_bits(leaf_probabilities_log(f).probs, leaf_probabilities_log(c).probs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(tree=random_general_trees)
+    def test_general_distribution_equals_the_row_major_product(self, tree):
+        row_major = np.ascontiguousarray(build_general_path_matrix(tree))
+        assert same_bits(general_leaf_distribution(tree).probs, np.prod(row_major, axis=1))
+
+
 class TestLogForm:
     def test_all_ones_matrix_is_flagged(self):
         dist = leaf_probabilities_log(np.ones((3, 2)))

@@ -272,7 +272,8 @@ class TestScatterBuilders:
         assert same_bits(build_right_matrix(tree).entries, right)
         assert same_bits(build_left_matrix(tree).entries, left)
         assert same_bits(build_signed_matrix(tree), signed)
-        assert same_bits(build_fuzzy_matrix(tree, p), fuzzy)
+        built = build_fuzzy_matrix(tree, p)
+        assert same_bits(built, fuzzy) and built.flags.f_contiguous
 
     def test_table_cells_and_rows(self, six_leaf_tree):
         cell, branch = six_leaf_tree._path_cells
@@ -301,6 +302,31 @@ class TestScatterBuilders:
         assert same_bits(build_left_matrix(tree).entries, left)
         assert same_bits(build_signed_matrix(tree), signed)
         assert same_bits(build_fuzzy_matrix(tree, [0.3, 0.6]), fuzzy)
+
+
+class TestColumnMajorLayout:
+    """The fuzzy and general path matrices are F-contiguous (leaves x nodes)
+    arrays holding the values of the row-major matrices; for the fuzzy one,
+    ``TestScatterBuilders`` checks both against the span loop."""
+
+    def test_column_cells_are_the_row_cells_transposed(self, six_leaf_tree):
+        n, leaves = six_leaf_tree.num_internal, six_leaf_tree.num_leaves
+        cell, branch = six_leaf_tree._path_cells
+        col, col_branch = six_leaf_tree._path_cols
+        np.testing.assert_array_equal(col_branch, branch)
+        np.testing.assert_array_equal(col, cell % n * leaves + cell // n)
+        assert (np.diff(col) > 0).all()  # node by node, leaves in order
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=random_general_trees)
+    def test_general_path_matrix_equals_the_per_entry_loop(self, tree):
+        m = build_general_path_matrix(tree)
+        assert m.flags.f_contiguous and m.shape == (tree.num_leaves, tree.num_internal)
+        row_major = np.ones((tree.num_leaves, tree.num_internal))
+        for j, node in enumerate(tree.internal_nodes):
+            for k, (lo, hi) in enumerate(tree.child_spans[j]):
+                row_major[lo:hi, j] = node.weights[k]
+        assert same_bits(m, row_major)
 
 
 class TestGeneralPathMatrix:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import re
 import warnings
@@ -1222,3 +1223,41 @@ class TestHostileInputs:
             warnings.simplefilter("error")
             products = dense_products(np.array([[0.0] * dim, [1.0] * dim]), X[:2])
         assert np.isnan(products[:, 0]).all() and np.isnan(products[1, 1])
+
+
+class TestLoneLeafTree:
+    """A tree with no internal node routes every x to its one leaf, under
+    every algorithm, per vector (the first call with a model) and stacked
+    (the second).  Its codeword is empty, so its agreement is 1."""
+
+    @staticmethod
+    def stump_led_model(seed):
+        doc = json.loads(serialize_ensemble([generate_random_tree(6, 4, seed)]))
+        doc["trees"].insert(0, {"type": "binary", "feature_dim": 4, "root": {"leaf": 0.25}})
+        return parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_cold_and_warm_calls_equal_the_oracle(self, name):
+        # RuntimeWarnings are errors in this suite, so 0 / 0 would fail here.
+        for seed, x in zip(range(3), random_instances(3, 4, 7)):
+            trees = self.stump_led_model(seed)
+            assert (trees[0].num_internal, trees[0].num_leaves) == (0, 1)
+            expected = float(sum(t.leaf_values[naive_traverse(t, x) - 1] for t in trees))
+            models = fresh_bundles(trees)
+            assert ensemble_score(models, x, name) == expected  # per vector
+            assert ensemble_score(models, x, name) == expected  # stacked
+            assert models[0]._stack[1] is not None or name == "naive"
+            result = ALGORITHMS[name](models[0], x)
+            assert (result.leaf_index, result.leaf_value) == (1, 0.25)
+
+    def test_signed_scores_are_one(self):
+        mats = TreeMatrices.build(BinaryDecisionTree(Leaf(0.5), 3))
+        s = np.zeros(0, dtype=np.int64)
+        for fn in (sign_traverse, ecoc_traverse):
+            result = fn(mats, s)
+            assert result.leaf_index == 1
+            np.testing.assert_array_equal(result.score_vector, [1.0])
+        assert soft_attention(mats, s).probs.tolist() == [1.0]
+        model = StackedTrees.build([mats.tree])
+        chunks = list(batch_soft_attention(model, random_instances(3, 3, 1)))
+        assert np.concatenate(chunks).tolist() == [[1.0]] * 3

@@ -73,7 +73,6 @@ PROBLEM_TREES = [
     ),
     lambda v: Internal(Predicate(np.zeros(5), 0.5), Leaf(0.0), Leaf(1.0)),
     lambda v: Leaf(v),
-    lambda v: Leaf(1.0),
 ]
 
 STALE_NUMBERING = ["reassigned root", "reordered nodes", "reordered leaves", "swapped siblings"]
@@ -86,10 +85,21 @@ class TestValidate:
         assert six_leaf_tree.num_internal == 5
         assert six_leaf_tree.num_leaves == 6
 
-    def test_single_leaf_tree_is_invalid(self):
-        report = validate(BinaryDecisionTree(Leaf(1.0), 1))
-        assert not report.ok
-        assert any("internal node" in p for p in report.problems)
+    def test_single_leaf_tree_is_valid_only_when_binary(self):
+        # Built from objects and parsed alike: every traversal routes a
+        # lone leaf to leaf 1.
+        lone = BinaryDecisionTree(Leaf(1.0), 1)
+        parsed = parse_tree(serialize_tree(lone))
+        for tree in (lone, parsed):
+            report = validate(tree)
+            assert report.ok and not report.problems
+            assert (tree.num_internal, tree.num_leaves) == (0, 1)
+        # A general tree needs a node: convert_general_to_binary chains its
+        # children into splits.
+        report = validate(GeneralTree(Leaf(1.0), 1))
+        assert report.problems == ["tree must have at least one internal node"]
+        general = parse_tree('{"type": "general", "feature_dim": 1, "root": {"leaf": 1.0}}')
+        assert validate(general).problems == report.problems
 
     def test_missing_child_is_reported_with_its_path(self):
         broken = one_hot_node(0, Internal(Predicate.one_hot(0, 0.5, 5), Leaf(0.0), None), Leaf(1.0))
