@@ -382,7 +382,7 @@ def cmd_gen(args) -> int:
         # on a tree too deep to write.
         if args.general:
             trees = [
-                generate_random_general_tree(args.depth, args.fanout, s, args.dim)
+                generate_random_general_tree(args.depth, args.fanout, s, feature_dim=args.dim)
                 for s in tree_seeds
             ]
         else:

@@ -54,11 +54,23 @@ class LeafDistribution:
         return int(np.argmax(self.probs)) + 1
 
 
+# For doubles with the sign bit clear, bit order is value order, so an entry
+# lies in [+0.0, 1.0] exactly when its bits, as uint64, are at most these.
+# NaN of either sign, negatives, -0.0, values above 1 and ±inf all exceed it.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
 def _as_routing_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("routing matrix must be two-dimensional")
-    if m.size and not (m.min() >= 0.0 and m.max() <= 1.0):  # NaN fails both tests
+    # One integer scan accepts almost every matrix; only one that fails it
+    # takes the two float scans, which also admit -0.0.
+    if (
+        m.size
+        and m.view(np.uint64).max() > _ONE_BITS
+        and not (m.min() >= 0.0 and m.max() <= 1.0)  # NaN fails both tests
+    ):
         raise ValueError("routing matrix entries must lie in [0, 1]")
     return m
 

@@ -70,8 +70,13 @@ prototype beat the span form only up to 128 leaves and took 2x to 7x its
 time from 256 to 2048 leaves (the README has the table).
 
 Each tree's exit leaf is its first leaf meeting the algorithm's selection
-rule, and an ensemble's leaf values are added column by column in model
-order, from 0.0, as Python's ``sum`` adds them.  ``naive`` has no batch
+rule.  The span form selects it from the (instances x leaves) hit matrix:
+for a model of one tree, as ``matrix_traverse`` does, by one ``argmax``,
+the leftmost maximum, checked by one gather (or one count per row if the
+hit must be unique); for several trees by a count and a minimum per tree
+segment (``np.add.reduceat`` and ``np.minimum.reduceat``).  An ensemble's
+leaf values are added column by column in model order, from 0.0
+(``sum_in_model_order``), on every Python version.  ``naive`` has no batch
 form: the recursive descent runs once per (instance, tree) pair, because it
 is the oracle.
 
@@ -704,7 +709,18 @@ def _exit_error(algorithm: str, count: int, tree: int) -> ValueError:
 
 def _first_hits(hits: np.ndarray, model: StackedTrees, unique: bool, algorithm: str) -> np.ndarray:
     """Position of each tree's first hit on the stacked leaf axis, one row
-    per instance; raises unless each tree has a hit (exactly one if unique)."""
+    per instance; raises unless each tree has a hit (exactly one if unique).
+
+    One tree needs no per-tree segments: its first hit is the leftmost
+    maximum, ``argmax``, and one gather at it (one count per row if unique)
+    checks the rule.  A chunk that fails that check, and every model of
+    several trees, counts each tree's hits with ``add.reduceat`` and raises
+    for the first bad row and tree.
+    """
+    if len(model.leaf_starts) == 1:
+        first = hits.argmax(axis=1)
+        if (hits.sum(axis=1) == 1).all() if unique else hits[np.arange(len(hits)), first].all():
+            return first[:, None]
     starts = model.leaf_starts
     counts = np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
     bad = counts != 1 if unique else counts == 0
@@ -812,8 +828,10 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     of one row through ``batch_score``, reading only each ``models[i].tree``.
     Any other call, and ``naive`` always, sums the ``ALGORITHMS`` selector of
     each tree, and an arithmetic call remembers its trees on its first
-    bundle.  Both add the leaf values in model order, as Python floats, so
-    they return the same float; an empty ensemble scores 0.
+    bundle.  Both add the leaf values in model order from 0.0, as
+    ``sum_in_model_order`` does, so they return the same float as each other
+    and as ``treeflat score``; a one-tree row needs no fold, and an empty
+    ensemble scores 0.0.
     """
     try:
         fn = ALGORITHMS[algorithm]
@@ -823,10 +841,15 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
         ) from None
     model = _stack_for(models, x) if models and _TABLE[algorithm].hits else None
     if model is None:
-        return float(sum(fn(mats, x).leaf_value for mats in models))
+        total = 0.0
+        for mats in models:
+            total += fn(mats, x).leaf_value
+        return total
     x = _feature_vector(x, model.feature_dim)
     _, values = next(batch_score(model, x[None, :], algorithm))
-    return float(sum(values[0].tolist()))
+    if values.shape[1] == 1:
+        return float(values[0, 0]) + 0.0
+    return float(sum_in_model_order(values)[0])
 
 
 def _check_batch_names(names: Sequence[str]) -> None:

@@ -1207,10 +1207,14 @@ def generate_random_tree(depth_bound: int, feature_dim: int, seed: int) -> Binar
 
 
 def generate_random_general_tree(
-    depth_bound: int, max_children: int, seed: int, feature_dim: int = 0
+    depth_bound: int, max_children: int, seed: int, *, feature_dim: int = 0
 ) -> GeneralTree:
     """Sample a general tree with 2..max_children children per node and
-    per-node routing weights drawn uniformly from the probability simplex."""
+    per-node routing weights drawn uniformly from the probability simplex.
+
+    ``feature_dim`` is keyword-only: ``generate_random_tree`` takes the
+    dimension before the seed, and a call written in that order here would
+    pass the dimension as the seed."""
     if depth_bound < 1:
         raise ValueError("depth_bound must be at least 1")
     if max_children < 2:

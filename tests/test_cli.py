@@ -24,6 +24,7 @@ from treeflat import (
     build_left_matrix,
     build_right_matrix,
     build_signed_matrix,
+    ensemble_score,
     generate_random_general_tree,
     naive_traverse,
     parse_model,
@@ -209,7 +210,7 @@ class TestFlatten:
             for kind, text in expected.items():
                 extra = ["--p", ",".join(f"{v:.17g}" for v in p)] if kind == "fuzzy" else []
                 assert invoke(["flatten", path, kind, *extra], capsys) == (0, text, ""), (name, kind)
-        general = generate_random_general_tree(4, 4, 6, 3)
+        general = generate_random_general_tree(4, 4, 6, feature_dim=3)
         path = tmp_path / "general.json"
         path.write_text(serialize_tree(general))
         text = reference_matrix(build_general_path_matrix(parse_tree(path.read_text())), False)
@@ -451,6 +452,26 @@ class TestScore:
         )
         assert code == 2
         assert "single tree" in err
+
+    def test_totals_fold_from_zero_on_every_path(self, tmp_path, capsys):
+        # Exit leaves of 1e16, 1.0 and -1e16 in model order: the fold from 0.0
+        # loses the 1.0, where Python 3.12's compensated sum() keeps it.
+        trees = [
+            BinaryDecisionTree(Internal(Predicate.one_hot(0, 0.5, 2), Leaf(v), Leaf(v)), 2)
+            for v in (1e16, 1.0, -1e16)
+        ]
+        model, data = tmp_path / "m.json", tmp_path / "d.csv"
+        model.write_text(serialize_ensemble(trees))
+        X = np.array([[0.25, 0.5], [0.5, 0.5], [0.75, 0.5]])
+        np.savetxt(data, X, delimiter=",")
+        for algo in sorted(cli.ALGORITHMS):
+            assert invoke(["score", model, data, "--algo", algo], capsys) == (0, "0\n" * 3, ""), algo
+            models = [TreeMatrices.build(t) for t in parse_model(model.read_text())]
+            # The first call sums per tree, the second stacks, the third is warm.
+            for call in range(3):
+                totals = [ensemble_score(models, x, algo) for x in X]
+                assert [t.hex() for t in totals] == [(0.0).hex()] * 3, (algo, call)
+            assert (models[0]._stack[1] is not None) == (algo != "naive"), algo
 
 
 def test_scoring_never_builds_the_path_table(tmp_path, capsys, monkeypatch):

@@ -167,6 +167,44 @@ class TestLayout:
         assert same_bits(general_leaf_distribution(tree).probs, np.prod(row_major, axis=1))
 
 
+class TestRangeCheck:
+    """Entries must lie in [0, 1]; -0.0 and subnormals are in range.  One
+    integer maximum over the bits accepts most matrices, and only one that
+    fails it is scanned as floats."""
+
+    LAYOUTS = {
+        "C": lambda m: np.ascontiguousarray(m),
+        "F": lambda m: np.asfortranarray(m),
+        "strided": lambda m: np.repeat(m, 2, axis=1)[:, ::2],
+        "reversed": lambda m: m[::-1, ::-1],
+    }
+
+    @staticmethod
+    def matrix(entry):
+        m = np.random.default_rng(4).uniform(size=(5, 4))
+        m[3, 2] = entry
+        return m
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("entry", [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0])
+    def test_edge_entries_are_accepted_with_unchanged_bits(self, layout, entry):
+        m = self.LAYOUTS[layout](self.matrix(entry))
+        expected = np.ones(len(m))
+        for j in range(m.shape[1]):
+            expected = expected * m[:, j]
+        assert same_bits(leaf_probabilities(m).probs, expected)
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize(
+        "entry", [np.nan, -np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0), -5e-324, -1.0, 2.0]
+    )
+    def test_out_of_range_entries_are_rejected(self, layout, entry):
+        m = self.LAYOUTS[layout](self.matrix(entry))
+        for form in (leaf_probabilities, leaf_probabilities_log):
+            with pytest.raises(ValueError, match=r"^routing matrix entries must lie in \[0, 1\]$"):
+                form(m)
+
+
 class TestLogForm:
     def test_all_ones_matrix_is_flagged(self):
         dist = leaf_probabilities_log(np.ones((3, 2)))

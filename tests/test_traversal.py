@@ -207,7 +207,7 @@ class TestTreeMatricesBuild:
                 assert quickscorer_traverse(mats, t).leaf_index == leaf
                 assert dual_traverse(mats, t).leaf_index == leaf
                 assert soft_attention(mats, signed_test_vector(t)).argmax_leaf == leaf
-            total = sum(tree.leaf_values[leaf - 1] for tree, leaf in zip(trees, expected))
+            total = left_fold(tree.leaf_values[leaf - 1] for tree, leaf in zip(trees, expected))
             assert ensemble_score(models, x, "qs") == total
 
 
@@ -529,8 +529,8 @@ class TestEnsemble:
 
 
 def per_vector_sum(models, x, name):
-    """What ``ensemble_score`` returned when it ran one selector per tree."""
-    return float(sum(ALGORITHMS[name](m, x).leaf_value for m in models))
+    """One selector per tree, the leaf values folded from 0 in model order."""
+    return float(left_fold(ALGORITHMS[name](m, x).leaf_value for m in models))
 
 
 def constant_tree(value, dim):
@@ -580,8 +580,11 @@ class TestCachedEnsembleScore:
         if kind == "hostile":
             built, X = hostile_case(11, 3, 4, 4)
             trees = parse_model(serialize_ensemble(built))
-        elif kind == "signed zero":  # sums to 0.0, as sum() adds from 0
+        elif kind == "signed zero":  # sums to 0.0, as the fold starts from 0
             trees = [signed_zero_tree(4), signed_zero_tree(4)]
+            X = random_instances(4, 4, 1)
+        elif kind == "one signed zero":  # 0.0 too, with no fold to run
+            trees = [signed_zero_tree(4)]
             X = random_instances(4, 4, 1)
         else:
             trees = word_ensemble()
@@ -591,7 +594,7 @@ class TestCachedEnsembleScore:
         assert StackedTrees.build(trees).fits_words == (kind != "span")
         return fresh_bundles(trees), X
 
-    @pytest.mark.parametrize("kind", ["words", "span", "hostile", "signed zero"])
+    @pytest.mark.parametrize("kind", ["words", "span", "hostile", "signed zero", "one signed zero"])
     def test_equals_the_per_vector_sum_bit_for_bit(self, kind):
         # Two models in turn, the second the first reversed: each is scored
         # cold, then stacked, then warm, and keeps its own order of addition.
@@ -747,7 +750,8 @@ def instances_with_ties(trees, count, seed):
 
 
 def left_fold(row):
-    """Left to right from 0, as sum() adds floats up to Python 3.11."""
+    """Left to right from 0, as sum() adds floats up to Python 3.11; 3.12
+    compensates its float sums."""
     total = 0
     for value in row:
         total += value
@@ -905,6 +909,95 @@ class TestBatchScore:
         model = StackedTrees.build([six_leaf_tree])
         with pytest.raises(DimensionMismatchError):
             list(batch_score(model, np.zeros((0, 4)), "qs"))
+
+
+def counting_first_hits(hits, model, unique, algorithm):
+    """The selection by per-tree counts and minima, for every model."""
+    starts = model.leaf_starts
+    counts = np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
+    bad = counts != 1 if unique else counts == 0
+    if bad.any():
+        row, tree = np.argwhere(bad)[0]
+        raise traversal._exit_error(algorithm, counts[row, tree], tree)
+    width = hits.shape[1]
+    return np.minimum.reduceat(np.where(hits, np.arange(width), width), starts, axis=1)
+
+
+def sized_model(sizes, dim=3):
+    """A stacked model whose trees have these leaf counts."""
+    return StackedTrees.build([tree_with_leaves(n, dim, i) for i, n in enumerate(sizes)])
+
+
+def selection_outcome(select, hits, model, unique):
+    try:
+        return select(hits, model, unique, "rule").tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFirstHits:
+    """``_first_hits`` selects one tree by ``argmax`` and several by counts;
+    both give the counting selection's positions and errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        rows=st.integers(1, 6),
+        unique=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_equals_the_counting_selection(self, sizes, rows, unique, seed):
+        model = sized_model(sizes)
+        rng = np.random.default_rng(seed)
+        hits = np.zeros((rows, model.num_leaves), dtype=bool)
+        # Mostly one hit per tree and row, sometimes none or several.
+        for row in range(rows):
+            for start, size in zip(model.leaf_starts.tolist(), sizes):
+                count = min(size, int(rng.choice([1, 1, 1, 1, 1, 1, 0, 2, 3])))
+                hits[row, start + rng.choice(size, count, replace=False)] = True
+        got = selection_outcome(traversal._first_hits, hits, model, unique)
+        assert got == selection_outcome(counting_first_hits, hits, model, unique)
+
+    @pytest.mark.parametrize("sizes", [[300], [4, 7, 300]])
+    def test_only_hit_in_the_last_column(self, sizes):
+        model = sized_model(sizes)
+        hits = np.zeros((3, model.num_leaves), dtype=bool)
+        hits[:, model.leaf_starts] = True
+        hits[:, model.leaf_starts[-1]] = False
+        hits[:, -1] = True
+        for unique in (False, True):
+            got = traversal._first_hits(hits, model, unique, "rule")
+            assert got[:, -1].tolist() == [model.num_leaves - 1] * 3
+
+    def test_first_bad_row_raises_its_count(self):
+        # Rows 0-2 exit at leaves 4, 8 and 300; row 3 has no hit and row 4 two.
+        model = sized_model([300])
+        hits = np.zeros((5, 300), dtype=bool)
+        hits[[0, 1, 2], [3, 7, 299]] = True
+        hits[4, [10, 20]] = True
+        for unique in (False, True):
+            with pytest.raises(ValueError, match=r"^rule traversal found 0 exit leaves in tree 0;"):
+                traversal._first_hits(hits, model, unique, "rule")
+            assert traversal._first_hits(hits[:3], model, unique, "rule").tolist() == [[3], [7], [299]]
+
+    def test_two_hits_raise_only_if_unique(self):
+        model = sized_model([300])
+        hits = np.zeros((2, 300), dtype=bool)
+        hits[0, 5] = True
+        hits[1, [40, 41]] = True
+        assert traversal._first_hits(hits, model, False, "rule").tolist() == [[5], [40]]
+        with pytest.raises(ValueError, match="^dual traversal found 2 exit leaves in tree 0;"):
+            traversal._first_hits(hits, model, True, "dual")
+
+    def test_one_leaf_tree(self):
+        model = sized_model([1])
+        hits = np.ones((4, 1), dtype=bool)
+        for unique in (False, True):
+            assert traversal._first_hits(hits, model, unique, "rule").tolist() == [[0]] * 4
+            hits[2] = False
+            with pytest.raises(ValueError, match="found 0 exit leaves in tree 0"):
+                traversal._first_hits(hits, model, unique, "rule")
+            hits[2] = True
 
 
 def full_tree(depth, dim, rng):

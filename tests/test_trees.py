@@ -572,6 +572,14 @@ class TestRandomGeneration:
             got = generate_random_general_tree(depth, 4, seed, feature_dim=2)
             assert serialize_tree(got) == serialize_tree(want)
 
+    def test_general_feature_dim_is_keyword_only(self):
+        # In the binary sampler's order, (depth, dim, seed), a positional
+        # dimension here would be taken as the seed.
+        with pytest.raises(TypeError):
+            generate_random_general_tree(5, 4, 4, 0)
+        tree = generate_random_general_tree(5, 4, 0, feature_dim=4)
+        assert tree.feature_dim == 4
+
     def test_general_deterministic_and_valid(self):
         a = generate_random_general_tree(4, 5, 9, feature_dim=3)
         b = generate_random_general_tree(4, 5, 9, feature_dim=3)
