@@ -21,6 +21,8 @@ from .trees import (
     Internal,
     Leaf,
     Predicate,
+    _assemble,
+    _feature_vector,
     naive_traverse,
 )
 
@@ -114,10 +116,6 @@ def leaf_distribution(tree: BinaryDecisionTree, p) -> LeafDistribution:
     ``leaf_probabilities(build_fuzzy_matrix(tree, p))`` bit for bit, in
     O(sum of leaf depths) rather than O(leaves x nodes).  p is checked as
     ``build_fuzzy_matrix`` checks it.
-
-    That holds for every tree ``validate`` accepts.  A tree whose leaf
-    depths do not match its leaf spans (one that uses a node object twice)
-    raises ValueError here, where the dense pair returns a value.
     """
     factors = tree._branch_factors(p)
     if not tree.num_internal:
@@ -141,29 +139,34 @@ def convert_general_to_binary(
     """
     if not isinstance(tree.root, GeneralInternal):
         raise ValueError("general tree must have an internal root")
+    # The binary nodes in pre-order, from an explicit stack as the samplers
+    # list theirs.  An entry (node, i, remaining) is the split of the chain
+    # of ``node`` that keeps child i on the left, where the children from i
+    # on carry the mass ``remaining``.
+    preorder: list = []
+    stack: list = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Leaf):
+            preorder.append(item.value)
+            continue
+        node, i, remaining = item if isinstance(item, tuple) else (item, 0, 1.0)
+        children, weight = node.children, float(node.weights[i])
+        p = weight / remaining if remaining > 0.0 else 0.5
+        preorder.append((2, min(max(p, 0.0), 1.0)))
+        last = i == len(children) - 2
+        stack.append(children[i + 1] if last else (node, i + 1, remaining - weight))
+        stack.append(children[i])
     dim = max(tree.feature_dim, 1)
+    predicate = Predicate.one_hot(0, 0.0, dim)
     prob_of: dict[int, float] = {}
 
-    def convert(node) -> Internal | Leaf:
-        if isinstance(node, Leaf):
-            return Leaf(node.value)
-        children = node.children
-        weights = np.asarray(node.weights, dtype=np.float64)
+    def split(entry: tuple, children: list) -> Internal:
+        node = Internal(predicate, *children)
+        prob_of[id(node)] = entry[1]
+        return node
 
-        def chain(i: int, remaining: float) -> Internal:
-            left = convert(children[i])
-            if i == len(children) - 2:
-                right = convert(children[i + 1])
-            else:
-                right = chain(i + 1, remaining - float(weights[i]))
-            p = float(weights[i]) / remaining if remaining > 0.0 else 0.5
-            split = Internal(Predicate.one_hot(0, 0.0, dim), left, right)
-            prob_of[id(split)] = min(max(p, 0.0), 1.0)
-            return split
-
-        return chain(0, 1.0)
-
-    binary = BinaryDecisionTree(convert(tree.root), dim)
+    binary = BinaryDecisionTree(_assemble(preorder, split), dim)
     probs = np.asarray([prob_of[id(n)] for n in binary.internal_nodes])
     return binary, probs
 
@@ -177,7 +180,7 @@ def hard_routing_consistency(tree: BinaryDecisionTree, x) -> bool:
     dense pair's bit for bit, and checks it is exactly the indicator of the
     oracle's exit leaf.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _feature_vector(x, tree.feature_dim)
     p = np.where(tree.split_tests.false_nodes(x), 0.0, 1.0)
     dist = leaf_distribution(tree, p)
     expected = np.zeros(tree.num_leaves)

@@ -37,8 +37,8 @@ from .trees import (
     BinaryDecisionTree,
     GeneralTree,
     Internal,
-    Leaf,
     Predicate,
+    _assemble,
 )
 
 __all__ = [
@@ -311,29 +311,27 @@ def recover_tree(m: BitMatrix, kind: str) -> BinaryDecisionTree:
             )
         intervals.append((int(zeros[0]), int(zeros[-1]) + 1))
 
-    def build(cols: list[int], lo: int, hi: int):
+    # The nodes in pre-order from an explicit stack, as the samplers list
+    # theirs, each entry a column subset and its leaf range.
+    preorder: list = []
+    stack = [(list(range(n_nodes)), 0, n_leaves)]
+    while stack:
+        cols, lo, hi = stack.pop()
         if hi - lo == 1:
             if cols:
-                raise UnrealizableMatrixError(
-                    f"columns {cols} left over under a single leaf"
-                )
-            return Leaf(0.0)
+                raise UnrealizableMatrixError(f"columns {cols} left over under a single leaf")
+            preorder.append(0.0)
+            continue
         if kind == "right":
             anchored = [j for j in cols if intervals[j][0] == lo and intervals[j][1] < hi]
-            if not anchored:
-                raise UnrealizableMatrixError(
-                    f"no column splits the leaf range [{lo}, {hi})"
-                )
-            root = max(anchored, key=lambda j: intervals[j][1])
-            mid = intervals[root][1]
+            pick, bound = max, (lambda j: intervals[j][1])
         else:
             anchored = [j for j in cols if intervals[j][1] == hi and intervals[j][0] > lo]
-            if not anchored:
-                raise UnrealizableMatrixError(
-                    f"no column splits the leaf range [{lo}, {hi})"
-                )
-            root = min(anchored, key=lambda j: intervals[j][0])
-            mid = intervals[root][0]
+            pick, bound = min, (lambda j: intervals[j][0])
+        if not anchored:
+            raise UnrealizableMatrixError(f"no column splits the leaf range [{lo}, {hi})")
+        root = pick(anchored, key=bound)
+        mid = bound(root)
         left_cols, right_cols = [], []
         for j in cols:
             if j == root:
@@ -344,19 +342,15 @@ def recover_tree(m: BitMatrix, kind: str) -> BinaryDecisionTree:
             elif mid <= a and b <= hi:
                 right_cols.append(j)
             else:
-                raise UnrealizableMatrixError(
-                    f"column {j} straddles the split at leaf row {mid}"
-                )
-        return Internal(
-            Predicate.one_hot(0, 0.0, 1),
-            build(left_cols, lo, mid),
-            build(right_cols, mid, hi),
-        )
+                raise UnrealizableMatrixError(f"column {j} straddles the split at leaf row {mid}")
+        preorder.append((2,))
+        stack += [(right_cols, mid, hi), (left_cols, lo, mid)]
 
-    tree = BinaryDecisionTree(build(list(range(n_nodes)), 0, n_leaves), 1)
+    predicate = Predicate.one_hot(0, 0.0, 1)
+    tree = BinaryDecisionTree(
+        _assemble(preorder, lambda _, children: Internal(predicate, *children)), 1
+    )
     rebuilt = build_right_matrix(tree) if kind == "right" else build_left_matrix(tree)
     if not np.array_equal(rebuilt.entries, entries):
-        raise UnrealizableMatrixError(
-            "columns are not in breadth-first order for any tree shape"
-        )
+        raise UnrealizableMatrixError("columns are not in breadth-first order for any tree shape")
     return tree

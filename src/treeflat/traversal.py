@@ -108,6 +108,7 @@ from .trees import (
     BinaryDecisionTree,
     DimensionMismatchError,
     SplitTests,
+    _feature_vector,
     _unit_features,
     naive_traverse,
 )
@@ -249,13 +250,6 @@ class TreeMatrices:
 
     def _result(self, row: int, score: np.ndarray | None = None, processed: int | None = None) -> TraversalResult:
         return TraversalResult(row + 1, float(self.leaf_values[row]), score, processed)
-
-
-def _feature_vector(x, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dim,):
-        raise DimensionMismatchError(f"feature vector has shape {x.shape}, expected ({dim},)")
-    return x
 
 
 def _false_nodes(tree: BinaryDecisionTree, x) -> np.ndarray:
@@ -849,7 +843,7 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     _, values = next(batch_score(model, x[None, :], algorithm))
     if values.shape[1] == 1:
         return float(values[0, 0]) + 0.0
-    return float(sum_in_model_order(values)[0])
+    return float(np.add.accumulate(values[0])[-1]) + 0.0
 
 
 def _check_batch_names(names: Sequence[str]) -> None:

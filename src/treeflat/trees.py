@@ -1,22 +1,25 @@
 """Decision tree data model: construction, validation, serialization, random
 generation, and the recursive traversal oracle.
 
-Binary and general trees share one core: one walk numbers the nodes of
-either kind, one walk validates them, and one codec reads and writes their
-nodes.  Each kind adds only its own node checks and fields.  A binary node's
-children are ``(left, right)``, so a binary tree is numbered exactly as the
-same tree read as a general tree.
+Binary and general trees share one core: one walk validates the node
+objects of either kind, and one codec reads and writes their nodes.  Each
+kind adds only its own node checks and fields.  A binary node's children
+are ``(left, right)``, so a binary tree is numbered exactly as the same tree
+read as a general tree.
 
-A parsed binary tree is node arrays.  The parser reads every node of a
+Every binary tree is node arrays.  The parser reads every node of a
 document in one iterative walk, shared by both kinds, into pre-order
 columns (feature index, threshold, dense weight rows only where a node has
-them, children, leaf values), and derives the breadth-first numbering, the
-leaf order, the leaf depths and the leaf spans of every binary tree of the
-model from them by array operations.  Its ``Internal``/``Leaf``/
-``Predicate`` objects are a view, built from the arrays on first read and
-kept; scoring, ``validate`` and ``naive_traverse`` read only the arrays.
-Trees built from objects keep the object walks, and general trees are
-built as objects as soon as they are read.
+them, children, leaf values); ``BinaryDecisionTree(root, feature_dim)``
+walks ``Internal``/``Leaf``/``Predicate`` objects into the same columns.
+The breadth-first numbering, the leaf order, the leaf depths and the leaf
+spans of every binary tree are derived from the columns by array
+operations.  A tree built from objects keeps them; a parsed tree builds its
+objects from the arrays on first read and keeps them.  Scoring and
+``naive_traverse`` read only the arrays, and ``validate`` reads a parsed
+tree's arrays and walks the objects of a tree built from them.  General
+trees are built as objects as soon as they are read, and one walk over the
+objects numbers them.
 
 Conventions shared by the whole package:
 
@@ -85,14 +88,6 @@ class Predicate:
 
     weights: np.ndarray
     threshold: float
-
-    def passes(self, x: np.ndarray) -> bool:
-        """The split test of ``SplitTests`` for one float64 vector x."""
-        feature = self.one_hot_feature
-        if feature is not None:
-            return float(x[feature]) > self.threshold
-        weights = np.asarray(self.weights, dtype=np.float64)
-        return float(dense_products(weights[None, :], x)[0]) > self.threshold
 
     @classmethod
     def one_hot(cls, feature: int, threshold: float, dim: int) -> "Predicate":
@@ -203,8 +198,7 @@ GNode = Union[GeneralInternal, Leaf]
 
 
 class _Tree:
-    """The numbering both tree kinds share, derived in one walk that takes
-    each internal node's ``children`` in order.
+    """What both tree kinds share.
 
     * ``internal_nodes`` lists internal nodes in breadth-first order.
     * ``leaves`` lists leaves from left to right, and ``leaf_depths`` gives
@@ -213,72 +207,14 @@ class _Tree:
 
     Each kind sets ``_internal``, its internal node class (a node of any
     other class is neither internal nor leaf, and ``validate`` reports it),
-    and defines ``_keep_spans``, which keeps the per-node spans the kind
-    needs from the subtree ranges, and ``_check_internal``, which reports
-    the problems of one internal node and pushes its well-formed children
-    onto the validation stack.
-
-    This constructor is the object form.  A parsed binary tree is built by
-    ``BinaryDecisionTree._from_arrays`` instead, and ``_arrays`` tells the
-    two apart.
+    and defines ``_check_internal``, which reports the problems of one
+    internal node and pushes its well-formed children onto the validation
+    stack.  ``validate`` walks the node objects of a tree whose ``_objects``
+    is set: every general tree, and a binary tree built from objects.
     """
 
     _internal: type
-    _arrays: "_SplitArrays | None" = None
-
-    def __init__(self, root, feature_dim: int):
-        self.root = root
-        self.feature_dim = int(feature_dim)
-        self.leaves: list[Leaf] = []
-        self._leaf_pos: dict[int, int] = {}
-        self._depths: list[int] = []
-        # id(node) -> leaf-row range (lo, hi) of its subtree; a leaf's is
-        # (pos, pos + 1).  Only the spans are kept.
-        ranges: dict[int, tuple[int, int]] = {}
-        self.internal_nodes: list = self._index(ranges)
-        self._keep_spans(ranges)
-
-    def _index(self, ranges: dict[int, tuple[int, int]]) -> list:
-        # Depth first, first child first, so leaves come out left to right.
-        # Listing each depth's internal nodes in the order the walk meets
-        # them gives the breadth-first order.  A node comes off the stack a
-        # second time, with its children, once its subtree is walked; it
-        # gets a range then if every child has one.
-        internal = self._internal
-        leaves, leaf_pos, depths = self.leaves, self._leaf_pos, self._depths
-        get = ranges.get
-        levels: list[list] = []
-        stack: list[tuple[object, int, tuple | None]] = [(self.root, 0, None)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            node, depth, children = pop()
-            if children is not None:
-                # Looking up the middle children only when there are any
-                # keeps this step as cheap as the two lookups a binary
-                # node needs.
-                first, last = get(id(children[0])), get(id(children[-1]))
-                if first and last and (
-                    len(children) < 3 or None not in map(get, map(id, children[1:-1]))
-                ):
-                    ranges[id(node)] = (first[0], last[1])
-            elif isinstance(node, Leaf):
-                pos = len(leaves)
-                leaves.append(node)
-                leaf_pos[id(node)] = pos
-                depths.append(depth)
-                ranges[id(node)] = (pos, pos + 1)
-            elif isinstance(node, internal):
-                if depth == len(levels):
-                    levels.append([])
-                levels[depth].append(node)
-                children = node.children
-                if children:  # a childless node gets no range
-                    push((node, depth, children))
-                depth += 1
-                for child in reversed(children):
-                    if child is not None:
-                        push((child, depth, None))
-        return [node for level in levels for node in level]
+    _objects = True
 
     @property
     def num_internal(self) -> int:
@@ -289,12 +225,8 @@ class _Tree:
         return len(self.leaf_depths)
 
     @cached_property
-    def leaf_depths(self) -> np.ndarray:
-        return np.asarray(self._depths, dtype=np.int64)
-
-    @cached_property
-    def leaf_values(self) -> np.ndarray:
-        return np.asarray([leaf.value for leaf in self.leaves], dtype=np.float64)
+    def _leaf_pos(self) -> dict[int, int]:
+        return {id(leaf): pos for pos, leaf in enumerate(self.leaves)}
 
     def leaf_position(self, leaf: Leaf) -> int:
         """1-based left-to-right index of a leaf object of this tree."""
@@ -303,8 +235,8 @@ class _Tree:
 
 @dataclass(frozen=True, eq=False)
 class _SplitArrays:
-    """The node arrays a parsed binary tree keeps besides its public ones,
-    one row per internal node in breadth-first order.
+    """The node arrays a binary tree keeps besides its public ones, one row
+    per internal node in breadth-first order.
 
     ``children[j]`` is node j's ``(left, right)``: a child ``c >= 0`` is
     internal node c, a child ``c < 0`` is leaf row ``~c``.  ``features[j]``
@@ -323,7 +255,8 @@ class _NodeView:
     """A node-object attribute (``root``, ``internal_nodes``, ``leaves``) of
     a binary tree.  The object constructor sets the attribute on the
     instance, which hides this descriptor; a parsed tree builds all of them
-    from its arrays on the first read of any, and keeps them."""
+    from its arrays on the first read of any, and keeps them.  A malformed
+    tree has no arrays, so the read raises."""
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
@@ -335,51 +268,64 @@ class _NodeView:
         return tree.__dict__[self.name]
 
 
-class BinaryDecisionTree(_Tree):
-    """Full binary decision tree over a fixed feature space.
+class _NoArrays:
+    """A node array of a binary tree.  Every tree whose nodes give arrays
+    sets it on the instance, which hides this descriptor; reading it on a
+    tree built from objects that give none raises."""
 
-    Besides the shared numbering, ``leaf_spans[j]`` is ``(lo, mid, hi)`` for
+    def __get__(self, tree, owner=None):
+        if tree is None:
+            return self
+        raise ValueError("tree is malformed: its node objects give no node arrays; run validate()")
+
+
+class BinaryDecisionTree(_Tree):
+    """Full binary decision tree over a fixed feature space, held as node
+    arrays: ``span_array``, ``thresholds``, ``leaf_values``, ``leaf_depths``
+    and the split arrays.  ``span_array[j]`` is ``(lo, mid, hi)`` for
     internal node ``j``: its subtree covers leaf rows ``lo..hi-1`` with the
     left subtree ending at ``mid`` (0-based, half-open).
 
-    A tree is built either from ``Internal``/``Leaf`` objects, or by the
-    parser as node arrays (``span_array``, ``thresholds``, ``leaf_values``,
-    ``leaf_depths`` and the split arrays).  The node objects of a parsed
-    tree are a view, built on first read; scoring, validation and the
-    oracle read the arrays.
+    The constructor walks ``Internal``/``Leaf`` objects into the columns
+    the parser fills, takes the same arrays from them, and keeps the
+    caller's objects as ``root``, ``internal_nodes`` and ``leaves``.  A
+    parsed tree builds those objects from its arrays on first read.
+    Scoring and the oracle read only the arrays.  Objects that give no
+    arrays (a shared node, a missing or foreign child, a node without a
+    ``Predicate``, a weight row of another length, or a non-number) make a
+    malformed tree: ``validate`` reports its faults, and reading any of its
+    arrays raises ValueError.
     """
 
     _internal = Internal
+    _objects = False  # a parsed tree: validate reads its arrays
     root = _NodeView()
     internal_nodes = _NodeView()
     leaves = _NodeView()
-    _leaf_pos = _NodeView()
+    span_array = thresholds = leaf_values = leaf_depths = _arrays = _NoArrays()
+
+    def __init__(self, root: Node, feature_dim: int):
+        self.root, self.feature_dim, self._objects = root, int(feature_dim), True
+        columns = _BinaryColumns()
+        nodes = columns.read_objects(root, self.feature_dim)
+        if nodes is not None:
+            [tree] = columns.trees()
+            self.__dict__.update(vars(tree))
+            internal, self.leaves = nodes
+            self.internal_nodes = [internal[k] for k in columns.breadth_first.tolist()]
 
     @classmethod
-    def _from_arrays(
-        cls,
-        feature_dim: int,
-        arrays: _SplitArrays,
-        spans: np.ndarray,
-        thresholds: np.ndarray,
-        leaf_values: np.ndarray,
-        leaf_depths: np.ndarray,
-    ) -> "BinaryDecisionTree":
+    def _from_arrays(cls, **arrays) -> "BinaryDecisionTree":
+        """A tree of ``feature_dim``, ``_arrays`` (its ``_SplitArrays``),
+        ``span_array``, ``thresholds``, ``leaf_values`` and ``leaf_depths``."""
         tree = cls.__new__(cls)
-        tree.__dict__.update(
-            feature_dim=feature_dim,
-            _arrays=arrays,
-            span_array=spans,
-            thresholds=thresholds,
-            leaf_values=leaf_values,
-            leaf_depths=leaf_depths,
-        )
+        tree.__dict__.update(arrays)
         return tree
 
     def _node_view(self) -> dict:
-        """``root``, ``internal_nodes``, ``leaves`` and the leaf positions of
-        a parsed tree, built from its arrays bottom-up (breadth-first order
-        lists every child after its parent)."""
+        """``root``, ``internal_nodes`` and ``leaves`` of a parsed tree,
+        built from its arrays bottom-up (breadth-first order lists every
+        child after its parent)."""
         arrays, dim = self._arrays, self.feature_dim
         leaves = [Leaf(value) for value in self.leaf_values.tolist()]
         dense = dict(zip(arrays.dense_index.tolist(), arrays.dense_rows))
@@ -396,19 +342,7 @@ class BinaryDecisionTree(_Tree):
                 nodes[left] if left >= 0 else leaves[~left],
                 nodes[right] if right >= 0 else leaves[~right],
             )
-        return {
-            "root": nodes[0] if nodes else leaves[0],
-            "internal_nodes": nodes,
-            "leaves": leaves,
-            "_leaf_pos": {id(leaf): pos for pos, leaf in enumerate(leaves)},
-        }
-
-    def _keep_spans(self, ranges: dict[int, tuple[int, int]]) -> None:
-        self.leaf_spans: list[tuple[int, int, int]] = []
-        for node in self.internal_nodes:
-            lr = ranges.get(id(node.left))
-            rr = ranges.get(id(node.right))
-            self.leaf_spans.append((lr[0], lr[1], rr[1]) if lr and rr else (0, 0, 0))
+        return {"root": nodes[0] if nodes else leaves[0], "internal_nodes": nodes, "leaves": leaves}
 
     @property
     def num_internal(self) -> int:
@@ -416,13 +350,8 @@ class BinaryDecisionTree(_Tree):
 
     @cached_property
     def leaf_spans(self) -> list[tuple[int, int, int]]:
+        """``span_array`` as a list of ``(lo, mid, hi)`` tuples."""
         return list(map(tuple, self.span_array.tolist()))
-
-    @cached_property
-    def span_array(self) -> np.ndarray:
-        """``leaf_spans`` as an int64 array with one ``(lo, mid, hi)`` row per
-        internal node."""
-        return np.asarray(self.leaf_spans, dtype=np.int64).reshape(-1, 3)
 
     def _branch_factors(self, p) -> np.ndarray:
         """``concatenate([p, 1 - p])`` for branch probabilities p, checked:
@@ -451,9 +380,7 @@ class BinaryDecisionTree(_Tree):
         """
         n = self.num_internal
         lo, mid, hi = self.span_array.T
-        # A tree that shares a node object can have hi < mid; the node's
-        # right slice is then empty, as the slice mid:hi is.
-        lengths = np.maximum(mid, hi) - lo
+        lengths = hi - lo
         # The array methods, not np.repeat and np.cumsum: on a 33-leaf tree
         # those functions' dispatch costs more than the work.
         node = np.arange(n).repeat(lengths)
@@ -490,50 +417,31 @@ class BinaryDecisionTree(_Tree):
         """``_path_cells``'s branches in row-major order, by leaf and then by
         node, and the start of each leaf's row in it.  Breadth-first
         numbering puts a node after its parent, so each row runs root
-        first.  Only ``leaf_distribution`` reads it.
-
-        Raises ValueError when a leaf's row length differs from its depth:
-        a tree that uses a node object twice, whose rows would not line up
-        with the leaves.
+        first, and a leaf's row is as long as its depth.  Only
+        ``leaf_distribution`` reads it.
         """
         cell, branch = self._path_cells
         depths = self.leaf_depths
-        if not np.array_equal(np.bincount(cell // self.num_internal, minlength=len(depths)), depths):
-            raise ValueError("tree is malformed: its leaf depths do not match its leaf spans")
         return branch[np.argsort(cell)], depths.cumsum() - depths
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
-        """Stacked predicate weights, one row per internal node.  A parsed
-        tree fills it with one scatter of the one-hot features, plus its
-        dense weight rows."""
+        """Stacked predicate weights, one row per internal node: one scatter
+        of the one-hot features, plus the dense weight rows."""
         arrays = self._arrays
-        if arrays is not None:
-            w = np.zeros((self.num_internal, self.feature_dim))
-            one_hot = np.flatnonzero(arrays.features >= 0)
-            w[one_hot, arrays.features[one_hot]] = 1.0
-            w[arrays.dense_index] = arrays.dense_rows
-            return w
-        if not self.internal_nodes:
-            return np.zeros((0, self.feature_dim))
-        return np.stack([n.predicate.weights for n in self.internal_nodes])
-
-    @cached_property
-    def thresholds(self) -> np.ndarray:
-        return np.asarray(
-            [n.predicate.threshold for n in self.internal_nodes], dtype=np.float64
-        )
+        w = np.zeros((self.num_internal, self.feature_dim))
+        one_hot = np.flatnonzero(arrays.features >= 0)
+        w[one_hot, arrays.features[one_hot]] = 1.0
+        w[arrays.dense_index] = arrays.dense_rows
+        return w
 
     @cached_property
     def split_features(self) -> np.ndarray:
         """Per internal node, the feature of a one-hot split, or -1 where the
         node has dense weights (``Predicate.one_hot_feature``)."""
-        arrays = self._arrays
-        if arrays is None:
-            features = [n.predicate.one_hot_feature for n in self.internal_nodes]
-            return np.array([-1 if f is None else f for f in features], dtype=np.int64)
         # A parsed dense row of one unit weight is a one-hot split, as it is
         # in the node view and after a round trip through serialize_tree.
+        arrays = self._arrays
         features = arrays.features.copy()
         features[arrays.dense_index] = _unit_features(arrays.dense_rows)
         return features
@@ -544,20 +452,15 @@ class BinaryDecisionTree(_Tree):
         features = self.split_features
         dense = np.flatnonzero(features < 0)
         arrays = self._arrays
-        if arrays is None:
-            nodes = self.internal_nodes
-            rows = [np.asarray(nodes[j].predicate.weights, dtype=np.float64) for j in dense.tolist()]
-            rows = np.array(rows).reshape(len(dense), self.feature_dim)
-        else:
-            row_of = np.zeros(self.num_internal, dtype=np.int64)
-            row_of[arrays.dense_index] = np.arange(len(arrays.dense_index))
-            rows = arrays.dense_rows[row_of[dense]].reshape(len(dense), self.feature_dim)
+        row_of = np.zeros(self.num_internal, dtype=np.int64)
+        row_of[arrays.dense_index] = np.arange(len(arrays.dense_index))
+        rows = arrays.dense_rows[row_of[dense]].reshape(len(dense), self.feature_dim)
         return SplitTests.build(features, self.thresholds, rows)
 
     @cached_property
     def _routing(self) -> tuple[list, list, list]:
-        """A parsed tree's gather index, thresholds and children as lists,
-        for the oracle's walk."""
+        """The gather index, thresholds and children as lists, for the
+        oracle's walk."""
         tests = self.split_tests
         return tests.gather.tolist(), self.thresholds.tolist(), self._arrays.children.tolist()
 
@@ -574,6 +477,8 @@ class BinaryDecisionTree(_Tree):
                 )
             elif np.count_nonzero(w) == 0:
                 problems.append(f"internal node {path} has all-zero weights")
+            elif w.dtype.kind not in "biuf":  # the constructor casts them to float64
+                problems.append(f"internal node {path} has non-numeric weights")
             if not _is_finite_number(pred.threshold):
                 problems.append(f"internal node {path} has a non-finite threshold")
         for side, child in (("left", node.left), ("right", node.right)):
@@ -590,18 +495,51 @@ class GeneralTree(_Tree):
 
     General trees carry no predicates; they route probabilistically by the
     per-edge weights.  ``child_spans[j][k]`` is the half-open leaf row range
-    of internal node ``j``'s k-th child subtree.
+    of internal node ``j``'s k-th child subtree.  One walk over the node
+    objects numbers them as the parser numbers a binary tree's nodes.
     """
 
     _internal = GeneralInternal
 
     def __init__(self, root: GNode, feature_dim: int = 0):
-        super().__init__(root, feature_dim)
-
-    def _keep_spans(self, ranges: dict[int, tuple[int, int]]) -> None:
+        self.root, self.feature_dim = root, int(feature_dim)
+        self.leaves: list[Leaf] = []
+        depths: list[int] = []
+        levels: list[list[GeneralInternal]] = []
+        # id(node) -> leaf-row range (lo, hi) of its subtree; a leaf's is
+        # (pos, pos + 1).  The walk goes depth first, first child first, so
+        # leaves come out left to right, and listing each depth's internal
+        # nodes in the order it meets them gives the breadth-first order.  A
+        # node comes off the stack a second time, with its children, once its
+        # subtree is walked; it gets a range then if every child has one.
+        ranges: dict[int, tuple[int, int]] = {}
+        stack: list[tuple[object, int, tuple | None]] = [(root, 0, None)]
+        while stack:
+            node, depth, children = stack.pop()
+            if children is not None:
+                spans = [ranges.get(id(child)) for child in children]
+                if None not in spans:
+                    ranges[id(node)] = (spans[0][0], spans[-1][1])
+            elif isinstance(node, Leaf):
+                ranges[id(node)] = (len(depths), len(depths) + 1)
+                self.leaves.append(node)
+                depths.append(depth)
+            elif isinstance(node, GeneralInternal):
+                if depth == len(levels):
+                    levels.append([])
+                levels[depth].append(node)
+                if node.children:  # a childless node gets no range
+                    stack.append((node, depth, node.children))
+                stack += [(c, depth + 1, None) for c in reversed(node.children) if c is not None]
+        self.internal_nodes = [node for level in levels for node in level]
+        self.leaf_depths = np.asarray(depths, dtype=np.int64)
         self.child_spans: list[list[tuple[int, int]]] = [
             [ranges.get(id(c), (0, 0)) for c in node.children] for node in self.internal_nodes
         ]
+
+    @cached_property
+    def leaf_values(self) -> np.ndarray:
+        return np.asarray([leaf.value for leaf in self.leaves], dtype=np.float64)
 
     @property
     def max_children(self) -> int:
@@ -679,7 +617,7 @@ def _parsed_problems(tree: BinaryDecisionTree) -> list[str]:
 
 
 def _validate(tree: _Tree) -> list[str]:
-    if tree._arrays is not None:
+    if not tree._objects:
         return _parsed_problems(tree)
     if tree.root is None:
         return ["tree has no root"]
@@ -757,34 +695,29 @@ def validate(tree: BinaryDecisionTree | GeneralTree) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
+def _feature_vector(x, dim: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (dim,):
+        raise DimensionMismatchError(f"feature vector has shape {x.shape}, expected ({dim},)")
+    return x
+
+
 def naive_traverse(tree: BinaryDecisionTree, x) -> int:
     """Walk from the root and return the 1-based exit leaf index.
 
-    This recursive descent is the ground-truth oracle every arithmetic
-    traversal is checked against; it never touches the matrix machinery.
-    A parsed tree is walked through its child arrays, testing the value
-    ``SplitTests`` reads for each node (x as Python floats, widened by the
-    dense products) against the threshold, so its node objects are never
-    built.
+    This descent is the ground-truth oracle every arithmetic traversal is
+    checked against; it never touches the matrix machinery.  It walks the
+    tree's child arrays, testing the value ``SplitTests`` reads for each
+    node (x as Python floats, widened by the dense products) against the
+    threshold, so no node object is read.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.feature_dim,):
-        raise DimensionMismatchError(
-            f"feature vector has shape {x.shape}, expected ({tree.feature_dim},)"
-        )
-    if tree._arrays is not None:
-        gather, thresholds, children = tree._routing
-        values = tree.split_tests.widen(x).tolist()
-        j = 0 if children else -1
-        while j >= 0:
-            j = children[j][0] if values[gather[j]] > thresholds[j] else children[j][1]
-        return ~j + 1
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.left if node.predicate.passes(x) else node.right
-    if not isinstance(node, Leaf):
-        raise ValueError("traversal fell off the tree; run validate() on the model")
-    return tree.leaf_position(node)
+    x = _feature_vector(x, tree.feature_dim)
+    gather, thresholds, children = tree._routing
+    values = tree.split_tests.widen(x).tolist()
+    j = 0 if children else -1
+    while j >= 0:
+        j = children[j][0] if values[gather[j]] > thresholds[j] else children[j][1]
+    return ~j + 1
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +755,17 @@ def _number(value, what: str) -> float:
         raise _NodeError(
             lambda path: f"{what.format(path)} is an integer too large for a float"
         ) from None
+
+
+def _object_number(value) -> float | None:
+    """A node object's number as a float, with an int too large for a float
+    as ±inf, as the parser reads 1e400; None for a non-number."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class _NodeColumns:
@@ -932,11 +876,57 @@ class _BinaryColumns(_NodeColumns):
 
         self.walk(root, read_internal)
 
+    def read_objects(self, root, dim: int) -> tuple[list[Internal], list[Leaf]] | None:
+        """Walk a tree of ``Internal``/``Leaf`` objects into the columns, as
+        ``read`` walks a document, and return its internal nodes and leaves
+        in pre-order; None, with the columns left unusable, when the objects
+        give no arrays (``BinaryDecisionTree`` lists why).  One
+        ``_unit_features`` over all weight rows finds the one-hot splits."""
+        numbers, parents = self.numbers, self.parents
+        self.starts.append(len(numbers))
+        self.dims.append(dim)
+        internal, leaves, rows, seen = [], [], [], set()
+        stack = [(root, -1)]
+        pop, push, see = stack.pop, stack.append, seen.add
+        while stack:
+            node, parent = pop()
+            if id(node) in seen:  # a shared node
+                return None
+            see(id(node))
+            if isinstance(node, Leaf):
+                value = node.value
+                leaves.append(node)
+            elif isinstance(node, Internal) and isinstance(node.predicate, Predicate):
+                value = node.predicate.threshold
+                rows.append(node.predicate.weights)
+                internal.append(node)
+                push((node.right, len(parents)))
+                push((node.left, len(parents)))
+            else:
+                return None
+            if type(value) is not float and (value := _object_number(value)) is None:
+                return None
+            numbers.append(value)
+            parents.append(parent)
+        try:
+            rows = np.array(rows, dtype=np.float64) if rows else np.zeros((0, dim))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if rows.shape != (len(internal), dim):
+            return None
+        features = _unit_features(rows)
+        for k in np.flatnonzero(features < 0).tolist():
+            self.dense[len(self.features) + k] = rows[k]
+        self.features += features.tolist()
+        return internal, leaves
+
     def trees(self) -> list[BinaryDecisionTree]:
         """Every tree's arrays, derived by array operations over the whole
         model.  In pre-order, a node's left child is the next node, and its
         leaves are the leaf rows from the leaves before it to its last leaf,
-        found by following right children."""
+        found by following right children.  ``breadth_first`` keeps the
+        model's internal nodes in breadth-first order, as their places in
+        pre-order among the internal nodes."""
         if not self.dims:
             return []
         count = len(self.numbers)
@@ -956,7 +946,7 @@ class _BinaryColumns(_NodeColumns):
         starts = np.array([*self.starts, count])
         tree_of = np.repeat(np.arange(len(self.dims)), np.diff(starts))
         # Breadth-first: by tree, then depth, then pre-order (lexsort is stable).
-        rank = np.lexsort((depth[internal], tree_of[internal]))
+        rank = self.breadth_first = np.lexsort((depth[internal], tree_of[internal]))
         order = internal[rank]
         # Where each tree starts on the model's internal-node and leaf axes.
         internal_starts = np.searchsorted(internal, starts)
@@ -991,10 +981,14 @@ class _BinaryColumns(_NodeColumns):
             a, b = internal_starts[t], internal_starts[t + 1]
             c, d = leaf_starts[t], leaf_starts[t + 1]
             index, rows = dense.get(t) or (no_index, np.zeros((0, dim)))
-            arrays = _SplitArrays(features[a:b], children[a:b], index, rows)
             trees.append(
                 BinaryDecisionTree._from_arrays(
-                    dim, arrays, spans[a:b], thresholds[a:b], leaf_values[c:d], leaf_depths[c:d]
+                    feature_dim=dim,
+                    _arrays=_SplitArrays(features[a:b], children[a:b], index, rows),
+                    span_array=spans[a:b],
+                    thresholds=thresholds[a:b],
+                    leaf_values=leaf_values[c:d],
+                    leaf_depths=leaf_depths[c:d],
                 )
             )
         return trees
@@ -1152,8 +1146,9 @@ def serialize_ensemble(trees) -> str:
 # The samplers visit nodes in pre-order from an explicit stack, so a node
 # draws its numbers before its first subtree does, as a recursive sampler
 # would, and no depth raises RecursionError.  The nodes are then built from
-# the last one back: in reversed pre-order, a node's children are on top of
-# the stack, first child topmost.
+# the last one back by ``_assemble``, which ``recover_tree`` and
+# ``convert_general_to_binary`` share: in reversed pre-order, a node's
+# children are on top of the stack, first child topmost.
 # ---------------------------------------------------------------------------
 
 
@@ -1174,11 +1169,12 @@ def _sample_preorder(depth_bound: int, rng: np.random.Generator, internal: Calla
 
 
 def _assemble(nodes: list, make: Callable[[tuple, list], object]) -> object:
-    """The root of the tree ``_sample_preorder`` listed; ``make`` builds an
-    internal node from its entry and its children."""
+    """The root of a tree listed in pre-order as ``_sample_preorder`` lists
+    it: a ``(children, ...)`` tuple per internal node, a value per leaf.
+    ``make`` builds an internal node from its entry and its children."""
     built: list = []
     for node in reversed(nodes):
-        if isinstance(node, float):
+        if not isinstance(node, tuple):
             built.append(Leaf(node))
         else:
             children = [built.pop() for _ in range(node[0])]

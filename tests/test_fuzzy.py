@@ -249,6 +249,15 @@ class TestGeneralToBinary:
         converted = leaf_probabilities(build_fuzzy_matrix(binary, probs))
         original = general_leaf_distribution(eight_leaf_general_tree)
         np.testing.assert_allclose(converted.probs, original.probs, atol=1e-9)
+        # A root with 3000 leaf children becomes a chain of splits far deeper
+        # than Python's recursion limit.  The path form, which equals the
+        # dense pair bit for bit, needs no 3000 x 2999 matrix.
+        weights = np.random.default_rng(0).dirichlet(np.ones(3000))
+        wide = GeneralTree(general_node([Leaf(float(k)) for k in range(3000)], weights), 1)
+        binary, probs = convert_general_to_binary(wide)
+        assert validate(binary).ok and binary.leaf_values.tolist() == wide.leaf_values.tolist()
+        converted = leaf_distribution(binary, probs)
+        np.testing.assert_allclose(converted.probs, general_leaf_distribution(wide).probs, atol=1e-9)
 
     def test_binary_general_tree_is_fixed_point(self):
         root = general_node(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_shapes,
     binary_to_general,
+    chain_tree,
     fuzzy_cases,
     same_bits,
     shared_leaf_tree,
@@ -15,8 +16,13 @@ from conftest import (
     subtree_leaves,
 )
 from treeflat import (
+    BinaryDecisionTree,
     BitMatrix,
     GeneralTree,
+    Internal,
+    Leaf,
+    Predicate,
+    StackedTrees,
     UnrealizableMatrixError,
     build_depth_vector,
     build_fuzzy_matrix,
@@ -29,7 +35,9 @@ from treeflat import (
     decompose_general_matrix,
     generate_random_general_tree,
     generate_random_tree,
+    leaf_distribution,
     matrix_rank,
+    naive_traverse,
     prune_leaf,
     recover_tree,
     serialize_tree,
@@ -290,18 +298,53 @@ class TestScatterBuilders:
         assert row_branches.tolist() == [b for row in rows for b in row]
         assert starts.tolist() == [0, 2, 4, 7, 10, 13]
 
-    def test_shared_node_tree_matches_the_span_loop(self):
-        # The inner node's right span runs backwards (hi < mid), and both
-        # forms write nothing there.
-        tree = shared_leaf_tree()
-        assert not validate(tree).ok
-        lo, mid, hi = tree.leaf_spans[1]
-        assert hi < mid
-        right, left, signed, fuzzy = span_loop_matrices(tree, [0.3, 0.6])
-        assert same_bits(build_right_matrix(tree).entries, right)
-        assert same_bits(build_left_matrix(tree).entries, left)
-        assert same_bits(build_signed_matrix(tree), signed)
-        assert same_bits(build_fuzzy_matrix(tree, [0.3, 0.6]), fuzzy)
+    @pytest.mark.parametrize(
+        "tree, problems",
+        [
+            (
+                shared_leaf_tree(),
+                ["node root.left.left appears more than once (shared subtree)",
+                 "leaf count 2 does not equal internal count 2 + 1"],
+            ),
+            (
+                BinaryDecisionTree(Internal(Predicate.one_hot(0, 0.5, 5), Leaf(0.0), None), 5),
+                ["internal node root is missing its right child",
+                 "leaf count 1 does not equal internal count 1 + 1"],
+            ),
+            (
+                BinaryDecisionTree(Internal(Predicate.one_hot(0, 0.5, 5), Leaf(0.0), "leaf"), 5),
+                ["internal node root has a malformed right child",
+                 "leaf count 1 does not equal internal count 1 + 1"],
+            ),
+            (
+                BinaryDecisionTree(Internal(Predicate(np.ones(3), 0.5), Leaf(0.0), Leaf(1.0)), 5),
+                ["internal node root has weights of length 3, expected 5"],
+            ),
+            (
+                BinaryDecisionTree(
+                    Internal(Predicate(np.array(list("abcde")), 0.5), Leaf(0.0), Leaf(1.0)), 5
+                ),
+                ["internal node root has non-numeric weights"],
+            ),
+        ],
+        ids=["shared leaf", "missing child", "foreign child", "short weights", "text weights"],
+    )
+    def test_object_fault_trees_have_no_matrices(self, tree, problems):
+        # Objects that give no node arrays: every reader of the arrays raises
+        # the one malformed error, and validate names the fault.
+        assert validate(tree).problems == problems
+        readers = [
+            build_right_matrix,
+            build_left_matrix,
+            build_signed_matrix,
+            lambda t: build_fuzzy_matrix(t, [0.5]),
+            lambda t: leaf_distribution(t, [0.5]),
+            lambda t: naive_traverse(t, np.zeros(t.feature_dim)),
+            lambda t: StackedTrees.build([t]),
+        ]
+        for read in readers:
+            with pytest.raises(ValueError, match=r"tree is malformed: .*; run validate\(\)"):
+                read(tree)
 
 
 class TestColumnMajorLayout:
@@ -535,6 +578,13 @@ class TestRecoverTree:
         np.testing.assert_array_equal(
             build_left_matrix(recover_tree(left, "left")).entries, left.entries
         )
+
+    def test_chain_deeper_than_the_recursion_limit_round_trips(self):
+        # Outside @given, which raises the recursion limit while it runs.
+        chain = chain_tree(1500)
+        right, left = build_right_matrix(chain), build_left_matrix(chain)
+        assert same_bits(build_right_matrix(recover_tree(right, "right")).entries, right.entries)
+        assert same_bits(build_left_matrix(recover_tree(left, "left")).entries, left.entries)
 
     def test_non_contiguous_zero_set_rejected(self):
         bad = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.uint8)

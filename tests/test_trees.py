@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import sys
 import warnings
 
@@ -31,6 +32,7 @@ from treeflat import (
     batch_score,
     generate_random_general_tree,
     generate_random_tree,
+    hard_routing_consistency,
     naive_traverse,
     parse_model,
     parse_tree,
@@ -225,6 +227,23 @@ def with_dense_splits_and_ties(tree, seed):
     return BinaryDecisionTree(rebuild(tree.root), dim), X
 
 
+def caller_objects(root):
+    """The internal node objects under ``root`` level by level, and its leaf
+    objects from left to right, as the caller built them."""
+    internal, level = [], [root]
+    while level:
+        internal += [node for node in level if isinstance(node, Internal)]
+        level = [c for node in level if isinstance(node, Internal) for c in (node.left, node.right)]
+    leaves, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            leaves.append(node)
+        else:
+            stack += [node.right, node.left]
+    return internal, leaves
+
+
 def node_shape(tree):
     """Each internal node's threshold, weights and children (breadth-first
     index or leaf position), in breadth-first order."""
@@ -273,6 +292,11 @@ class TestColumnarParse:
             assert "root" not in vars(parsed)  # the arrays served everything so far
             assert serialize_tree(parsed) == serialize_tree(built)
             assert node_shape(parsed) == node_shape(built)
+            # The object-built tree keeps the caller's own objects.
+            internal, leaves = caller_objects(built.root)
+            assert len(built.internal_nodes) == len(internal) and len(built.leaves) == len(leaves)
+            assert all(a is b for a, b in zip(built.internal_nodes, internal))
+            assert all(a is b for a, b in zip(built.leaves, leaves))
 
     def test_set_up_and_oracle_read_only_arrays(self, monkeypatch):
         def refuse(tree):
@@ -342,8 +366,13 @@ class TestNaiveTraverse:
         assert naive_traverse(depth1_tree, np.array([0.5])) == 2
 
     def test_dimension_mismatch_raises(self, six_leaf_tree):
-        with pytest.raises(DimensionMismatchError):
-            naive_traverse(six_leaf_tree, np.zeros(4))
+        # A short x and a long one, refused before any split is tested.
+        for length in (4, 6):
+            message = re.escape(f"feature vector has shape ({length},), expected (5,)")
+            with pytest.raises(DimensionMismatchError, match=message):
+                naive_traverse(six_leaf_tree, np.zeros(length))
+            with pytest.raises(DimensionMismatchError, match=message):
+                hard_routing_consistency(six_leaf_tree, np.zeros(length))
 
     @settings(max_examples=60, deadline=None)
     @given(
