@@ -17,10 +17,11 @@ agreeing with the recursive oracle:
 Test vectors mark false nodes with 1 (or +1 in signed form); ties at the
 threshold count as false.
 
-These per-vector functions take one test vector and one ``TreeMatrices``
-bundle; they are the paper's dense and bitwise forms and the reference the
-tests check the batch path against.  ``TreeMatrices.build`` keeps only the
-tree: the depth vector and the packed right and left column masks that
+These per-vector functions take one test vector, one entry per internal
+node, and one ``TreeMatrices`` bundle; they are the paper's dense and
+bitwise forms and the reference the tests check the batch path against;
+``ensemble_score`` runs none of them.  ``TreeMatrices.build`` keeps only
+the tree: the depth vector and the packed right and left column masks that
 ``qs``, ``dual`` and ``soft_attention`` read, each mask from its node's leaf
 span, and the dense (leaves x nodes) copies that the matrix, sign, ecoc and
 delta forms read, are built on first read.
@@ -43,8 +44,8 @@ kept as booleans.  On it each distinct rule function below runs once, and
 each distinct selection (rule and whether a hit must be unique) once, for
 all the named algorithms.  ``batch_score`` is the one-name case, the one
 ``treeflat score`` runs and ``bench`` times, and ``ensemble_score`` runs it
-as a batch of one row once it has stacked a model.  Two kernels pick each
-tree's exit leaf, over the same chunks:
+on x as a batch of one row.  Two kernels pick each tree's exit leaf, over
+the same chunks:
 
 * the word kernels run ``qs`` and ``dual`` when every tree has 2 to 64
   leaves (``StackedTrees.fits_words``).  Each node's right and left column
@@ -80,11 +81,10 @@ leaf values are added column by column in model order, from 0.0
 form: the recursive descent runs once per (instance, tree) pair, because it
 is the oracle.
 
-``ensemble_score`` runs each tree's per-vector selector on the first call
-with a model.  The second call in a row that the same first bundle leads
-with the same trees stacks them, and that bundle keeps the ``StackedTrees``
-for later such calls, so it lives as long as the bundle; a call with other
-trees re-keys the bundle and starts over.  The module holds no state.
+``ensemble_score`` stacks a model's trees on the first call that a bundle
+leads with them, and that bundle keeps the ``StackedTrees`` for later such
+calls, so it lives as long as the bundle; a call with other trees stacks
+those in its place.  The module holds no state.
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ class TreeMatrices:
     ``signed``) from the ``matrices`` builders.
 
     ``_stack`` is ``ensemble_score``'s entry for the calls this bundle leads:
-    the trees of the last such call and, once built, their ``StackedTrees``.
-    It holds trees, never bundles, so no cycle keeps it past this bundle."""
+    the trees of the last such call and their ``StackedTrees``, or nothing
+    before the first.  It holds trees, never bundles, so no cycle keeps it
+    past this bundle."""
 
     tree: BinaryDecisionTree
     _stack: tuple[tuple[BinaryDecisionTree, ...], StackedTrees | None] = field(
@@ -254,13 +255,17 @@ class TreeMatrices:
 
 def _false_nodes(tree: BinaryDecisionTree, x) -> np.ndarray:
     """``compute_test_vector`` as booleans, which every selector reads."""
-    # Checked inline, not through _feature_vector: ensemble_score runs this
-    # once per tree of a model it has not stacked, where one more call per
-    # tree cost about 3% of a call on a 200-tree model.
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.feature_dim,):
-        _feature_vector(x, tree.feature_dim)  # raises the shape error
-    return tree.split_tests.false_nodes(x)
+    return tree.split_tests.false_nodes(_feature_vector(x, tree.feature_dim))
+
+
+def _node_vector(mats: TreeMatrices, t, dtype=None) -> np.ndarray:
+    """A test vector t or s as an array, one entry per internal node."""
+    t = np.asarray(t, dtype=dtype)
+    if t.shape != (mats.num_internal,):
+        raise DimensionMismatchError(
+            f"test vector has shape {t.shape}, expected ({mats.num_internal},)"
+        )
+    return t
 
 
 def compute_test_vector(tree: BinaryDecisionTree, x) -> np.ndarray:
@@ -315,7 +320,7 @@ def linear_hash_test_vector(W, gamma, x) -> np.ndarray:
 def quickscorer_traverse(mats: TreeMatrices, t) -> TraversalResult:
     """AND the packed right columns of all false nodes; the exit leaf is the
     lowest surviving bit.  Never empty: the last row is all ones."""
-    t = np.asarray(t)
+    t = _node_vector(mats, t)
     masks = mats.right_col_masks
     v = mats.full_mask
     # nonzero, not flatnonzero, which costs several times as much on numpy 2
@@ -329,7 +334,7 @@ def quickscorer_traverse(mats: TreeMatrices, t) -> TraversalResult:
 def dual_traverse(mats: TreeMatrices, t) -> TraversalResult:
     """Per-node AND with the left column for true nodes and the right column
     for false nodes, in breadth-first order, exiting once one bit survives."""
-    t = np.asarray(t)
+    t = _node_vector(mats, t)
     right, left = mats.right_col_masks, mats.left_col_masks
     v = mats.full_mask
     processed = 0
@@ -349,7 +354,7 @@ def matrix_traverse(mats: TreeMatrices, t) -> TraversalResult:
     count can still win after scaling), so the leftmost maximum is taken
     directly; ``np.argmax`` already returns the first occurrence.
     """
-    t = np.asarray(t, dtype=np.int64)
+    t = _node_vector(mats, t, np.int64)
     v = mats.right_int @ t + 1
     return mats._result(int(np.argmax(v)), score=v)
 
@@ -357,7 +362,7 @@ def matrix_traverse(mats: TreeMatrices, t) -> TraversalResult:
 def dual_matrix_traverse(mats: TreeMatrices, t) -> TraversalResult:
     """v = right @ t + left @ (1 - t); every node votes for the leaves it does
     not exclude, so the maximum equals the node count and is unique."""
-    t = np.asarray(t, dtype=np.int64)
+    t = _node_vector(mats, t, np.int64)
     v = mats.right_int @ t + mats.left_int @ (1 - t)
     return mats._result(int(np.argmax(v)), score=v)
 
@@ -370,7 +375,7 @@ def sign_traverse(mats: TreeMatrices, s) -> TraversalResult:
     float form of v.  A tree that is a lone leaf has an empty codeword,
     which every test vector matches, so its one entry is 1.
     """
-    s = np.asarray(s, dtype=np.int64)
+    s = _node_vector(mats, s, np.int64)
     ps = mats.signed @ s
     hits = np.flatnonzero(ps == mats.depths)
     if hits.size != 1:
@@ -386,7 +391,7 @@ def ecoc_traverse(mats: TreeMatrices, s) -> TraversalResult:
     <P_i, s> / <P_i, P_i> equals 1; the score vector holds the agreements
     actually computed, in scan order.  A lone leaf's empty codeword agrees
     fully: 1."""
-    s = np.asarray(s, dtype=np.int64)
+    s = _node_vector(mats, s, np.int64)
     signed, depths = mats.signed, mats.depths
     similarities: list[float] = []
     for i in range(mats.num_leaves):
@@ -400,7 +405,7 @@ def ecoc_traverse(mats: TreeMatrices, s) -> TraversalResult:
 
 def _delta_rows(mats: TreeMatrices, s) -> np.ndarray:
     """Rows where v = P s - d is 0; all integers, so the test is exact."""
-    return np.flatnonzero(mats.signed @ np.asarray(s, dtype=np.int64) - mats.depths == 0)
+    return np.flatnonzero(mats.signed @ _node_vector(mats, s, np.int64) - mats.depths == 0)
 
 
 def delta_traverse(mats: TreeMatrices, s) -> float:
@@ -456,7 +461,7 @@ def soft_attention(mats: TreeMatrices, s) -> LeafDistribution:
     is the hard exit leaf.  P s is computed in span form as a batch of one.
     A lone leaf's P s is 0 and is divided by 1, not by its depth 0; its
     softmax is 1 either way."""
-    s = np.asarray(s, dtype=np.int64)
+    s = _node_vector(mats, s, np.int64)
     scores = _signed_scores(mats.tree.span_array, mats.num_leaves, s[None, :])
     return LeafDistribution(_softmax_rows(scores / (mats.depths if mats.num_internal else 1))[0])
 
@@ -760,9 +765,8 @@ class _Algorithm:
 
     def per_vector(self) -> Callable[[TreeMatrices, np.ndarray], TraversalResult]:
         """The selector over one raw feature vector, as a plain function:
-        the ``ALGORITHMS`` entry, which ``ensemble_score`` sums over the
-        bundles of a call it does not score on a stacked model, and the
-        per-vector form the tests check the batch path against."""
+        the ``ALGORITHMS`` entry, the per-vector form the tests check the
+        batch path against."""
         select = self.select
         if self.hits is None:
             return select
@@ -791,17 +795,13 @@ ALGORITHMS: dict[str, Callable[[TreeMatrices, np.ndarray], TraversalResult]] = {
 }
 
 
-def _stack_for(models: Sequence[TreeMatrices], x) -> StackedTrees | None:
-    """The ``StackedTrees`` of the models' trees, built on the second call in
-    a row that the same first bundle leads with the same trees, and kept on
-    that bundle; None, and these trees remembered there, on any other call."""
+def _stack_for(models: Sequence[TreeMatrices], x) -> StackedTrees:
+    """The ``StackedTrees`` of the models' trees, kept on the first bundle and
+    built again whenever that bundle leads a call with other trees."""
     lead = models[0]
     trees = tuple([mats.tree for mats in models])
     keyed, model = lead._stack
     if keyed != trees:
-        lead._stack = (trees, None)
-        return None
-    if model is None:
         try:
             model = StackedTrees.build(trees)
         except DimensionMismatchError:
@@ -816,34 +816,28 @@ def _stack_for(models: Sequence[TreeMatrices], x) -> StackedTrees | None:
 def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     """Sum of per-tree exit leaf values under the named algorithm.
 
-    A call led by the same bundle ``models[0]`` with the same trees as the
-    last call it led stacks the trees into one ``StackedTrees``, kept on that
-    bundle, and from then on every arithmetic algorithm scores x as a batch
-    of one row through ``batch_score``, reading only each ``models[i].tree``.
-    Any other call, and ``naive`` always, sums the ``ALGORITHMS`` selector of
-    each tree, and an arithmetic call remembers its trees on its first
-    bundle.  Both add the leaf values in model order from 0.0, as
-    ``sum_in_model_order`` does, so they return the same float as each other
-    and as ``treeflat score``; a one-tree row needs no fold, and an empty
-    ensemble scores 0.0.
+    Every arithmetic algorithm scores x as a batch of one row through
+    ``batch_score``, on the model's trees stacked into one ``StackedTrees``,
+    reading only each ``models[i].tree``.  The first bundle ``models[0]``
+    keeps that stack, built on the first call it leads with these trees, for
+    later calls with the same trees.  ``naive``, the oracle, descends each
+    tree.  Both add the leaf values with ``sum_in_model_order``, so they
+    return the same float as ``treeflat score``; an empty ensemble scores
+    0.0.
     """
     try:
-        fn = ALGORITHMS[algorithm]
+        row = _TABLE[algorithm]
     except KeyError:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
         ) from None
-    model = _stack_for(models, x) if models and _TABLE[algorithm].hits else None
-    if model is None:
-        total = 0.0
-        for mats in models:
-            total += fn(mats, x).leaf_value
-        return total
-    x = _feature_vector(x, model.feature_dim)
-    _, values = next(batch_score(model, x[None, :], algorithm))
-    if values.shape[1] == 1:
-        return float(values[0, 0]) + 0.0
-    return float(np.add.accumulate(values[0])[-1]) + 0.0
+    if row.hits and models:
+        model = _stack_for(models, x)
+        x = _feature_vector(x, model.feature_dim)
+        _, values = next(batch_score(model, x[None, :], algorithm))
+    else:  # naive, or no trees: a row of one leaf value per tree
+        values = np.array([[row.select(mats, x).leaf_value for mats in models]])
+    return float(sum_in_model_order(values)[0])
 
 
 def _check_batch_names(names: Sequence[str]) -> None:
@@ -928,10 +922,11 @@ def sum_in_model_order(values: np.ndarray) -> np.ndarray:
 
     This is the order in which ``sum`` adds floats on Python 3.11 and
     earlier; Python 3.12 compensates its float sums, which can change the
-    last bit.  ``cumsum`` adds along a row in order, from the first value
-    rather than from 0.0, which differs only in giving -0.0 for a row of
-    -0.0; adding 0.0 turns that into 0.0.
+    last bit.  ``np.add.accumulate`` adds along a row in order, from the
+    first value rather than from 0.0, which differs only in giving -0.0 for
+    a row of -0.0; adding 0.0 turns that into 0.0.  ``ensemble_score`` folds
+    its one row here too.
     """
     if values.shape[1] == 0:
         return np.zeros(len(values))
-    return np.cumsum(values, axis=1)[:, -1] + 0.0
+    return np.add.accumulate(values, axis=1)[:, -1] + 0.0

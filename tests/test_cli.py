@@ -467,7 +467,7 @@ class TestScore:
         for algo in sorted(cli.ALGORITHMS):
             assert invoke(["score", model, data, "--algo", algo], capsys) == (0, "0\n" * 3, ""), algo
             models = [TreeMatrices.build(t) for t in parse_model(model.read_text())]
-            # The first call sums per tree, the second stacks, the third is warm.
+            # The first call stacks the model, the second and third are warm.
             for call in range(3):
                 totals = [ensemble_score(models, x, algo) for x in X]
                 assert [t.hex() for t in totals] == [(0.0).hex()] * 3, (algo, call)

@@ -211,6 +211,42 @@ class TestTreeMatricesBuild:
             assert ensemble_score(models, x, "qs") == total
 
 
+# Every per-vector selector and soft attention, with whether it reads s = 2t - 1.
+TEST_VECTOR_READERS = [
+    (quickscorer_traverse, False),
+    (dual_traverse, False),
+    (matrix_traverse, False),
+    (dual_matrix_traverse, False),
+    (sign_traverse, True),
+    (ecoc_traverse, True),
+    (delta_traverse, True),
+    (soft_attention, True),
+]
+
+
+@pytest.mark.parametrize("fn, signed", TEST_VECTOR_READERS, ids=[fn.__name__ for fn, _ in TEST_VECTOR_READERS])
+@pytest.mark.parametrize(
+    "reshape, shape",
+    [
+        (lambda t: t[:-1], "(3,)"),
+        (lambda t: np.append(t, 0), "(5,)"),
+        (lambda t: t[None, :], "(1, 4)"),
+    ],
+    ids=["short", "long", "2-D"],
+)
+def test_test_vector_of_the_wrong_shape_is_refused(fn, signed, reshape, shape):
+    # Without the check, qs took the short t to leaf 3 (the full t exits at
+    # leaf 4) and accepted the 2-D one; dual raised a bare IndexError.
+    tree = generate_random_tree(4, 3, 5)
+    mats = TreeMatrices.build(tree)
+    t = compute_test_vector(tree, np.array([0.0405, 0.7320, 0.6144]))
+    assert t.tolist() == [1, 0, 1, 1]
+    v = signed_test_vector(t) if signed else t
+    fn(mats, v)  # the full vector is accepted
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"test vector has shape {shape}, expected (4,)")):
+        fn(mats, reshape(v))
+
+
 class TestBitwiseTraversals:
     def test_no_false_nodes_exits_leftmost(self, six_leaf_mats):
         assert quickscorer_traverse(six_leaf_mats, np.zeros(5, int)).leaf_index == 1
@@ -570,10 +606,10 @@ def fresh_bundles(trees):
 
 
 class TestCachedEnsembleScore:
-    """``ensemble_score`` scores x as a batch of one over a stacked model
-    that is built on the second call in a row that one first bundle leads
-    with the same trees, and kept on that bundle; any other call sums the
-    per-vector selectors."""
+    """``ensemble_score`` scores x as a batch of one over a stacked model,
+    built on the first call that one first bundle leads with these trees and
+    kept on that bundle; a call with other trees stacks those in its place.
+    No call runs a per-vector selector."""
 
     @staticmethod
     def models_and_rows(kind):
@@ -596,8 +632,9 @@ class TestCachedEnsembleScore:
 
     @pytest.mark.parametrize("kind", ["words", "span", "hostile", "signed zero", "one signed zero"])
     def test_equals_the_per_vector_sum_bit_for_bit(self, kind):
-        # Two models in turn, the second the first reversed: each is scored
-        # cold, then stacked, then warm, and keeps its own order of addition.
+        # Two models in turn, the second the first reversed: each is stacked
+        # on its first, cold call, then scored warm, and keeps its own order
+        # of addition.
         models, X = self.models_and_rows(kind)
         for x in X:
             for name in ALGORITHMS:
@@ -605,12 +642,12 @@ class TestCachedEnsembleScore:
                     got = ensemble_score(model, x, name)
                     assert got.hex() == per_vector_sum(model, x, name).hex(), (name, x)
 
-    def test_model_is_stacked_on_its_second_consecutive_call(self, stack_builds):
+    def test_model_is_stacked_on_its_first_call(self, stack_builds):
         models = fresh_bundles(word_ensemble())
         X = random_instances(50, 4, 8)
-        for i, x in enumerate(X):
+        for x in X:
             assert ensemble_score(models, x, "qs") == per_vector_sum(models, x, "qs")
-            assert len(stack_builds) == min(i, 1)
+            assert len(stack_builds) == 1
         # Other lists of the same TreeMatrices reuse the entry too.
         assert ensemble_score(list(models), X[0], "dual") == per_vector_sum(models, X[0], "dual")
         assert len(stack_builds) == 1
@@ -635,44 +672,51 @@ class TestCachedEnsembleScore:
         stacked = [model[0]._stack[1] for model in (models, other)]
         assert None not in stacked and stacked[0] is not stacked[1]
 
-    def test_lists_sharing_a_first_bundle_never_stack_while_they_alternate(self, stack_builds):
+    def test_shared_first_bundle_restacks_at_each_switch(self, stack_builds):
         models = fresh_bundles(word_ensemble())
         shared = models[:1] + fresh_bundles(generate_random_tree(4, 4, s) for s in range(20, 26))
+        calls = 0
         for x in random_instances(6, 4, 10):
             for model in (shared, models):
                 assert ensemble_score(model, x, "qs") == per_vector_sum(model, x, "qs")
-        assert stack_builds == []
+                calls += 1
+                assert len(stack_builds) == calls
+                assert models[0]._stack[0] == tuple(m.tree for m in model)
 
-    def test_fresh_bundles_never_stack(self, stack_builds):
+    def test_fresh_bundles_stack_on_every_call(self, stack_builds):
         trees = word_ensemble()
-        for x in random_instances(4, 4, 11):
+        for calls, x in enumerate(random_instances(4, 4, 11), 1):
             models = fresh_bundles(trees)
             assert ensemble_score(models, x, "qs") == per_vector_sum(models, x, "qs")
-        assert stack_builds == []
+            assert len(stack_builds) == calls
 
     def test_swapping_one_tree_rekeys_the_bundle(self, stack_builds):
         models = fresh_bundles(word_ensemble())
         x = random_instances(1, 4, 12)[0]
         for _ in range(2):
             stacked = ensemble_score(models, x, "qs")
+        assert len(stack_builds) == 1
+        first = models[0]._stack[1]
         swapped = list(models)
         swapped[4] = TreeMatrices.build(constant_tree(1e6, 4))
         expected = per_vector_sum(swapped, x, "qs")
         assert expected != stacked
-        assert ensemble_score(swapped, x, "qs") == expected
-        assert models[0]._stack == (tuple(m.tree for m in swapped), None)
-        assert ensemble_score(swapped, x, "qs") == expected
+        for _ in range(2):
+            assert ensemble_score(swapped, x, "qs") == expected
+        keyed, model = models[0]._stack
+        assert keyed == tuple(m.tree for m in swapped)
+        assert model is not first and model.num_leaves == sum(m.num_leaves for m in swapped)
         assert len(stack_builds) == 2
-        # The stack went with the old key: the first list starts over.
+        # The stack went with the old key: the first list is stacked again.
         assert ensemble_score(models, x, "qs") == stacked
-        assert models[0]._stack[1] is None
+        assert len(stack_builds) == 3
+        assert models[0]._stack[0] == tuple(m.tree for m in models)
 
     def test_cache_does_not_outlive_its_trees(self):
         # Freed by reference counting when the trees and bundles go: no cycle.
         trees = word_ensemble()
         models = fresh_bundles(trees)
-        for _ in range(2):
-            ensemble_score(models, np.zeros(4), "qs")
+        ensemble_score(models, np.zeros(4), "qs")
         stacked = weakref.ref(models[0]._stack[1])
         gc.disable()
         try:
@@ -682,9 +726,11 @@ class TestCachedEnsembleScore:
             gc.enable()
 
     def test_no_per_vector_selector_runs_once_stacked(self, monkeypatch):
+        # Stacked on the first, cold call: no call of any name tests a tree
+        # on its own or builds a tree's column masks.
         models, X = self.models_and_rows("span")
         expected = {name: [per_vector_sum(models, x, name) for x in X] for name in ARITHMETIC}
-        ensemble_score(models, X[0], "qs")
+        models = fresh_bundles(m.tree for m in models)
 
         def refuse(tree, x):
             raise AssertionError("a per-vector selector ran")
@@ -692,26 +738,39 @@ class TestCachedEnsembleScore:
         monkeypatch.setattr(traversal, "_false_nodes", refuse)
         for name in ARITHMETIC:
             assert [ensemble_score(models, x, name) for x in X] == expected[name], name
+        assert all("right_col_masks" not in vars(m) for m in models)
 
     def test_shape_errors_keep_their_type_and_message(self, six_leaf_tree, stack_builds):
         narrow = generate_random_tree(3, 4, 1)
+        # The last entry is the build count after each of two calls: a model
+        # is stacked on the first and kept, trees that disagree on
+        # feature_dim fail to stack on every call.
         cases = [
-            ([six_leaf_tree], np.zeros(4), "(4,), expected (5,)"),
-            ([six_leaf_tree], np.zeros((1, 5)), "(1, 5), expected (5,)"),
+            ([six_leaf_tree], np.zeros(4), "(4,), expected (5,)", (1, 1)),
+            ([six_leaf_tree], np.zeros((1, 5)), "(1, 5), expected (5,)", (1, 1)),
             # Trees that disagree on feature_dim: the first tree x misfits.
-            ([six_leaf_tree, narrow], np.zeros(5), "(5,), expected (4,)"),
-            ([six_leaf_tree, narrow], np.zeros(4), "(4,), expected (5,)"),
-            ([narrow, six_leaf_tree], np.zeros(4), "(4,), expected (5,)"),
+            ([six_leaf_tree, narrow], np.zeros(5), "(5,), expected (4,)", (1, 2)),
+            ([six_leaf_tree, narrow], np.zeros(4), "(4,), expected (5,)", (1, 2)),
+            ([narrow, six_leaf_tree], np.zeros(4), "(4,), expected (5,)", (1, 2)),
         ]
-        for trees, x, message in cases:
+        for trees, x, message, counts in cases:
             for name in ARITHMETIC:
                 models = fresh_bundles(trees)
-                # The first call sums the selectors, the second stacks the model.
-                for builds in (0, 1):
+                for builds in counts:
                     with pytest.raises(DimensionMismatchError, match=re.escape(f"feature vector has shape {message}")):
                         ensemble_score(models, x, name)
                     assert len(stack_builds) == builds
                 stack_builds.clear()
+
+    def test_malformed_trees_raise_the_malformed_error(self):
+        missing = BinaryDecisionTree(Internal(Predicate.one_hot(0, 0.5, 2), Leaf(0.0), None), 2)
+        trees = [generate_random_tree(3, 2, 1), missing]
+        for name in ALGORITHMS:
+            models = fresh_bundles(trees)
+            for _ in range(2):
+                with pytest.raises(ValueError, match=r"tree is malformed: .*; run validate\(\)"):
+                    ensemble_score(models, np.zeros(2), name)
+            assert models[0]._stack == ((), None)
 
 
 class TestRegistry:
@@ -1320,8 +1379,9 @@ class TestHostileInputs:
 
 class TestLoneLeafTree:
     """A tree with no internal node routes every x to its one leaf, under
-    every algorithm, per vector (the first call with a model) and stacked
-    (the second).  Its codeword is empty, so its agreement is 1."""
+    every algorithm, per vector (through ``ALGORITHMS``) and stacked (in
+    ``ensemble_score``, cold and warm).  Its codeword is empty, so its
+    agreement is 1."""
 
     @staticmethod
     def stump_led_model(seed):
@@ -1337,8 +1397,8 @@ class TestLoneLeafTree:
             assert (trees[0].num_internal, trees[0].num_leaves) == (0, 1)
             expected = float(sum(t.leaf_values[naive_traverse(t, x) - 1] for t in trees))
             models = fresh_bundles(trees)
-            assert ensemble_score(models, x, name) == expected  # per vector
-            assert ensemble_score(models, x, name) == expected  # stacked
+            assert ensemble_score(models, x, name) == expected  # stacks the model
+            assert ensemble_score(models, x, name) == expected  # warm
             assert models[0]._stack[1] is not None or name == "naive"
             result = ALGORITHMS[name](models[0], x)
             assert (result.leaf_index, result.leaf_value) == (1, 0.25)
