@@ -298,7 +298,7 @@ def recover_tree(m: BitMatrix, kind: str) -> BinaryDecisionTree:
         raise ValueError("kind must be 'left' or 'right'")
     entries = m.entries
     n_leaves, n_nodes = entries.shape
-    if n_nodes == 0 or n_leaves != n_nodes + 1:
+    if n_leaves != n_nodes + 1:
         raise UnrealizableMatrixError(
             f"a {n_leaves} x {n_nodes} matrix cannot come from a full binary tree"
         )

@@ -313,8 +313,10 @@ def linear_hash_test_vector(W, gamma, x) -> np.ndarray:
         raise DimensionMismatchError(
             f"incompatible shapes: W {W.shape}, gamma {gamma.shape}, x {x.shape}"
         )
-    features = _unit_features(W)
-    return signed_test_vector(SplitTests.build(features, gamma, W[features < 0]).false_nodes(x))
+    gather = _unit_features(W)
+    dense = gather < 0
+    gather[dense] = W.shape[1] + np.arange(np.count_nonzero(dense))
+    return signed_test_vector(SplitTests(gather, gamma, W[dense]).false_nodes(x))
 
 
 def quickscorer_traverse(mats: TreeMatrices, t) -> TraversalResult:
@@ -506,9 +508,14 @@ def mips_leaf_search(leaf_vectors: np.ndarray, query) -> int:
 
     ``leaf_vectors`` are the normalized rows of inv(D) P (see
     ``TreeMatrices.normalized_leaf_vectors``); with a signed test vector as
-    the query the argmax row is the exit leaf, returned 1-based.
+    the query the argmax row is the exit leaf, returned 1-based.  The query
+    needs one entry per column of the 2-D ``leaf_vectors``.
     """
-    query = np.asarray(query, dtype=np.float64)
+    query, shape = np.asarray(query, dtype=np.float64), np.shape(leaf_vectors)
+    if len(shape) != 2:
+        raise DimensionMismatchError(f"leaf vectors have shape {shape}, expected (leaves, nodes)")
+    if query.shape != shape[1:]:
+        raise DimensionMismatchError(f"query has shape {query.shape}, expected ({shape[1]},)")
     return int(np.argmax(leaf_vectors @ query)) + 1
 
 
@@ -547,28 +554,30 @@ class StackedTrees:
         dims = {t.feature_dim for t in trees}
         if len(dims) > 1:
             raise DimensionMismatchError(f"trees disagree on feature_dim {sorted(dims)}")
-        # One pass over the trees, then one concatenation per field and one
-        # offset add for the whole model: ``ensemble_score`` pays this build
-        # inside one scalar call.  On a 200-tree model it took 0.38 ms, where
-        # one offset add and one attribute read per tree and field took 0.99.
-        features, thresholds, dense_rows, spans, depths, values = zip(
-            *(
-                (t.split_features, t.thresholds, t.split_tests.dense_rows,
-                 t.span_array, t.leaf_depths, t.leaf_values)
-                for t in trees
-            )
+        # The parser built every tree's split tests, so this is one pass over
+        # the trees, then one concatenation per field and one offset add per
+        # axis for the whole model: ``ensemble_score`` pays this build inside
+        # one scalar call.  On a 200-tree model it took 0.7 ms.
+        tests, spans, depths, values = zip(
+            *((t.split_tests, t.span_array, t.leaf_depths, t.leaf_values) for t in trees)
         )
+        dim = dims.pop()
         leaves = np.fromiter(map(len, depths), np.int64, len(trees))
         nodes = np.fromiter(map(len, spans), np.int64, len(trees))
+        dense = np.fromiter((len(s.dense_rows) for s in tests), np.int64, len(trees))
         starts = np.cumsum(leaves) - leaves
         spans = np.concatenate(spans)
         spans += np.repeat(starts, nodes)[:, None]
-        # Each tree lists its dense rows in node order, so the model's dense
-        # nodes, in node order, are their concatenation.
+        # Each tree numbers its dense nodes in node order from dim, so the
+        # model's are the trees' shifted by the dense nodes before them.
+        gather = np.concatenate([s.gather for s in tests])
+        gather += np.repeat(np.cumsum(dense) - dense, nodes) * (gather >= dim)
         return cls(
-            feature_dim=dims.pop(),
-            split_tests=SplitTests.build(
-                np.concatenate(features), np.concatenate(thresholds), np.concatenate(dense_rows)
+            feature_dim=dim,
+            split_tests=SplitTests(
+                gather,
+                np.concatenate([s.thresholds for s in tests]),
+                np.concatenate([s.dense_rows for s in tests]),
             ),
             spans=spans,
             leaf_depths=np.concatenate(depths),

@@ -9,13 +9,15 @@ read as a general tree.
 
 Every binary tree is node arrays.  The parser reads every node of a
 document in one iterative walk, shared by both kinds, into pre-order
-columns (feature index, threshold, dense weight rows only where a node has
-them, children, leaf values); ``BinaryDecisionTree(root, feature_dim)``
-walks ``Internal``/``Leaf``/``Predicate`` objects into the same columns.
-The breadth-first numbering, the leaf order, the leaf depths and the leaf
-spans of every binary tree are derived from the columns by array
-operations.  A tree built from objects keeps them; a parsed tree builds its
-objects from the arrays on first read and keeps them.  Scoring and
+columns (feature index, threshold, weight rows only where a node has them,
+children, leaf values); ``BinaryDecisionTree(root, feature_dim)`` walks
+``Internal``/``Leaf``/``Predicate`` objects into the same columns.  The
+breadth-first numbering, the leaf order, the leaf depths, the leaf spans
+and the split tests of every binary tree are derived from the columns by
+array operations, once for the whole model: one ``_unit_features`` per
+feature dimension finds the weight rows that are one-hot splits.  A tree
+built from objects keeps them; a parsed tree builds its objects from the
+arrays on first read and keeps them.  Scoring and
 ``naive_traverse`` read only the arrays, and ``validate`` reads a parsed
 tree's arrays and walks the objects of a tree built from them.  General
 trees are built as objects as soon as they are read, and one walk over the
@@ -146,15 +148,6 @@ class SplitTests:
     thresholds: np.ndarray
     dense_rows: np.ndarray
 
-    @classmethod
-    def build(cls, features: np.ndarray, thresholds: np.ndarray, dense_rows: np.ndarray) -> "SplitTests":
-        """From per-node features (-1 for dense weights) and the weight rows
-        of the dense nodes, in node order."""
-        gather = np.array(features, dtype=np.int64)
-        dense = gather < 0
-        gather[dense] = dense_rows.shape[1] + np.arange(np.count_nonzero(dense))
-        return cls(gather, thresholds, dense_rows)
-
     def widen(self, X: np.ndarray) -> np.ndarray:
         """x, or each row of X, followed by its dense products."""
         if not len(self.dense_rows):
@@ -233,24 +226,6 @@ class _Tree:
         return self._leaf_pos[id(leaf)] + 1
 
 
-@dataclass(frozen=True, eq=False)
-class _SplitArrays:
-    """The node arrays a binary tree keeps besides its public ones, one row
-    per internal node in breadth-first order.
-
-    ``children[j]`` is node j's ``(left, right)``: a child ``c >= 0`` is
-    internal node c, a child ``c < 0`` is leaf row ``~c``.  ``features[j]``
-    is the input feature of a one-hot split and -1 where the node has dense
-    weights; those nodes are ``dense_index``, with their weight rows in
-    ``dense_rows``.
-    """
-
-    features: np.ndarray
-    children: np.ndarray
-    dense_index: np.ndarray
-    dense_rows: np.ndarray
-
-
 class _NodeView:
     """A node-object attribute (``root``, ``internal_nodes``, ``leaves``) of
     a binary tree.  The object constructor sets the attribute on the
@@ -281,10 +256,17 @@ class _NoArrays:
 
 class BinaryDecisionTree(_Tree):
     """Full binary decision tree over a fixed feature space, held as node
-    arrays: ``span_array``, ``thresholds``, ``leaf_values``, ``leaf_depths``
-    and the split arrays.  ``span_array[j]`` is ``(lo, mid, hi)`` for
-    internal node ``j``: its subtree covers leaf rows ``lo..hi-1`` with the
-    left subtree ending at ``mid`` (0-based, half-open).
+    arrays: ``span_array``, ``thresholds``, ``leaf_values``, ``leaf_depths``,
+    ``split_tests`` and ``_children``.  ``span_array[j]`` is ``(lo, mid,
+    hi)`` for internal node ``j``: its subtree covers leaf rows ``lo..hi-1``
+    with the left subtree ending at ``mid`` (0-based, half-open).
+    ``_children[j]`` is node j's ``(left, right)``: a child ``c >= 0`` is
+    internal node c, a child ``c < 0`` is leaf row ``~c``.  ``split_tests``
+    is the one form of the splits, built with the other arrays: a
+    ``gather`` column below ``feature_dim`` is a one-hot split's feature,
+    and column ``feature_dim + k`` a dense node with weight row
+    ``dense_rows[k]``.  A weight row whose only nonzero weight is 1.0 is a
+    one-hot split, whether parsed or built from a ``Predicate``.
 
     The constructor walks ``Internal``/``Leaf`` objects into the columns
     the parser fills, takes the same arrays from them, and keeps the
@@ -302,7 +284,7 @@ class BinaryDecisionTree(_Tree):
     root = _NodeView()
     internal_nodes = _NodeView()
     leaves = _NodeView()
-    span_array = thresholds = leaf_values = leaf_depths = _arrays = _NoArrays()
+    span_array = thresholds = leaf_values = leaf_depths = split_tests = _children = _NoArrays()
 
     def __init__(self, root: Node, feature_dim: int):
         self.root, self.feature_dim, self._objects = root, int(feature_dim), True
@@ -316,7 +298,7 @@ class BinaryDecisionTree(_Tree):
 
     @classmethod
     def _from_arrays(cls, **arrays) -> "BinaryDecisionTree":
-        """A tree of ``feature_dim``, ``_arrays`` (its ``_SplitArrays``),
+        """A tree of ``feature_dim``, ``split_tests``, ``_children``,
         ``span_array``, ``thresholds``, ``leaf_values`` and ``leaf_depths``."""
         tree = cls.__new__(cls)
         tree.__dict__.update(arrays)
@@ -326,16 +308,15 @@ class BinaryDecisionTree(_Tree):
         """``root``, ``internal_nodes`` and ``leaves`` of a parsed tree,
         built from its arrays bottom-up (breadth-first order lists every
         child after its parent)."""
-        arrays, dim = self._arrays, self.feature_dim
+        tests, dim = self.split_tests, self.feature_dim
         leaves = [Leaf(value) for value in self.leaf_values.tolist()]
-        dense = dict(zip(arrays.dense_index.tolist(), arrays.dense_rows))
         nodes: list = [None] * self.num_internal
-        rows = zip(arrays.features.tolist(), self.thresholds.tolist(), arrays.children.tolist())
-        for j, (feature, threshold, (left, right)) in reversed(list(enumerate(rows))):
+        rows = zip(tests.gather.tolist(), self.thresholds.tolist(), self._children.tolist())
+        for j, (column, threshold, (left, right)) in reversed(list(enumerate(rows))):
             predicate = (
-                Predicate.one_hot(feature, threshold, dim)
-                if feature >= 0
-                else Predicate(dense[j], threshold)
+                Predicate.one_hot(column, threshold, dim)
+                if column < dim
+                else Predicate(tests.dense_rows[column - dim], threshold)
             )
             nodes[j] = Internal(
                 predicate,
@@ -428,41 +409,18 @@ class BinaryDecisionTree(_Tree):
     def weight_matrix(self) -> np.ndarray:
         """Stacked predicate weights, one row per internal node: one scatter
         of the one-hot features, plus the dense weight rows."""
-        arrays = self._arrays
-        w = np.zeros((self.num_internal, self.feature_dim))
-        one_hot = np.flatnonzero(arrays.features >= 0)
-        w[one_hot, arrays.features[one_hot]] = 1.0
-        w[arrays.dense_index] = arrays.dense_rows
+        gather, dim = self.split_tests.gather, self.feature_dim
+        w = np.zeros((self.num_internal, dim))
+        one_hot = np.flatnonzero(gather < dim)
+        w[one_hot, gather[one_hot]] = 1.0
+        w[gather >= dim] = self.split_tests.dense_rows
         return w
-
-    @cached_property
-    def split_features(self) -> np.ndarray:
-        """Per internal node, the feature of a one-hot split, or -1 where the
-        node has dense weights (``Predicate.one_hot_feature``)."""
-        # A parsed dense row of one unit weight is a one-hot split, as it is
-        # in the node view and after a round trip through serialize_tree.
-        arrays = self._arrays
-        features = arrays.features.copy()
-        features[arrays.dense_index] = _unit_features(arrays.dense_rows)
-        return features
-
-    @cached_property
-    def split_tests(self) -> SplitTests:
-        """Every node's split test, kept for the oracle and the test vectors."""
-        features = self.split_features
-        dense = np.flatnonzero(features < 0)
-        arrays = self._arrays
-        row_of = np.zeros(self.num_internal, dtype=np.int64)
-        row_of[arrays.dense_index] = np.arange(len(arrays.dense_index))
-        rows = arrays.dense_rows[row_of[dense]].reshape(len(dense), self.feature_dim)
-        return SplitTests.build(features, self.thresholds, rows)
 
     @cached_property
     def _routing(self) -> tuple[list, list, list]:
         """The gather index, thresholds and children as lists, for the
         oracle's walk."""
-        tests = self.split_tests
-        return tests.gather.tolist(), self.thresholds.tolist(), self._arrays.children.tolist()
+        return self.split_tests.gather.tolist(), self.thresholds.tolist(), self._children.tolist()
 
     def _check_internal(self, node: Internal, path: str, problems: list, stack: list) -> None:
         pred = node.predicate
@@ -592,14 +550,16 @@ def _parsed_problems(tree: BinaryDecisionTree) -> list[str]:
     non-finite numbers and all-zero dense weights.  When the arrays hold one
     of them, a walk over the arrays reports each with the object walk's
     message and path, in its order (right child first)."""
-    arrays = tree._arrays
-    thresholds, values = tree.thresholds, tree.leaf_values
-    zero = arrays.dense_index[~arrays.dense_rows.any(axis=1)]
-    if not len(zero) and np.isfinite(thresholds).all() and np.isfinite(values).all():
+    tests, thresholds, values = tree.split_tests, tree.thresholds, tree.leaf_values
+    zero = set()
+    if len(tests.dense_rows):  # only a dense row can be all zero
+        dense = np.flatnonzero(tests.gather >= tree.feature_dim)
+        zero = set(dense[~tests.dense_rows.any(axis=1)].tolist())
+    if not zero and np.isfinite(thresholds).all() and np.isfinite(values).all():
         return []
     problems: list[str] = []
-    zero, thresholds, values = set(zero.tolist()), thresholds.tolist(), values.tolist()
-    children = arrays.children.tolist()
+    thresholds, values = thresholds.tolist(), values.tolist()
+    children = tree._children.tolist()
     stack = [(0 if children else -1, "root")]
     while stack:
         j, path = stack.pop()
@@ -827,19 +787,19 @@ class _NodeColumns:
 
 class _BinaryColumns(_NodeColumns):
     """The columns of a model's binary trees.  Besides the shared columns,
-    ``features`` holds each internal node's feature in pre-order (-1 for
-    dense weights) and ``dense`` the dense weight rows by the node's place
-    in that order.  ``trees`` derives the arrays of every tree at once."""
+    ``features`` holds each internal node's feature in pre-order (-1 for a
+    weight row) and ``rows`` the weight rows of those nodes, in the same
+    order.  ``trees`` derives the arrays of every tree at once."""
 
     def __init__(self):
         super().__init__(_BINARY_NODE_KEYS, ("left", "right"))
         self.features: list[int] = []
-        self.dense: dict[int, list[float]] = {}
+        self.rows: list = []
         self.starts: list[int] = []  # index of each tree's root
         self.dims: list[int] = []
 
     def read(self, root, dim: int) -> None:
-        features, dense = self.features, self.dense
+        features, rows = self.features, self.rows
         self.starts.append(len(self.numbers))
         self.dims.append(dim)
 
@@ -859,7 +819,7 @@ class _BinaryColumns(_NodeColumns):
                 raw = obj["weights"]
                 if not isinstance(raw, list) or len(raw) != dim:
                     raise _NodeError(lambda path: f"node {path} weights must be a list of {dim} numbers")
-                dense[len(features)] = [_number(v, "node {} weight") for v in raw]
+                rows.append([_number(v, "node {} weight") for v in raw])
                 features.append(-1)
             elif "feature" in obj:
                 feature = obj["feature"]
@@ -880,8 +840,7 @@ class _BinaryColumns(_NodeColumns):
         """Walk a tree of ``Internal``/``Leaf`` objects into the columns, as
         ``read`` walks a document, and return its internal nodes and leaves
         in pre-order; None, with the columns left unusable, when the objects
-        give no arrays (``BinaryDecisionTree`` lists why).  One
-        ``_unit_features`` over all weight rows finds the one-hot splits."""
+        give no arrays (``BinaryDecisionTree`` lists why)."""
         numbers, parents = self.numbers, self.parents
         self.starts.append(len(numbers))
         self.dims.append(dim)
@@ -914,10 +873,8 @@ class _BinaryColumns(_NodeColumns):
             return None
         if rows.shape != (len(internal), dim):
             return None
-        features = _unit_features(rows)
-        for k in np.flatnonzero(features < 0).tolist():
-            self.dense[len(self.features) + k] = rows[k]
-        self.features += features.tolist()
+        self.features += [-1] * len(rows)
+        self.rows += list(rows)
         return internal, leaves
 
     def trees(self) -> list[BinaryDecisionTree]:
@@ -926,7 +883,12 @@ class _BinaryColumns(_NodeColumns):
         leaves are the leaf rows from the leaves before it to its last leaf,
         found by following right children.  ``breadth_first`` keeps the
         model's internal nodes in breadth-first order, as their places in
-        pre-order among the internal nodes."""
+        pre-order among the internal nodes.
+
+        One ``_unit_features`` per feature dimension classifies every weight
+        row: a row whose only nonzero weight is 1.0 is that feature's
+        one-hot split, and the rest are dense.  Each tree's ``SplitTests``
+        numbers its dense nodes in node order from ``feature_dim``."""
         if not self.dims:
             return []
         count = len(self.numbers)
@@ -965,28 +927,40 @@ class _BinaryColumns(_NodeColumns):
             axis=1,
         )
         children = np.stack([child[order + 1], child[right[order]]], axis=1)
-        thresholds, features = number[order], np.array(self.features, dtype=np.int64)[rank]
-        leaf_values, leaf_depths = number[leaf], depth[leaf]
-        dense: dict[int, tuple[list, list]] = {}
-        for r, row in self.dense.items():
-            t = int(tree_of[internal[r]])
-            index, rows = dense.setdefault(t, ([], []))
-            index.append(int(position[internal[r]] - internal_starts[t]))
-            rows.append(row)
-        dense = {t: (np.array(index), np.array(rows)) for t, (index, rows) in dense.items()}
-        no_index = np.zeros(0, dtype=np.int64)
+        thresholds, leaf_values, leaf_depths = number[order], number[leaf], depth[leaf]
+        # The weight rows in node order, one dimension at a time.  A dense
+        # node's column is its tree's dimension plus its place among the
+        # tree's dense nodes; ``dense`` holds each dimension's dense rows and
+        # where each tree's start in them.
+        features, dims = np.array(self.features, dtype=np.int64), np.array(self.dims)
+        row_of = np.cumsum(features < 0) - 1  # by place in pre-order
+        gather, tree_at = features[rank], tree_of[order]
+        weighted = np.flatnonzero(gather < 0)
+        row_dim = dims[tree_at[weighted]]
+        dense = {dim: (np.zeros((0, dim)), [0] * len(starts)) for dim in set(self.dims)}
+        for dim in set(row_dim.tolist()):
+            at = weighted[row_dim == dim]
+            rows = np.array([self.rows[r] for r in row_of[rank[at]].tolist()], dtype=np.float64)
+            gather[at] = _unit_features(rows)
+            is_dense = gather[at] < 0
+            at, rows = at[is_dense], rows[is_dense]
+            row_starts = np.searchsorted(at, internal_starts)
+            gather[at] = dim + np.arange(len(at)) - row_starts[tree_at[at]]
+            dense[dim] = rows, row_starts.tolist()
         trees = []
         internal_starts, leaf_starts = internal_starts.tolist(), leaf_starts.tolist()
         for t, dim in enumerate(self.dims):
             a, b = internal_starts[t], internal_starts[t + 1]
             c, d = leaf_starts[t], leaf_starts[t + 1]
-            index, rows = dense.get(t) or (no_index, np.zeros((0, dim)))
+            rows, row_starts = dense[dim]
+            tests = SplitTests(gather[a:b], thresholds[a:b], rows[row_starts[t] : row_starts[t + 1]])
             trees.append(
                 BinaryDecisionTree._from_arrays(
                     feature_dim=dim,
-                    _arrays=_SplitArrays(features[a:b], children[a:b], index, rows),
+                    split_tests=tests,
+                    _children=children[a:b],
                     span_array=spans[a:b],
-                    thresholds=thresholds[a:b],
+                    thresholds=tests.thresholds,
                     leaf_values=leaf_values[c:d],
                     leaf_depths=leaf_depths[c:d],
                 )

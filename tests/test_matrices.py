@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -341,6 +341,8 @@ class TestScatterBuilders:
             lambda t: leaf_distribution(t, [0.5]),
             lambda t: naive_traverse(t, np.zeros(t.feature_dim)),
             lambda t: StackedTrees.build([t]),
+            lambda t: t.split_tests,
+            lambda t: t.weight_matrix,
         ]
         for read in readers:
             with pytest.raises(ValueError, match=r"tree is malformed: .*; run validate\(\)"):
@@ -569,6 +571,7 @@ class TestRecoverTree:
 
     @settings(max_examples=60, deadline=None)
     @given(tree=random_trees)
+    @example(tree=BinaryDecisionTree(Leaf(0.0), 1))  # a 1 x 0 matrix
     def test_round_trip_both_kinds(self, tree):
         right = build_right_matrix(tree)
         left = build_left_matrix(tree)
@@ -597,8 +600,9 @@ class TestRecoverTree:
             recover_tree(BitMatrix(bad), "right")
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(UnrealizableMatrixError):
-            recover_tree(BitMatrix(np.zeros((3, 3), dtype=np.uint8)), "right")
+        for shape in ((3, 3), (0, 0)):
+            with pytest.raises(UnrealizableMatrixError, match=f"a {shape[0]} x {shape[1]} matrix"):
+                recover_tree(BitMatrix(np.zeros(shape, dtype=np.uint8)), "right")
 
     def test_permuted_columns_rejected(self, six_leaf_tree):
         permuted = BitMatrix(RIGHT_6x5[:, [1, 0, 2, 3, 4]])

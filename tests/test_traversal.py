@@ -537,6 +537,30 @@ class TestMips:
             sign_traverse(mats, s).leaf_index
         )
 
+    @pytest.mark.parametrize(
+        "reshape, shape",
+        [
+            (lambda s: s[:-1], "(3,)"),
+            (lambda s: np.append(s, 1), "(5,)"),
+            (lambda s: np.stack([s, s], axis=1), "(4, 2)"),
+            (lambda s: s[0], "()"),
+        ],
+        ids=["short", "long", "2-D", "scalar"],
+    )
+    def test_query_of_the_wrong_shape_is_refused(self, reshape, shape):
+        # Without the check, the 2-D query gave leaf 7 of a 5-leaf tree, and
+        # the short, long and scalar ones raised numpy's matmul ValueError.
+        tree = generate_random_tree(4, 3, 5)
+        vectors = TreeMatrices.build(tree).normalized_leaf_vectors
+        s = signed_test_vector(compute_test_vector(tree, np.array([0.0405, 0.7320, 0.6144])))
+        assert mips_leaf_search(vectors, s) == 4
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"query has shape {shape}, expected (4,)")):
+            mips_leaf_search(vectors, reshape(s))
+
+    def test_leaf_vectors_must_be_2d(self, six_leaf_mats):
+        with pytest.raises(DimensionMismatchError, match=re.escape("leaf vectors have shape (30,)")):
+            mips_leaf_search(six_leaf_mats.normalized_leaf_vectors.ravel(), np.ones(30))
+
 
 class TestEnsemble:
     def test_single_tree_matches_direct_result(self, six_leaf_tree, six_leaf_mats):
@@ -1356,6 +1380,27 @@ class TestHostileInputs:
                     assert hard_routing_consistency(tree, x) and hard_routing_consistency(built[k], x)
                     for name, fn in ALGORITHMS.items():
                         assert fn(mats, x).leaf_index == oracle[i][k], name
+
+    def test_stacking_a_parsed_model_builds_one_split_test(self, monkeypatch):
+        # The parser built every tree's split tests; the stack concatenates
+        # them and derives nothing per tree.
+        built, X = hostile_case(7, 6, 5, 4)
+        parsed = parse_model(serialize_ensemble(built))
+        tests = trees_module.SplitTests
+        made = []
+        init = tests.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(tests, "__init__", counted)
+        model = StackedTrees.build(parsed)
+        assert made == [model.split_tests]
+        assert len(model.split_tests.dense_rows) == sum(len(t.split_tests.dense_rows) for t in parsed) > 0
+        np.testing.assert_array_equal(
+            model.split_tests.false_nodes(X), np.hstack([t.split_tests.false_nodes(X) for t in parsed])
+        )
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 50, 129, 300])
     def test_dense_products_do_not_depend_on_rows(self, dim, monkeypatch):

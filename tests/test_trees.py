@@ -80,6 +80,43 @@ PROBLEM_TREES = [
 STALE_NUMBERING = ["reassigned root", "reordered nodes", "reordered leaves", "swapped siblings"]
 
 
+def doc_node(feature=None, weights=None, threshold=0.5, left=0.0, right=1.0):
+    """A binary node document; a number child is a leaf."""
+    node = {"feature": feature} if weights is None else {"weights": weights}
+    children = [{"leaf": c} if isinstance(c, float) else c for c in (left, right)]
+    return {**node, "threshold": threshold, "left": children[0], "right": children[1]}
+
+
+def objects_of(doc: dict, dim: int):
+    """The ``Internal``/``Leaf`` objects of a binary node document."""
+    if "leaf" in doc:
+        return Leaf(doc["leaf"])
+    if "feature" in doc:
+        predicate = Predicate.one_hot(doc["feature"], doc["threshold"], dim)
+    else:
+        predicate = Predicate(np.array(doc["weights"]), doc["threshold"])
+    return Internal(predicate, objects_of(doc["left"], dim), objects_of(doc["right"], dim))
+
+
+# An ensemble that mixes "feature" nodes, unit "weights" rows (one with a
+# signed zero), dense rows and trees of two feature dimensions, with dense
+# nodes before and after one-hot ones in breadth-first order.
+MIXED_TREES = [
+    (3, doc_node(
+        weights=[0.5, -1.0, 2.0],
+        left=doc_node(feature=2, left=doc_node(weights=[0.0, 1.0, 0.0], threshold=0.25)),
+        right=doc_node(weights=[-0.0, 0.0, 1.0], right=doc_node(weights=[1.0, 1.0, 0.0], threshold=-0.5)),
+    )),
+    (2, {"leaf": 0.75}),
+    (2, doc_node(
+        weights=[1.0, 0.0],
+        left=doc_node(weights=[0.25, 0.75], threshold=0.1),
+        right=doc_node(feature=1, right=doc_node(weights=[0.0, 2.0], threshold=0.3)),
+    )),
+    (3, doc_node(weights=[1.0, 0.0, -2.0], threshold=0.0)),
+]
+
+
 class TestValidate:
     def test_six_leaf_tree_is_valid(self, six_leaf_tree):
         report = validate(six_leaf_tree)
@@ -141,6 +178,23 @@ class TestValidate:
             parsed = parse_tree(text.replace(repr(SENTINEL), literal))
             assert validate(parsed).problems == validate(tree).problems
             assert validate(parsed).problems
+
+    def test_all_zero_weight_row_is_reported_with_its_path(self):
+        # A zero row stays dense when the parser classifies the rows, and the
+        # parsed tree's array walk reports it as the object walk does.
+        root = doc_node(
+            feature=0,
+            left=doc_node(weights=[0.0, 1.0]),
+            right=doc_node(weights=[0.5, 0.5], right=doc_node(weights=[0.0, -0.0], threshold=0.2)),
+        )
+        parsed = parse_model(json.dumps({"type": "ensemble", "trees": [
+            {"type": "binary", "feature_dim": 3, "root": doc_node(weights=[1.0, 1.0, 1.0])},
+            {"type": "binary", "feature_dim": 2, "root": root},
+        ]}))
+        problems = ["internal node root.right.right has all-zero weights"]
+        assert validate(parsed[0]).ok
+        assert validate(parsed[1]).problems == problems
+        assert validate(BinaryDecisionTree(objects_of(root, 2), 2)).problems == problems
 
     def test_general_tree_weight_sum_checked(self):
         bad = general_node([Leaf(0.0), Leaf(1.0)], [0.5, 0.6])
@@ -297,6 +351,29 @@ class TestColumnarParse:
             assert len(built.internal_nodes) == len(internal) and len(built.leaves) == len(leaves)
             assert all(a is b for a, b in zip(built.internal_nodes, internal))
             assert all(a is b for a, b in zip(built.leaves, leaves))
+
+    def test_mixed_weight_rows_parse_as_their_object_twins(self):
+        # The parser classifies every weight row once, per dimension: a unit
+        # row is a one-hot split, as it is for a tree built from objects.
+        docs = [{"type": "binary", "feature_dim": dim, "root": root} for dim, root in MIXED_TREES]
+        parsed = parse_model(json.dumps({"type": "ensemble", "trees": docs}))
+        built = [BinaryDecisionTree(objects_of(root, dim), dim) for dim, root in MIXED_TREES]
+        for p, b in zip(parsed, built):
+            for got, want in (
+                (p.split_tests.gather, b.split_tests.gather),
+                (p.split_tests.thresholds, b.split_tests.thresholds),
+                (p.split_tests.dense_rows, b.split_tests.dense_rows),
+                (p.weight_matrix, b.weight_matrix),
+            ):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        # Columns at or above feature_dim are dense rows, numbered in node order.
+        assert parsed[0].split_tests.gather.tolist() == [3, 2, 2, 1, 4]
+        assert parsed[0].split_tests.dense_rows.tolist() == [[0.5, -1.0, 2.0], [1.0, 1.0, 0.0]]
+        assert parsed[1].split_tests.gather.shape == (0,)
+        assert parsed[1].split_tests.dense_rows.shape == (0, 2)
+        assert parsed[2].split_tests.gather.tolist() == [0, 2, 1, 3]
+        assert parsed[3].split_tests.gather.tolist() == [3]
+        assert serialize_ensemble(parsed) == serialize_ensemble(built)
 
     def test_set_up_and_oracle_read_only_arrays(self, monkeypatch):
         def refuse(tree):
