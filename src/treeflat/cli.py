@@ -5,12 +5,14 @@ instances with a chosen algorithm, ``compare`` cross-checks every algorithm
 against the recursive oracle, ``bench`` measures throughput, and ``gen``
 writes random models plus matching instance files.
 
-``score`` and ``bench`` run every arithmetic algorithm as ``batch_score``,
-and ``compare`` runs them all at once as ``batch_leaves``, whose chunks
-share one test matrix and each distinct rule.  Both run the same code per
-chunk, so ``compare`` checks and ``bench`` times what ``score`` runs;
-``naive`` is the per-pair oracle.  The per-vector traversals are the
-reference the tests check, and no command calls them.
+``score`` and ``bench`` run every algorithm as ``batch_score``, and
+``compare`` runs them all at once as ``batch_leaves``, whose chunks share
+one test matrix and each distinct rule.  Both run the same code per chunk,
+so ``compare`` checks and ``bench`` times what ``score`` runs.  ``naive``,
+the oracle, is one more name on that path: on each chunk it descends every
+tree once per instance, and ``compare`` checks every other name against
+it.  The per-vector traversals are the reference the tests check, and no
+command calls them.
 
 ``score --soft`` and ``flatten`` print arrays whose values repeat by
 construction (a softmax over a few integer path scores, 0/1 masks), so
@@ -60,7 +62,6 @@ from .trees import (
     TreeFormatError,
     generate_random_general_tree,
     generate_random_tree,
-    naive_traverse,
     parse_model,
     parse_tree,
     serialize_ensemble,
@@ -104,7 +105,7 @@ def _load_trees(path: str) -> list[BinaryDecisionTree | GeneralTree]:
     return trees
 
 
-def _load_binary_trees(path: str) -> list[BinaryDecisionTree]:
+def _load_model(path: str) -> StackedTrees:
     trees = _load_trees(path)
     for tree in trees:
         if not isinstance(tree, BinaryDecisionTree):
@@ -112,12 +113,10 @@ def _load_binary_trees(path: str) -> list[BinaryDecisionTree]:
                 EXIT_INVALID_MODEL,
                 f"{path}: scoring needs binary trees; found a general tree",
             )
-    dims = {t.feature_dim for t in trees}
-    if len(dims) > 1:
-        raise CliError(
-            EXIT_INVALID_MODEL, f"{path}: trees disagree on feature_dim {sorted(dims)}"
-        )
-    return trees
+    try:
+        return StackedTrees.build(trees)
+    except DimensionMismatchError as exc:  # trees disagree on feature_dim
+        raise CliError(EXIT_INVALID_MODEL, f"{path}: {exc}") from exc
 
 
 def _load_instances(path: str, feature_dim: int) -> np.ndarray:
@@ -232,18 +231,6 @@ def cmd_flatten(args) -> int:
     return EXIT_OK
 
 
-def _naive_scores(
-    trees: Sequence[BinaryDecisionTree], X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's exit leaves and leaf values, one (instance, tree) pair at
-    a time, shaped as ``batch_score`` yields them."""
-    shape = (len(X), len(trees))
-    leaves = np.asarray([[naive_traverse(t, x) for t in trees] for x in X], dtype=np.int64)
-    leaves = leaves.reshape(shape)
-    values = [[t.leaf_values[leaf - 1] for t, leaf in zip(trees, row)] for row in leaves.tolist()]
-    return leaves, np.asarray(values, dtype=np.float64).reshape(shape)
-
-
 def _write_scores(out, leaves: np.ndarray, values: np.ndarray) -> None:
     """``leaf value`` lines for a single tree, summed scores for an ensemble."""
     if leaves.shape[1] == 1:
@@ -254,19 +241,17 @@ def _write_scores(out, leaves: np.ndarray, values: np.ndarray) -> None:
 
 
 def cmd_score(args) -> int:
-    trees = _load_binary_trees(args.model)
-    X = _load_instances(args.instances, trees[0].feature_dim)
-    if args.soft and len(trees) > 1:
+    model = _load_model(args.model)
+    X = _load_instances(args.instances, model.feature_dim)
+    if args.soft and len(model.trees) > 1:
         raise CliError(EXIT_USAGE, "--soft works on a single tree, not an ensemble")
     out = sys.stdout
     try:
         if args.soft:
-            for probs in batch_soft_attention(StackedTrees.build(trees), X):
+            for probs in batch_soft_attention(model, X):
                 out.writelines(line + "\n" for line in _format_rows(probs, ".12g", ","))
-        elif args.algo == "naive":
-            _write_scores(out, *_naive_scores(trees, X))
         else:
-            for leaves, values in batch_score(StackedTrees.build(trees), X, args.algo):
+            for leaves, values in batch_score(model, X, args.algo):
                 _write_scores(out, leaves, values)
     except DimensionMismatchError as exc:
         raise CliError(EXIT_DATA_MISMATCH, str(exc)) from exc
@@ -287,37 +272,31 @@ class BenchRow:
     name: str
     instances_per_second: float
     total_ns: int
-    leaf_agreement: bool
 
 
-def _first_disagreement(
-    trees: Sequence[BinaryDecisionTree], model: StackedTrees, X: np.ndarray
-) -> Disagreement | None:
-    """The first (instance, tree, algorithm in ``ALGORITHMS`` order) where a
-    batch misses the oracle.  ``batch_leaves`` runs every algorithm on each
-    chunk, one chunk in memory: the chunk's test matrix and each distinct
-    rule are computed once."""
-    names = [n for n in ALGORITHMS if n != "naive"]
-    expected, _ = _naive_scores(trees, X)
+def _first_disagreement(model: StackedTrees, X: np.ndarray) -> Disagreement | None:
+    """The first (instance, tree, algorithm in ``ALGORITHMS`` order) where an
+    algorithm misses the oracle.  ``batch_leaves`` runs all of them on each
+    chunk, ``naive`` first (it leads ``ALGORITHMS``), one chunk in memory:
+    the chunk's test matrix and each distinct rule are computed once."""
+    names = list(ALGORITHMS)
     start = 0
     for got in batch_leaves(model, X, names):
-        oracle = expected[start : start + len(got)]
-        bad = np.argwhere(got != oracle[:, :, None])
+        bad = np.argwhere(got[:, :, 1:] != got[:, :, :1])
         if len(bad):
             i, k, a = bad[0].tolist()
-            return Disagreement(start + i, names[a], int(got[i, k, a]), int(oracle[i, k]), k)
+            return Disagreement(start + i, names[a + 1], int(got[i, k, a + 1]), int(got[i, k, 0]), k)
         start += len(got)
     return None
 
 
-def _verified_models(args) -> tuple[list[BinaryDecisionTree], StackedTrees, np.ndarray] | None:
+def _verified_models(args) -> tuple[StackedTrees, np.ndarray] | None:
     """Load the model and instances and check every algorithm against the
     oracle.  Prints the first disagreement and returns None if there is one."""
-    trees = _load_binary_trees(args.model)
-    X = _load_instances(args.instances, trees[0].feature_dim)
-    model = StackedTrees.build(trees)
+    model = _load_model(args.model)
+    X = _load_instances(args.instances, model.feature_dim)
     try:
-        bad = _first_disagreement(trees, model, X)
+        bad = _first_disagreement(model, X)
     except DimensionMismatchError as exc:
         raise CliError(EXIT_DATA_MISMATCH, str(exc)) from exc
     if bad is not None:
@@ -326,15 +305,15 @@ def _verified_models(args) -> tuple[list[BinaryDecisionTree], StackedTrees, np.n
             f"leaf={bad.leaf} (oracle leaf={bad.expected}, tree={bad.tree})"
         )
         return None
-    return trees, model, X
+    return model, X
 
 
 def cmd_compare(args) -> int:
     verified = _verified_models(args)
     if verified is None:
         return EXIT_DISAGREEMENT
-    trees, _, X = verified
-    print(f"all algorithms agree on {len(X)} instances x {len(trees)} trees")
+    model, X = verified
+    print(f"all algorithms agree on {len(X)} instances x {len(model.trees)} trees")
     return EXIT_OK
 
 
@@ -342,35 +321,27 @@ def cmd_bench(args) -> int:
     verified = _verified_models(args)
     if verified is None:
         return EXIT_DISAGREEMENT
-    trees, model, X = verified
+    model, X = verified
     rows = []
     for name in ALGORITHMS:
         timings = []
         for _ in range(args.repeat):
             start = time.perf_counter_ns()
-            if name == "naive":
-                _naive_scores(trees, X)
-            else:
-                for _chunk in batch_score(model, X, name):
-                    pass
+            for _chunk in batch_score(model, X, name):
+                pass
             timings.append(time.perf_counter_ns() - start)
         total_ns = int(median(timings))
         per_second = len(X) / (total_ns / 1e9) if total_ns else float("inf")
-        rows.append(BenchRow(name, per_second, total_ns, True))
+        rows.append(BenchRow(name, per_second, total_ns))
+    # Every row agrees: bench times only models that ``compare`` passes.
     if args.csv:
         print("algorithm,instances_per_second,total_ns,leaf_agreement")
         for row in rows:
-            print(
-                f"{row.name},{row.instances_per_second:.6g},{row.total_ns},"
-                f"{'true' if row.leaf_agreement else 'false'}"
-            )
+            print(f"{row.name},{row.instances_per_second:.6g},{row.total_ns},true")
     else:
         print(f"{'algorithm':<12}{'instances/s':>14}{'total_ns':>14}  agreement")
         for row in rows:
-            print(
-                f"{row.name:<12}{row.instances_per_second:>14.6g}"
-                f"{row.total_ns:>14}  {'ok' if row.leaf_agreement else 'FAIL'}"
-            )
+            print(f"{row.name:<12}{row.instances_per_second:>14.6g}{row.total_ns:>14}  ok")
     return EXIT_OK
 
 

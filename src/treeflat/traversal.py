@@ -77,14 +77,17 @@ the leftmost maximum, checked by one gather (or one count per row if the
 hit must be unique); for several trees by a count and a minimum per tree
 segment (``np.add.reduceat`` and ``np.minimum.reduceat``).  An ensemble's
 leaf values are added column by column in model order, from 0.0
-(``sum_in_model_order``), on every Python version.  ``naive`` has no batch
-form: the recursive descent runs once per (instance, tree) pair, because it
-is the oracle.
+(``sum_in_model_order``), on every Python version.  ``naive``, the
+oracle, runs on the same chunks with no rule and no selection: its batch
+form calls ``naive_traverse`` once per (instance, tree) pair, on the trees
+the ``StackedTrees`` was built from, so its leaves never depend on the
+stacked arrays the other rules read.
 
-``ensemble_score`` stacks a model's trees on the first call that a bundle
-leads with them, and that bundle keeps the ``StackedTrees`` for later such
-calls, so it lives as long as the bundle; a call with other trees stacks
-those in its place.  The module holds no state.
+``ensemble_score`` scores x as a batch of one under every name.  It stacks a
+model's trees on the first call that a bundle leads with them, and that
+bundle keeps the ``StackedTrees`` for later such calls, so it lives as long
+as the bundle; a call with other trees stacks those in its place.  The
+module holds no state.
 """
 
 from __future__ import annotations
@@ -178,14 +181,11 @@ class TreeMatrices:
     ``signed``) from the ``matrices`` builders.
 
     ``_stack`` is ``ensemble_score``'s entry for the calls this bundle leads:
-    the trees of the last such call and their ``StackedTrees``, or nothing
-    before the first.  It holds trees, never bundles, so no cycle keeps it
-    past this bundle."""
+    the ``StackedTrees`` of the last such call, or None before the first.
+    It holds trees, never bundles, so no cycle keeps it past this bundle."""
 
     tree: BinaryDecisionTree
-    _stack: tuple[tuple[BinaryDecisionTree, ...], StackedTrees | None] = field(
-        default_factory=lambda: ((), None), init=False, repr=False, compare=False
-    )
+    _stack: StackedTrees | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, tree: BinaryDecisionTree) -> "TreeMatrices":
@@ -528,6 +528,7 @@ def mips_leaf_search(leaf_vectors: np.ndarray, query) -> int:
 class StackedTrees:
     """A model's trees on one node axis and one leaf axis.
 
+    ``trees`` are the trees it was built from, which the oracle descends.
     ``split_tests`` stacks every tree's split tests, so
     ``compute_test_matrix`` tests every node of every tree in one gather.
     ``spans`` holds each node's ``(lo, mid, hi)`` offset onto the shared leaf
@@ -539,6 +540,7 @@ class StackedTrees:
     node's tree; they are built on first read.
     """
 
+    trees: tuple[BinaryDecisionTree, ...]
     feature_dim: int
     split_tests: SplitTests
     spans: np.ndarray
@@ -573,6 +575,7 @@ class StackedTrees:
         gather = np.concatenate([s.gather for s in tests])
         gather += np.repeat(np.cumsum(dense) - dense, nodes) * (gather >= dim)
         return cls(
+            trees=tuple(trees),
             feature_dim=dim,
             split_tests=SplitTests(
                 gather,
@@ -651,14 +654,15 @@ class _Cover:
         )
 
 
-def _test_matrices(model: StackedTrees, X) -> Iterator[np.ndarray]:
-    """``compute_test_matrix`` over chunks of rows of X, sized by
-    CHUNK_ENTRIES, as booleans: True marks a false node."""
+def _test_matrices(model: StackedTrees, X) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chunks of rows of X, sized by CHUNK_ENTRIES, each with its
+    ``compute_test_matrix`` as booleans: True marks a false node."""
     X = _instance_matrix(model, X)
     tests = model.split_tests
     step = max(1, CHUNK_ENTRIES // (model.num_leaves + 1))
     for start in range(0, len(X), step):
-        yield tests.false_nodes(X[start : start + step])
+        rows = X[start : start + step]
+        yield rows, tests.false_nodes(rows)
 
 
 def _right_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
@@ -761,7 +765,7 @@ def _first_bits(words: np.ndarray, model: StackedTrees, unique: bool, algorithm:
 @dataclass(frozen=True)
 class _Algorithm:
     """One row of the algorithm table.  The selector reads t, or s = 2t - 1
-    if ``signed``; the oracle has no batch ``hits`` rule and reads x itself.
+    if ``signed``; the oracle has no ``hits`` rule and reads x itself.
     A batch exits each tree at its first hit, which must be its only one if
     ``unique``.  A ``words`` rule, if any, replaces ``hits`` on a model that
     ``fits_words``."""
@@ -809,8 +813,8 @@ def _stack_for(models: Sequence[TreeMatrices], x) -> StackedTrees:
     built again whenever that bundle leads a call with other trees."""
     lead = models[0]
     trees = tuple([mats.tree for mats in models])
-    keyed, model = lead._stack
-    if keyed != trees:
+    model = lead._stack
+    if model is None or model.trees != trees:
         try:
             model = StackedTrees.build(trees)
         except DimensionMismatchError:
@@ -818,60 +822,65 @@ def _stack_for(models: Sequence[TreeMatrices], x) -> StackedTrees:
             for tree in trees:
                 _feature_vector(x, tree.feature_dim)
             raise
-        lead._stack = (trees, model)
+        lead._stack = model
     return model
 
 
 def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     """Sum of per-tree exit leaf values under the named algorithm.
 
-    Every arithmetic algorithm scores x as a batch of one row through
+    Every algorithm, ``naive`` too, scores x as a batch of one row through
     ``batch_score``, on the model's trees stacked into one ``StackedTrees``,
     reading only each ``models[i].tree``.  The first bundle ``models[0]``
     keeps that stack, built on the first call it leads with these trees, for
-    later calls with the same trees.  ``naive``, the oracle, descends each
-    tree.  Both add the leaf values with ``sum_in_model_order``, so they
-    return the same float as ``treeflat score``; an empty ensemble scores
-    0.0.
+    later calls with the same trees.  The leaf values are added with
+    ``sum_in_model_order``, so the result is the float ``treeflat score``
+    prints; an empty ensemble scores 0.0.
     """
-    try:
-        row = _TABLE[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        ) from None
-    if row.hits and models:
-        model = _stack_for(models, x)
-        x = _feature_vector(x, model.feature_dim)
-        _, values = next(batch_score(model, x[None, :], algorithm))
-    else:  # naive, or no trees: a row of one leaf value per tree
-        values = np.array([[row.select(mats, x).leaf_value for mats in models]])
+    _check_names([algorithm])
+    if not models:
+        return 0.0
+    model = _stack_for(models, x)
+    x = _feature_vector(x, model.feature_dim)
+    _, values = next(batch_score(model, x[None, :], algorithm))
     return float(sum_in_model_order(values)[0])
 
 
-def _check_batch_names(names: Sequence[str]) -> None:
-    """Raise unless every name has a batch form."""
+def _check_names(names: Sequence[str]) -> None:
+    """Raise unless every name is in ``ALGORITHMS``."""
     for name in names:
-        row = _TABLE.get(name)
-        if row is None or row.hits is None:
-            batched = sorted(n for n, r in _TABLE.items() if r.hits)
-            raise ValueError(f"no batch form for {name!r}; choose from {batched}")
+        if name not in _TABLE:
+            raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(_TABLE)}")
 
 
-def _chunk_exits(model: StackedTrees, t: np.ndarray, names: Sequence[str]) -> list[np.ndarray]:
+def _oracle_exits(model: StackedTrees, rows: np.ndarray) -> np.ndarray:
+    """``naive_traverse`` once per (row, tree) pair, as positions on the
+    stacked leaf axis."""
+    leaves = [[naive_traverse(tree, x) for tree in model.trees] for x in rows]
+    return np.array(leaves, dtype=np.int64) - 1 + model.leaf_starts
+
+
+def _chunk_exits(
+    model: StackedTrees, rows: np.ndarray, t: np.ndarray, names: Sequence[str]
+) -> list[np.ndarray]:
     """Each named algorithm's exit positions on the stacked leaf axis for one
-    chunk's boolean test matrix t, in the order of ``names``.
+    chunk's rows and their boolean test matrix t, in the order of ``names``.
 
     Algorithms that name the same rule function share its result, and those
     that also agree on ``unique`` share the selection, so each runs once per
     chunk.  The names are worked through in order, so the first one whose
-    selection fails raises its error, as if each ran on its own.
+    selection fails raises its error, as if each ran on its own.  The oracle
+    has no rule: it descends the trees from the rows themselves and reads
+    neither t nor any selection.
     """
     rules: dict[Callable, np.ndarray] = {}
     selections: dict[tuple[Callable, bool], np.ndarray] = {}
     exits = []
     for name in names:
         row = _TABLE[name]
+        if row.hits is None:
+            exits.append(_oracle_exits(model, rows))
+            continue
         if row.words is not None and model.fits_words:
             rule, select = row.words, _first_bits
         else:
@@ -892,12 +901,12 @@ def batch_leaves(model: StackedTrees, X, names: Sequence[str]) -> Iterator[np.nd
     Yields a (rows, trees, algorithms) array per chunk of rows:
     ``leaves[i, k, a]`` is tree k's 1-based exit leaf for row i under
     ``names[a]``.  Each chunk's test matrix is computed once for all of
-    them.  ``names`` holds one or more algorithms with a batch form.
+    them.  ``names`` holds one or more names from ``ALGORITHMS``.
     """
-    _check_batch_names(names)
+    _check_names(names)
     starts = model.leaf_starts[:, None]
-    for t in _test_matrices(model, X):
-        yield np.stack(_chunk_exits(model, t, names), axis=2) - starts + 1
+    for rows, t in _test_matrices(model, X):
+        yield np.stack(_chunk_exits(model, rows, t, names), axis=2) - starts + 1
 
 
 def batch_score(
@@ -909,9 +918,9 @@ def batch_score(
     Yields ``(leaves, values)`` per chunk of rows: ``leaves[i, k]`` is tree
     k's 1-based exit leaf for row i and ``values[i, k]`` its leaf value.
     """
-    _check_batch_names([algorithm])
-    for t in _test_matrices(model, X):
-        [first] = _chunk_exits(model, t, [algorithm])
+    _check_names([algorithm])
+    for rows, t in _test_matrices(model, X):
+        [first] = _chunk_exits(model, rows, t, [algorithm])
         yield first - model.leaf_starts + 1, model.leaf_values[first]
 
 
@@ -921,7 +930,7 @@ def batch_soft_attention(model: StackedTrees, X) -> Iterator[np.ndarray]:
     if len(model.leaf_starts) != 1:
         raise ValueError("soft attention works on a single tree, not an ensemble")
     depths = model.leaf_depths if len(model.spans) else 1  # as soft_attention divides
-    for t in _test_matrices(model, X):
+    for _, t in _test_matrices(model, X):
         ps = _signed_scores(model.spans, model.num_leaves, signed_test_vector(t))
         yield _softmax_rows(ps / depths)
 

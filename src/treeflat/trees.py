@@ -535,14 +535,11 @@ class ValidationReport:
 
 
 def _is_finite_number(x) -> bool:
-    """A real number whose float value is finite; an int too large for a
-    float is not."""
-    if isinstance(x, (int, float)):
-        try:
-            return math.isfinite(x)
-        except OverflowError:
-            return False
-    return isinstance(x, (np.integer, np.floating)) and bool(np.isfinite(x))
+    """A real number whose float value, as the tree stores it
+    (``_object_number``), is finite; an int or a ``np.longdouble`` too large
+    for a float is not."""
+    value = _object_number(x)
+    return value is not None and math.isfinite(value)
 
 
 def _parsed_problems(tree: BinaryDecisionTree) -> list[str]:

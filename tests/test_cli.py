@@ -471,7 +471,8 @@ class TestScore:
             for call in range(3):
                 totals = [ensemble_score(models, x, algo) for x in X]
                 assert [t.hex() for t in totals] == [(0.0).hex()] * 3, (algo, call)
-            assert (models[0]._stack[1] is not None) == (algo != "naive"), algo
+            # Every name, naive too, scores a stacked model.
+            assert models[0]._stack.trees == tuple(m.tree for m in models), algo
 
 
 def test_scoring_never_builds_the_path_table(tmp_path, capsys, monkeypatch):
@@ -593,10 +594,47 @@ class TestCompare:
         model = StackedTrees.build([six_leaf_tree])
         corrupt = dataclasses.replace(model, leaf_depths=-model.leaf_depths)
         X = instance_for_tests(six_leaf_tree, [1, 0, 0, 0, 0])[None, :]
-        bad = cli._first_disagreement([six_leaf_tree], corrupt, X)
+        bad = cli._first_disagreement(corrupt, X)
         assert bad is not None
         assert bad.algorithm in ("sign", "ecoc", "delta")
-        assert bad.leaf != bad.expected
+        assert bad.leaf != bad.expected == naive_traverse(six_leaf_tree, X[0])
+
+    def test_corrupt_spans_or_leaf_starts_keep_the_oracle_leaf(self):
+        # The oracle descends the trees the model was built from, never its
+        # stacked arrays.  Two perfect trees of 128 leaves (the span form for
+        # every rule) with their node spans swapped: each tree's leaves are
+        # chosen by the other's tests, one hit per tree under every rule.  A
+        # one-tree model whose leaf axis starts at 1: every leaf is one less.
+        trees = [perfect_tree(7, 4, seed) for seed in (1, 2)]
+        model = StackedTrees.build(trees)
+        nodes = model.node_starts[1]
+        corrupt = [
+            dataclasses.replace(model, spans=np.concatenate([model.spans[nodes:], model.spans[:nodes]])),
+            dataclasses.replace(StackedTrees.build(trees[:1]), leaf_starts=np.array([1])),
+        ]
+        X = np.random.default_rng(3).uniform(size=(20, 4))
+        for bad_model in corrupt:
+            bad = cli._first_disagreement(bad_model, X)
+            assert bad is not None
+            assert bad.leaf != bad.expected == naive_traverse(trees[bad.tree], X[bad.instance])
+
+    def test_oracle_descends_each_pair_once(self, tmp_path, capsys, monkeypatch):
+        trees = [perfect_tree(depth, 3, depth) for depth in (2, 3, 5)]
+        model, data = tmp_path / "m.json", tmp_path / "d.csv"
+        model.write_text(serialize_ensemble(trees))
+        X = np.random.default_rng(4).uniform(size=(25, 3))
+        np.savetxt(data, X, delimiter=",")
+        # Chunks of 4 rows, so rows come from several chunks.
+        monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 4 * (sum(t.num_leaves for t in trees) + 1))
+        pairs = []
+        real = traversal.naive_traverse
+        monkeypatch.setattr(
+            traversal, "naive_traverse", lambda tree, x: pairs.append((id(tree), x.tobytes())) or real(tree, x)
+        )
+        assert invoke(["compare", model, data], capsys) == (
+            0, "all algorithms agree on 25 instances x 3 trees\n", ""
+        )
+        assert len(pairs) == len(set(pairs)) == 25 * 3
 
     def test_disagreement_exits_one_with_triple(
         self, six_leaf_file, leaf3_instances, capsys, monkeypatch

@@ -190,7 +190,7 @@ class TestTreeMatricesBuild:
 
     def test_build_keeps_only_the_tree(self, six_leaf_tree):
         mats = TreeMatrices.build(six_leaf_tree)
-        assert vars(mats) == {"tree": six_leaf_tree, "_stack": ((), None)}
+        assert vars(mats) == {"tree": six_leaf_tree} and mats._stack is None
 
     def test_bitwise_and_soft_paths_build_no_dense_matrix(self, monkeypatch):
         def refuse(tree):
@@ -693,7 +693,7 @@ class TestCachedEnsembleScore:
             for model in (other, models):
                 assert ensemble_score(model, x, "sign") == per_vector_sum(model, x, "sign")
         assert len(stack_builds) == 2
-        stacked = [model[0]._stack[1] for model in (models, other)]
+        stacked = [model[0]._stack for model in (models, other)]
         assert None not in stacked and stacked[0] is not stacked[1]
 
     def test_shared_first_bundle_restacks_at_each_switch(self, stack_builds):
@@ -705,7 +705,7 @@ class TestCachedEnsembleScore:
                 assert ensemble_score(model, x, "qs") == per_vector_sum(model, x, "qs")
                 calls += 1
                 assert len(stack_builds) == calls
-                assert models[0]._stack[0] == tuple(m.tree for m in model)
+                assert models[0]._stack.trees == tuple(m.tree for m in model)
 
     def test_fresh_bundles_stack_on_every_call(self, stack_builds):
         trees = word_ensemble()
@@ -720,28 +720,28 @@ class TestCachedEnsembleScore:
         for _ in range(2):
             stacked = ensemble_score(models, x, "qs")
         assert len(stack_builds) == 1
-        first = models[0]._stack[1]
+        first = models[0]._stack
         swapped = list(models)
         swapped[4] = TreeMatrices.build(constant_tree(1e6, 4))
         expected = per_vector_sum(swapped, x, "qs")
         assert expected != stacked
         for _ in range(2):
             assert ensemble_score(swapped, x, "qs") == expected
-        keyed, model = models[0]._stack
-        assert keyed == tuple(m.tree for m in swapped)
+        model = models[0]._stack
+        assert model.trees == tuple(m.tree for m in swapped)
         assert model is not first and model.num_leaves == sum(m.num_leaves for m in swapped)
         assert len(stack_builds) == 2
         # The stack went with the old key: the first list is stacked again.
         assert ensemble_score(models, x, "qs") == stacked
         assert len(stack_builds) == 3
-        assert models[0]._stack[0] == tuple(m.tree for m in models)
+        assert models[0]._stack.trees == tuple(m.tree for m in models)
 
     def test_cache_does_not_outlive_its_trees(self):
         # Freed by reference counting when the trees and bundles go: no cycle.
         trees = word_ensemble()
         models = fresh_bundles(trees)
         ensemble_score(models, np.zeros(4), "qs")
-        stacked = weakref.ref(models[0]._stack[1])
+        stacked = weakref.ref(models[0]._stack)
         gc.disable()
         try:
             del trees, models
@@ -794,7 +794,7 @@ class TestCachedEnsembleScore:
             for _ in range(2):
                 with pytest.raises(ValueError, match=r"tree is malformed: .*; run validate\(\)"):
                     ensemble_score(models, np.zeros(2), name)
-            assert models[0]._stack == ((), None)
+            assert models[0]._stack is None
 
 
 class TestRegistry:
@@ -980,13 +980,26 @@ class TestBatchScore:
         [(leaves, _)] = batch_score(corrupt, X, "qs")
         assert leaves.tolist() == [[1]]
 
-    def test_naive_and_unknown_names_have_no_batch_form(self, six_leaf_tree):
-        model = StackedTrees.build([six_leaf_tree])
-        for name in ("naive", "fastest"):
-            with pytest.raises(ValueError, match="no batch form"):
-                list(batch_score(model, np.zeros((1, 5)), name))
-            with pytest.raises(ValueError, match=f"no batch form for '{name}'"):
-                list(batch_leaves(model, np.zeros((1, 5)), ["qs", name]))
+    def test_naive_batch_is_the_per_pair_descent_and_unknown_names_raise(self, monkeypatch):
+        # Chunks of 7 rows, on trees of different sizes.
+        trees = [generate_random_tree(d, 4, s) for d, s in ((3, 1), (6, 2), (1, 3))]
+        model = StackedTrees.build(trees)
+        monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 7 * (model.num_leaves + 1))
+        X = random_instances(40, 4, 5)
+        expected = np.array([[naive_traverse(t, x) for t in trees] for x in X])
+        values = np.array([[t.leaf_values[leaf - 1] for t, leaf in zip(trees, row)] for row in expected])
+        leaves, got = map(np.concatenate, zip(*batch_score(model, X, "naive")))
+        np.testing.assert_array_equal(leaves, expected)
+        assert got.tobytes() == values.tobytes()
+        both = np.concatenate(list(batch_leaves(model, X, ["naive", "qs"])))
+        np.testing.assert_array_equal(both, np.stack([expected, expected], axis=2))
+        message = re.escape(f"unknown algorithm 'fastest'; choose from {sorted(ALGORITHMS)}")
+        with pytest.raises(ValueError, match=message):
+            list(batch_score(model, X, "fastest"))
+        with pytest.raises(ValueError, match=message):
+            list(batch_leaves(model, X, ["naive", "fastest"]))
+        with pytest.raises(ValueError, match=message):
+            ensemble_score([TreeMatrices.build(t) for t in trees], X[0], "fastest")
 
     def test_dimension_mismatch_raises_even_without_rows(self, six_leaf_tree):
         model = StackedTrees.build([six_leaf_tree])
@@ -1444,7 +1457,7 @@ class TestLoneLeafTree:
             models = fresh_bundles(trees)
             assert ensemble_score(models, x, name) == expected  # stacks the model
             assert ensemble_score(models, x, name) == expected  # warm
-            assert models[0]._stack[1] is not None or name == "naive"
+            assert models[0]._stack.trees == tuple(trees)  # naive stacks too
             result = ALGORITHMS[name](models[0], x)
             assert (result.leaf_index, result.leaf_value) == (1, 0.25)
 

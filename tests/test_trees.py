@@ -179,6 +179,18 @@ class TestValidate:
             assert validate(parsed).problems == validate(tree).problems
             assert validate(parsed).problems
 
+    @pytest.mark.parametrize("bad", ["1e400", "-1e400"])
+    def test_longdouble_too_large_for_a_float_is_reported(self, bad):
+        # Finite as a long double where that type is wider than float64, but
+        # the tree stores it as a float, ±inf, and validate judges that value.
+        value = np.longdouble(bad)
+        leaf = BinaryDecisionTree(one_hot_node(0, Leaf(value), Leaf(1.0)), 5)
+        assert leaf.leaf_values[0] == float(bad)
+        assert validate(leaf).problems == ["leaf root.left has a non-finite value"]
+        node = BinaryDecisionTree(Internal(Predicate(np.ones(5), value), Leaf(0.0), Leaf(1.0)), 5)
+        assert node.thresholds[0] == float(bad)
+        assert validate(node).problems == ["internal node root has a non-finite threshold"]
+
     def test_all_zero_weight_row_is_reported_with_its_path(self):
         # A zero row stays dense when the parser classifies the rows, and the
         # parsed tree's array walk reports it as the object walk does.
