@@ -18,11 +18,10 @@ from .trees import (
     BinaryDecisionTree,
     GeneralInternal,
     GeneralTree,
-    Internal,
     Leaf,
-    Predicate,
-    _assemble,
     _feature_vector,
+    _object_number,
+    _preorder_tree,
     naive_traverse,
 )
 
@@ -140,35 +139,30 @@ def convert_general_to_binary(
     if not isinstance(tree.root, GeneralInternal):
         raise ValueError("general tree must have an internal root")
     # The binary nodes in pre-order, from an explicit stack as the samplers
-    # list theirs.  An entry (node, i, remaining) is the split of the chain
-    # of ``node`` that keeps child i on the left, where the children from i
-    # on carry the mass ``remaining``.
-    preorder: list = []
-    stack: list = [tree.root]
+    # list theirs, each with its parent.  An entry (node, i, remaining) is
+    # the split of the chain of ``node`` that keeps child i on the left,
+    # where the children from i on carry the mass ``remaining``.
+    numbers, parents, probs = [], [], []  # probs: per split, in pre-order
+    stack: list = [(tree.root, -1)]
     while stack:
-        item = stack.pop()
+        item, parent = stack.pop()
+        index = len(parents)
+        parents.append(parent)
         if isinstance(item, Leaf):
-            preorder.append(item.value)
+            if (value := _object_number(item.value)) is None:
+                raise ValueError(f"leaf value {item.value!r} is not a number; run validate()")
+            numbers.append(value)
             continue
         node, i, remaining = item if isinstance(item, tuple) else (item, 0, 1.0)
         children, weight = node.children, float(node.weights[i])
         p = weight / remaining if remaining > 0.0 else 0.5
-        preorder.append((2, min(max(p, 0.0), 1.0)))
+        probs.append(min(max(p, 0.0), 1.0))
+        numbers.append(0.0)
         last = i == len(children) - 2
-        stack.append(children[i + 1] if last else (node, i + 1, remaining - weight))
-        stack.append(children[i])
-    dim = max(tree.feature_dim, 1)
-    predicate = Predicate.one_hot(0, 0.0, dim)
-    prob_of: dict[int, float] = {}
-
-    def split(entry: tuple, children: list) -> Internal:
-        node = Internal(predicate, *children)
-        prob_of[id(node)] = entry[1]
-        return node
-
-    binary = BinaryDecisionTree(_assemble(preorder, split), dim)
-    probs = np.asarray([prob_of[id(n)] for n in binary.internal_nodes])
-    return binary, probs
+        stack.append((children[i + 1] if last else (node, i + 1, remaining - weight), index))
+        stack.append((children[i], index))
+    binary, breadth_first = _preorder_tree(numbers, parents, [0] * len(probs), max(tree.feature_dim, 1))
+    return binary, np.asarray(probs)[breadth_first]
 
 
 def hard_routing_consistency(tree: BinaryDecisionTree, x) -> bool:

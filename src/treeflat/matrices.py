@@ -33,13 +33,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .trees import (
-    BinaryDecisionTree,
-    GeneralTree,
-    Internal,
-    Predicate,
-    _assemble,
-)
+from .trees import BinaryDecisionTree, GeneralTree, _preorder_tree
 
 __all__ = [
     "BitMatrix",
@@ -311,16 +305,18 @@ def recover_tree(m: BitMatrix, kind: str) -> BinaryDecisionTree:
             )
         intervals.append((int(zeros[0]), int(zeros[-1]) + 1))
 
-    # The nodes in pre-order from an explicit stack, as the samplers list
-    # theirs, each entry a column subset and its leaf range.
-    preorder: list = []
-    stack = [(list(range(n_nodes)), 0, n_leaves)]
+    # Each node's parent in pre-order, from an explicit stack as the
+    # samplers list theirs, each entry a column subset, its leaf range and
+    # its parent.  Every column is one internal node.
+    parents: list[int] = []
+    stack = [(list(range(n_nodes)), 0, n_leaves, -1)]
     while stack:
-        cols, lo, hi = stack.pop()
+        cols, lo, hi, parent = stack.pop()
+        node = len(parents)
+        parents.append(parent)
         if hi - lo == 1:
             if cols:
                 raise UnrealizableMatrixError(f"columns {cols} left over under a single leaf")
-            preorder.append(0.0)
             continue
         if kind == "right":
             anchored = [j for j in cols if intervals[j][0] == lo and intervals[j][1] < hi]
@@ -343,13 +339,9 @@ def recover_tree(m: BitMatrix, kind: str) -> BinaryDecisionTree:
                 right_cols.append(j)
             else:
                 raise UnrealizableMatrixError(f"column {j} straddles the split at leaf row {mid}")
-        preorder.append((2,))
-        stack += [(right_cols, mid, hi), (left_cols, lo, mid)]
+        stack += [(right_cols, mid, hi, node), (left_cols, lo, mid, node)]
 
-    predicate = Predicate.one_hot(0, 0.0, 1)
-    tree = BinaryDecisionTree(
-        _assemble(preorder, lambda _, children: Internal(predicate, *children)), 1
-    )
+    tree, _ = _preorder_tree([0.0] * len(parents), parents, [0] * n_nodes, 1)
     rebuilt = build_right_matrix(tree) if kind == "right" else build_left_matrix(tree)
     if not np.array_equal(rebuilt.entries, entries):
         raise UnrealizableMatrixError("columns are not in breadth-first order for any tree shape")

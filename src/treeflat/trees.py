@@ -2,26 +2,26 @@
 generation, and the recursive traversal oracle.
 
 Binary and general trees share one core: one walk validates the node
-objects of either kind, and one codec reads and writes their nodes.  Each
-kind adds only its own node checks and fields.  A binary node's children
-are ``(left, right)``, so a binary tree is numbered exactly as the same tree
-read as a general tree.
+objects of either kind, and one iterative walk reads the nodes of either
+kind's documents into pre-order columns: per node a number and its parent's
+index.  Each kind adds only its own node checks and fields.  A binary
+node's children are ``(left, right)``, so a binary tree is numbered exactly
+as the same tree read as a general tree.
 
-Every binary tree is node arrays.  The parser reads every node of a
-document in one iterative walk, shared by both kinds, into pre-order
-columns (feature index, threshold, weight rows only where a node has them,
-children, leaf values); ``BinaryDecisionTree(root, feature_dim)`` walks
-``Internal``/``Leaf``/``Predicate`` objects into the same columns.  The
-breadth-first numbering, the leaf order, the leaf depths, the leaf spans
-and the split tests of every binary tree are derived from the columns by
-array operations, once for the whole model: one ``_unit_features`` per
-feature dimension finds the weight rows that are one-hot splits.  A tree
-built from objects keeps them; a parsed tree builds its objects from the
-arrays on first read and keeps them.  Scoring and
-``naive_traverse`` read only the arrays, and ``validate`` reads a parsed
-tree's arrays and walks the objects of a tree built from them.  General
-trees are built as objects as soon as they are read, and one walk over the
-objects numbers them.
+Every binary tree is node arrays, derived from those columns (with a
+feature index or a weight row per internal node): the parser, the
+samplers, ``recover_tree`` and ``convert_general_to_binary`` fill them, and
+``BinaryDecisionTree(root, feature_dim)`` walks ``Internal``/``Leaf``/
+``Predicate`` objects into them.  The breadth-first numbering, the leaf
+order, the leaf depths, the leaf spans and the split tests of every binary
+tree are derived from the columns by array operations, once for the whole
+model: one ``_unit_features`` per feature dimension finds the weight rows
+that are one-hot splits.  A tree built from objects keeps them; any other
+builds them from its arrays on the first read of ``root``,
+``internal_nodes`` or ``leaves``.  Scoring, ``naive_traverse`` and the
+serializer read only the arrays, and ``validate`` walks the objects of a
+tree built from them and reads the arrays of any other.  General trees are
+built as objects from their columns, and one object walk numbers them.
 
 Conventions shared by the whole package:
 
@@ -96,12 +96,6 @@ class Predicate:
         w = np.zeros(dim)
         w[feature] = 1.0
         return cls(w, float(threshold))
-
-    @cached_property
-    def one_hot_feature(self) -> int | None:
-        """Index of the single unit weight, or None for a general hyperplane."""
-        feature = int(_unit_features(np.asarray(self.weights, dtype=np.float64).reshape(1, -1))[0])
-        return feature if feature >= 0 else None
 
 
 def _unit_features(rows: np.ndarray) -> np.ndarray:
@@ -229,9 +223,9 @@ class _Tree:
 class _NodeView:
     """A node-object attribute (``root``, ``internal_nodes``, ``leaves``) of
     a binary tree.  The object constructor sets the attribute on the
-    instance, which hides this descriptor; a parsed tree builds all of them
-    from its arrays on the first read of any, and keeps them.  A malformed
-    tree has no arrays, so the read raises."""
+    instance, which hides this descriptor; any other tree builds all of
+    them from its arrays on the first read of any, and keeps them.  A
+    malformed tree has no arrays, so the read raises."""
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
@@ -271,16 +265,16 @@ class BinaryDecisionTree(_Tree):
     The constructor walks ``Internal``/``Leaf`` objects into the columns
     the parser fills, takes the same arrays from them, and keeps the
     caller's objects as ``root``, ``internal_nodes`` and ``leaves``.  A
-    parsed tree builds those objects from its arrays on first read.
-    Scoring and the oracle read only the arrays.  Objects that give no
-    arrays (a shared node, a missing or foreign child, a node without a
-    ``Predicate``, a weight row of another length, or a non-number) make a
-    malformed tree: ``validate`` reports its faults, and reading any of its
-    arrays raises ValueError.
+    tree made from columns builds them from its arrays on first read.
+    Scoring, the oracle and the serializer read only the arrays.  Objects
+    that give no arrays (a shared node, a missing or foreign child, a node
+    without a ``Predicate``, a weight row of another length, or a
+    non-number) make a malformed tree: ``validate`` reports its faults, and
+    reading any of its arrays raises ValueError.
     """
 
     _internal = Internal
-    _objects = False  # a parsed tree: validate reads its arrays
+    _objects = False  # a tree made from columns: validate reads its arrays
     root = _NodeView()
     internal_nodes = _NodeView()
     leaves = _NodeView()
@@ -305,9 +299,9 @@ class BinaryDecisionTree(_Tree):
         return tree
 
     def _node_view(self) -> dict:
-        """``root``, ``internal_nodes`` and ``leaves`` of a parsed tree,
-        built from its arrays bottom-up (breadth-first order lists every
-        child after its parent)."""
+        """``root``, ``internal_nodes`` and ``leaves`` of a tree made from
+        columns, built from its arrays bottom-up (breadth-first order lists
+        every child after its parent)."""
         tests, dim = self.split_tests, self.feature_dim
         leaves = [Leaf(value) for value in self.leaf_values.tolist()]
         nodes: list = [None] * self.num_internal
@@ -542,8 +536,8 @@ def _is_finite_number(x) -> bool:
     return value is not None and math.isfinite(value)
 
 
-def _parsed_problems(tree: BinaryDecisionTree) -> list[str]:
-    """``_validate`` for a parsed tree.  The parser lets through only
+def _array_problems(tree: BinaryDecisionTree) -> list[str]:
+    """``_validate`` for a tree made from columns, which let through only
     non-finite numbers and all-zero dense weights.  When the arrays hold one
     of them, a walk over the arrays reports each with the object walk's
     message and path, in its order (right child first)."""
@@ -575,7 +569,7 @@ def _parsed_problems(tree: BinaryDecisionTree) -> list[str]:
 
 def _validate(tree: _Tree) -> list[str]:
     if not tree._objects:
-        return _parsed_problems(tree)
+        return _array_problems(tree)
     if tree.root is None:
         return ["tree has no root"]
     problems: list[str] = []
@@ -965,6 +959,32 @@ class _BinaryColumns(_NodeColumns):
         return trees
 
 
+def _preorder_tree(numbers: list, parents: list, features: list, dim: int) -> tuple:
+    """A binary tree of one-hot splits listed in pre-order: per node its
+    number (threshold or leaf value) and parent (-1 at the root), and per
+    internal node its feature.  Also its internal nodes' pre-order places
+    in breadth-first order."""
+    columns = _BinaryColumns()
+    columns.numbers, columns.parents, columns.features = numbers, parents, features
+    columns.starts, columns.dims = [0], [dim]
+    [tree] = columns.trees()
+    return tree, columns.breadth_first
+
+
+def _general_root(numbers: list, parents: list[int], weights: dict[int, np.ndarray]) -> GNode:
+    """The root of a general tree listed as ``_preorder_tree`` takes a binary
+    one, with each internal node's weights keyed by its index.  Reversed
+    pre-order meets every node after its children, last child first."""
+    kids: dict[int, list] = {}
+    for node in reversed(range(len(numbers))):
+        if node in weights:
+            obj = GeneralInternal(tuple(reversed(kids.pop(node))), weights[node])
+        else:
+            obj = Leaf(numbers[node])
+        kids.setdefault(parents[node], []).append(obj)
+    return kids[-1][0]
+
+
 def _read_general(root, dim: int) -> GeneralTree:
     """A general tree document, walked into columns and built as objects at
     once: general trees are on no scoring path."""
@@ -984,15 +1004,7 @@ def _read_general(root, dim: int) -> GeneralTree:
         return None, children[::-1]
 
     columns.walk(root, read_internal)
-    # Reversed pre-order meets every node after its children, last child first.
-    kids: dict[int, list] = {}
-    for node in reversed(range(len(columns.numbers))):
-        if node in weights:
-            obj = GeneralInternal(tuple(reversed(kids.pop(node))), weights[node])
-        else:
-            obj = Leaf(columns.numbers[node])
-        kids.setdefault(columns.parents[node], []).append(obj)
-    return GeneralTree(kids[-1][0], dim)
+    return GeneralTree(_general_root(columns.numbers, columns.parents, weights), dim)
 
 
 def _tree_header(doc) -> tuple[str, int]:
@@ -1061,24 +1073,32 @@ def parse_model(text: str) -> list[BinaryDecisionTree | GeneralTree]:
     return _parse_text(text, single=False)
 
 
-def _node_doc(node: Node | GNode, binary: bool) -> dict:
+def _general_doc(node: GNode) -> dict:
+    """A general node's document, with each leaf's value as the tree stores it."""
     if isinstance(node, Leaf):
-        return {"leaf": node.value}
-    if not binary:
-        return {
-            "children": [_node_doc(c, False) for c in node.children],
-            "weights": [float(v) for v in node.weights],
-        }
-    doc: dict = {}
-    feature = node.predicate.one_hot_feature
-    if feature is None:
-        doc["weights"] = [float(v) for v in node.predicate.weights]
-    else:
-        doc["feature"] = feature
-    doc["threshold"] = node.predicate.threshold
-    doc["left"] = _node_doc(node.left, True)
-    doc["right"] = _node_doc(node.right, True)
-    return doc
+        return {"leaf": _object_number(node.value)}
+    return {
+        "children": [_general_doc(c) for c in node.children],
+        "weights": [float(v) for v in node.weights],
+    }
+
+
+def _binary_doc(tree: BinaryDecisionTree) -> dict:
+    """A binary tree's root document, read from its arrays: each array
+    becomes a list once, and a recursive walk writes the nodes."""
+    tests, dim = tree.split_tests, tree.feature_dim
+    gather, rows, thresholds = tests.gather.tolist(), tests.dense_rows.tolist(), tree.thresholds.tolist()
+    children, values = tree._children.tolist(), tree.leaf_values.tolist()
+
+    def node_doc(j: int) -> dict:
+        if j < 0:
+            return {"leaf": values[~j]}
+        column, (left, right) = gather[j], children[j]
+        doc: dict = {"feature": column} if column < dim else {"weights": rows[column - dim]}
+        doc.update(threshold=thresholds[j], left=node_doc(left), right=node_doc(right))
+        return doc
+
+    return node_doc(0 if children else -1)
 
 
 def _tree_doc(tree: BinaryDecisionTree | GeneralTree) -> dict:
@@ -1086,7 +1106,7 @@ def _tree_doc(tree: BinaryDecisionTree | GeneralTree) -> dict:
     return {
         "type": "binary" if binary else "general",
         "feature_dim": tree.feature_dim,
-        "root": _node_doc(tree.root, binary),
+        "root": _binary_doc(tree) if binary else _general_doc(tree.root),
     }
 
 
@@ -1116,41 +1136,32 @@ def serialize_ensemble(trees) -> str:
 #
 # The samplers visit nodes in pre-order from an explicit stack, so a node
 # draws its numbers before its first subtree does, as a recursive sampler
-# would, and no depth raises RecursionError.  The nodes are then built from
-# the last one back by ``_assemble``, which ``recover_tree`` and
-# ``convert_general_to_binary`` share: in reversed pre-order, a node's
-# children are on top of the stack, first child topmost.
+# would, and no depth raises RecursionError.  They list each node's number
+# and parent as the parser does: a binary tree's arrays come from
+# ``_preorder_tree``, which ``recover_tree`` and ``convert_general_to_binary``
+# share, and a general tree's objects from ``_general_root``, which the
+# parser shares.
 # ---------------------------------------------------------------------------
 
 
-def _sample_preorder(depth_bound: int, rng: np.random.Generator, internal: Callable[[], tuple]) -> list:
-    """Per node in pre-order, ``internal()``'s ``(children, ...)`` or a
-    leaf value.  Below the root a node is a leaf with probability 1/2."""
-    nodes: list = []
-    stack = [0]  # depths of the nodes still to visit, next on top
+def _sample_preorder(depth_bound: int, rng: np.random.Generator, internal: Callable) -> tuple[list, list]:
+    """Per node in pre-order, its number and its parent's index (-1 at the
+    root).  A leaf's number is its value; ``internal(node)`` draws an
+    internal node's fields and returns its child count and its number.
+    Below the root a node is a leaf with probability 1/2."""
+    numbers, parents = [], []
+    stack = [(0, -1)]  # (depth, parent) of the nodes still to visit, next on top
     while stack:
-        depth = stack.pop()
-        if depth >= depth_bound or (nodes and rng.random() >= 0.5):
-            nodes.append(float(rng.uniform()))
+        depth, parent = stack.pop()
+        node = len(parents)
+        parents.append(parent)
+        if depth >= depth_bound or (node and rng.random() >= 0.5):
+            numbers.append(float(rng.uniform()))
             continue
-        node = internal()
-        nodes.append(node)
-        stack.extend([depth + 1] * node[0])
-    return nodes
-
-
-def _assemble(nodes: list, make: Callable[[tuple, list], object]) -> object:
-    """The root of a tree listed in pre-order as ``_sample_preorder`` lists
-    it: a ``(children, ...)`` tuple per internal node, a value per leaf.
-    ``make`` builds an internal node from its entry and its children."""
-    built: list = []
-    for node in reversed(nodes):
-        if not isinstance(node, tuple):
-            built.append(Leaf(node))
-        else:
-            children = [built.pop() for _ in range(node[0])]
-            built.append(make(node, children))
-    return built[0]
+        count, number = internal(node)
+        numbers.append(number)
+        stack += [(depth + 1, node)] * count
+    return numbers, parents
 
 
 def generate_random_tree(depth_bound: int, feature_dim: int, seed: int) -> BinaryDecisionTree:
@@ -1164,13 +1175,14 @@ def generate_random_tree(depth_bound: int, feature_dim: int, seed: int) -> Binar
     if feature_dim < 1:
         raise ValueError("feature_dim must be at least 1")
     rng = np.random.default_rng(seed)
+    features: list[int] = []
 
-    def internal() -> tuple:
-        return 2, Predicate.one_hot(int(rng.integers(feature_dim)), float(rng.uniform()), feature_dim)
+    def internal(node: int) -> tuple[int, float]:
+        features.append(int(rng.integers(feature_dim)))
+        return 2, float(rng.uniform())
 
-    nodes = _sample_preorder(depth_bound, rng, internal)
-    root = _assemble(nodes, lambda node, children: Internal(node[1], *children))
-    return BinaryDecisionTree(root, feature_dim)
+    numbers, parents = _sample_preorder(depth_bound, rng, internal)
+    return _preorder_tree(numbers, parents, features, feature_dim)[0]
 
 
 def generate_random_general_tree(
@@ -1187,14 +1199,15 @@ def generate_random_general_tree(
     if max_children < 2:
         raise ValueError("max_children must be at least 2")
     rng = np.random.default_rng(seed)
+    weights: dict[int, np.ndarray] = {}
 
-    def internal() -> tuple:
+    def internal(node: int) -> tuple[int, None]:
         k = int(rng.integers(2, max_children + 1))
-        return k, rng.dirichlet(np.ones(k))
+        weights[node] = rng.dirichlet(np.ones(k))
+        return k, None
 
-    nodes = _sample_preorder(depth_bound, rng, internal)
-    root = _assemble(nodes, lambda node, children: GeneralInternal(tuple(children), node[1]))
-    return GeneralTree(root, feature_dim)
+    numbers, parents = _sample_preorder(depth_bound, rng, internal)
+    return GeneralTree(_general_root(numbers, parents, weights), feature_dim)
 
 
 def random_instances(count: int, feature_dim: int, seed: int) -> np.ndarray:

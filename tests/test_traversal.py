@@ -828,7 +828,7 @@ def instances_with_ties(trees, count, seed):
     nodes = [n.predicate for t in trees for n in t.internal_nodes]
     for i in range(0, count, 2):
         predicate = nodes[i % len(nodes)]
-        X[i, predicate.one_hot_feature] = predicate.threshold
+        X[i, int(np.argmax(predicate.weights))] = predicate.threshold
     return X
 
 
@@ -1342,9 +1342,9 @@ def hostile_case(seed, count, depth, dim):
             threshold = float(dense_products(weights[None, :], row)[0]) if tie else float(rng.uniform(-1, 1))
             predicate = Predicate(weights, threshold)
         elif kind == 1:
-            predicate = Predicate.one_hot(predicate.one_hot_feature, float(rng.choice([-1e308, 1e308])), dim)
+            predicate = Predicate.one_hot(int(np.argmax(predicate.weights)), float(rng.choice([-1e308, 1e308])), dim)
         elif kind == 2:
-            X[rng.integers(4), predicate.one_hot_feature] = predicate.threshold
+            X[rng.integers(4), int(np.argmax(predicate.weights))] = predicate.threshold
         return Internal(predicate, rebuild(node.left), rebuild(node.right))
 
     seeds = rng.integers(0, 2**31, size=count).tolist()

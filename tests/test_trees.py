@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import re
@@ -30,6 +31,8 @@ from treeflat import (
     Predicate,
     TreeFormatError,
     batch_score,
+    build_right_matrix,
+    convert_general_to_binary,
     generate_random_general_tree,
     generate_random_tree,
     hard_routing_consistency,
@@ -37,10 +40,12 @@ from treeflat import (
     parse_model,
     parse_tree,
     random_instances,
+    recover_tree,
     serialize_ensemble,
     serialize_tree,
     validate,
 )
+from treeflat.cli import main
 
 random_trees = st.builds(
     generate_random_tree,
@@ -287,7 +292,7 @@ def with_dense_splits_and_ties(tree, seed):
             weights = rng.uniform(-1.0, 1.0, dim)
             predicate = Predicate(weights, float(weights @ X[8 + rng.integers(8)]))
         else:
-            X[rng.integers(8), predicate.one_hot_feature] = predicate.threshold
+            X[rng.integers(8), int(np.argmax(predicate.weights))] = predicate.threshold
         return Internal(predicate, rebuild(node.left), rebuild(node.right))
 
     return BinaryDecisionTree(rebuild(tree.root), dim), X
@@ -387,7 +392,7 @@ class TestColumnarParse:
         assert parsed[3].split_tests.gather.tolist() == [3]
         assert serialize_ensemble(parsed) == serialize_ensemble(built)
 
-    def test_set_up_and_oracle_read_only_arrays(self, monkeypatch):
+    def test_set_up_and_oracle_read_only_arrays(self, monkeypatch, tmp_path):
         def refuse(tree):
             raise AssertionError("node objects built from arrays")
 
@@ -403,6 +408,16 @@ class TestColumnarParse:
         leaves = np.concatenate([leaves for leaves, _ in batch_score(stacked, X, "qs")])
         assert leaves.tolist() == expected
         assert [m.num_leaves for m in models] == [t.num_leaves for t in trees]
+        # Nor do the samplers, ``gen``, the serializer, ``recover_tree`` or
+        # ``convert_general_to_binary``: every tree they make is arrays.
+        assert serialize_ensemble(parsed) == serialize_ensemble(trees)
+        assert serialize_tree(parsed[1]) == serialize_tree(trees[1])
+        binary, probs = convert_general_to_binary(generate_random_general_tree(4, 3, 0, feature_dim=2))
+        recovered = recover_tree(build_right_matrix(binary), "right")
+        assert recovered.num_leaves == binary.num_leaves == len(probs) + 1
+        for count in ("1", "3"):
+            out = [str(tmp_path / name) for name in ("m.json", "d.csv")]
+            assert main(["gen", "--count", count, "--out-model", out[0], "--out-data", out[1]]) == 0
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -493,6 +508,18 @@ class TestSerialization:
         assert isinstance(tree, GeneralTree)
         assert tree.num_internal == 5
         assert tree.num_leaves == 8
+
+    @pytest.mark.parametrize("value", [np.float32(0.1), np.int64(3), 2], ids=["float32", "int64", "int"])
+    def test_numbers_are_written_as_the_stored_floats(self, value):
+        # A numpy scalar or an int leaf value (and binary threshold) is
+        # written as the float the tree stores, so the text is a fixed point.
+        trees = [
+            BinaryDecisionTree(Internal(Predicate(np.array([0.0, 1.0]), value), Leaf(value), Leaf(0.5)), 2),
+            GeneralTree(GeneralInternal((Leaf(value), Leaf(0.5)), np.array([0.25, 0.75])), 2),
+        ]
+        for tree in trees:
+            assert validate(tree).ok
+            assert serialize_tree(parse_tree(serialize_tree(tree))) == serialize_tree(tree)
 
     @settings(max_examples=50, deadline=None)
     @given(tree=random_trees)
@@ -689,6 +716,27 @@ class TestRandomGeneration:
             want = GeneralTree(general(depth, 4, np.random.default_rng(seed)), 2)
             got = generate_random_general_tree(depth, 4, seed, feature_dim=2)
             assert serialize_tree(got) == serialize_tree(want)
+
+    @pytest.mark.parametrize(
+        "depth, seed, binary, general",
+        [
+            (3, 7, "945ba07e725cab4d", "b22deab997e02eed"),
+            (9, 7, "40a821cbc7226668", "c20b73d44358f74b"),
+            (3, 42, "fb798a1ccc062429", "7d3a8521099fb7bd"),
+            (9, 42, "422ef288396c0c27", "7d3a8521099fb7bd"),
+            (3, 2024, "a5a0c0e44bd99d66", "35902a940664f2aa"),
+            (9, 2024, "722e394f2f38fb0f", "76b12d56c00cd9d2"),
+        ],
+    )
+    def test_seeded_output_is_pinned(self, depth, seed, binary, general):
+        # sha256 prefixes of the serialized samples, recorded once: a draw
+        # taken in another order changes them, which comparing two runs of
+        # the same code cannot show.
+        def digest(tree):
+            return hashlib.sha256(serialize_tree(tree).encode()).hexdigest()[:16]
+
+        assert digest(generate_random_tree(depth, 3, seed)) == binary
+        assert digest(generate_random_general_tree(depth, 4, seed, feature_dim=2)) == general
 
     def test_general_feature_dim_is_keyword_only(self):
         # In the binary sampler's order, (depth, dim, seed), a positional
