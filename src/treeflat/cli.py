@@ -16,8 +16,8 @@ command calls them.
 
 ``score --soft`` and ``flatten`` print arrays whose values repeat by
 construction (a softmax over a few integer path scores, 0/1 masks), so
-``_format_rows`` formats each distinct value once; the text is the same as
-formatting every entry.
+``_format_rows`` formats each distinct value once, keyed for ``--soft`` by
+(row, P s, leaf depth); the text is the same as formatting every entry.
 
 Exit codes: 0 success, 1 algorithms disagreed, 2 usage or parse error,
 3 invalid model, 4 instance data does not fit the model.  The ``treeflat``
@@ -50,9 +50,9 @@ from .matrices import (
 from .traversal import (
     ALGORITHMS,
     StackedTrees,
+    _soft_chunks,
     batch_leaves,
     batch_score,
-    batch_soft_attention,
     sum_in_model_order,
 )
 from .trees import (
@@ -142,40 +142,40 @@ def _load_instances(path: str, feature_dim: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-# An integer array spanning at most this many values, as flatten's 0/1
-# masks and -1/0/1 signed matrix do, is keyed by offset from its minimum.
-_OFFSET_KEYS = 3
+def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A table of the distinct codes of an array: for each slot the position
+    of one entry with its code, or -1 if no entry has it, and each entry's
+    slot.  An integer array whose range holds no more values than it has
+    entries has a slot per value of its range, with no sort; any other is
+    sorted by ``np.unique``.  Floats are told apart by bit pattern, so -0.0
+    and 0.0 keep their own text."""
+    flat = codes.ravel()
+    if flat.dtype.kind in "iu" and flat.size:
+        lo, hi = int(flat.min()), int(flat.max())
+        if hi - lo < flat.size:
+            slots = flat - lo
+            first = np.full(hi - lo + 1, -1)
+            first[slots] = np.arange(flat.size)
+            return first, slots
+    if flat.dtype.kind == "f":
+        flat = np.asarray(flat, dtype=np.float64).view(np.int64)
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    return first, inverse
 
 
-def _distinct(values: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct keys of an array, as Python numbers, and each entry's
-    position among them.  An integer array of at most ``_OFFSET_KEYS``
-    consecutive values is keyed by offset from its minimum, with no sort;
-    any other is sorted by ``np.unique``.  Floats are told apart by bit
-    pattern, so -0.0 and 0.0 keep their own text."""
-    if values.dtype.kind == "f":
-        bits = np.asarray(values, dtype=np.float64).view(np.int64)
-        keys, inverse = np.unique(bits, return_inverse=True)
-        return keys.view(np.float64).tolist(), inverse
-    if values.dtype.kind in "iu" and values.size:
-        lo, hi = int(values.min()), int(values.max())
-        if hi - lo < _OFFSET_KEYS:
-            return list(range(lo, hi + 1)), values - lo
-    keys, inverse = np.unique(values, return_inverse=True)
-    return keys.tolist(), inverse
-
-
-def _format_rows(values: np.ndarray, spec: str, sep: str) -> list[str]:
+def _format_rows(values: np.ndarray, spec: str, sep: str, codes: np.ndarray | None = None) -> list[str]:
     """Each row of a 2-D array as ``sep``-joined ``format(v, spec)`` entries.
 
-    Each distinct entry is formatted once, which pays where values repeat by
-    construction (0/1 masks, a softmax over a few integer path scores) and
-    costs more than a per-entry loop where they do not.
+    Each distinct code (by default, value) is formatted once, from one of
+    its entries, so equal codes must mean equal values.  That pays where
+    values repeat by construction (0/1 masks, a softmax over a few integer
+    path scores) and costs more than a per-entry loop where they do not.
     """
-    keys, inverse = _distinct(values)
-    text = np.array([format(v, spec) for v in keys], dtype=object)
-    # numpy 2.0 changed the shape of the inverse, so reshape it here.
-    return [sep.join(row) for row in text[inverse.reshape(values.shape)].tolist()]
+    first, slots = _distinct(values if codes is None else codes)
+    used = first >= 0
+    text = np.empty(len(first), dtype=object)
+    text[used] = [format(v, spec) for v in values.ravel()[first[used]].tolist()]
+    return [sep.join(row) for row in text[slots].reshape(values.shape).tolist()]
 
 
 def _format_matrix(m: np.ndarray, spec: str) -> str:
@@ -248,8 +248,13 @@ def cmd_score(args) -> int:
     out = sys.stdout
     try:
         if args.soft:
-            for probs in batch_soft_attention(model, X):
-                out.writelines(line + "\n" for line in _format_rows(probs, ".12g", ","))
+            # A probability is fixed by its row, leaf depth d and P s, and
+            # |P s| <= d <= D, so one integer per entry packs all three.
+            D = int(model.leaf_depths.max())
+            leaf_codes = model.leaf_depths * (2 * D + 1) + D
+            for ps, probs in _soft_chunks(model, X):
+                codes = ps + leaf_codes + np.arange(len(ps))[:, None] * ((D + 1) * (2 * D + 1))
+                out.writelines(line + "\n" for line in _format_rows(probs, ".12g", ",", codes))
         else:
             for leaves, values in batch_score(model, X, args.algo):
                 _write_scores(out, leaves, values)

@@ -62,8 +62,10 @@ the same chunks:
   false nodes with ``lo <= p`` is at most p, one int32 running maximum over
   the nodes in order of ``lo`` (``StackedTrees.right_cover``).  The dual
   and signed rules, and soft attention, take ``left @ (1 - t)`` and ``P s``
-  as prefix sums of a difference array with two or three entries per node.
-  Both are O(N + L) exact integer work per instance instead of O(N * L).
+  as prefix sums of a difference array with two or three entries per node,
+  from the test matrix read as int8: O(N + L) exact integer work per
+  instance instead of O(N * L).  Soft attention yields P s with each chunk's
+  probabilities, so ``score --soft`` keys its text by (row, P s, depth).
 
 A tree of more than 64 leaves sends ``qs`` and ``dual`` to the span form,
 for the whole model: on one full tree and 1000 instances, a multiword
@@ -258,14 +260,26 @@ def _false_nodes(tree: BinaryDecisionTree, x) -> np.ndarray:
     return tree.split_tests.false_nodes(_feature_vector(x, tree.feature_dim))
 
 
-def _node_vector(mats: TreeMatrices, t, dtype=None) -> np.ndarray:
-    """A test vector t or s as an array, one entry per internal node."""
-    t = np.asarray(t, dtype=dtype)
+def _integral(t) -> np.ndarray:
+    """t as integers; ``ValueError`` names the first entry that is not one."""
+    t = np.asarray(t)
+    if t.dtype.kind in "biu":
+        return t
+    f = t.astype(np.float64)
+    bad = np.flatnonzero(~((np.abs(f) < 2.0**63) & (f == np.trunc(f))))
+    if bad.size:
+        raise ValueError(f"test vector entry {bad[0]} is {float(f.flat[bad[0]])!r}, not an integer")
+    return f.astype(np.int64)
+
+
+def _node_vector(mats: TreeMatrices, t) -> np.ndarray:
+    """A test vector t or s as int64, one entry per internal node."""
+    t = _integral(t)
     if t.shape != (mats.num_internal,):
         raise DimensionMismatchError(
             f"test vector has shape {t.shape}, expected ({mats.num_internal},)"
         )
-    return t
+    return t.astype(np.int64, copy=False)
 
 
 def compute_test_vector(tree: BinaryDecisionTree, x) -> np.ndarray:
@@ -291,9 +305,8 @@ def compute_test_matrix(tree: BinaryDecisionTree | StackedTrees, X) -> np.ndarra
 
 
 def signed_test_vector(t) -> np.ndarray:
-    """Affine remap s = 2t - 1: +1 keeps marking false nodes, -1 true nodes."""
-    t = np.asarray(t, dtype=np.int64)
-    return 2 * t - 1
+    """Affine remap s = 2t - 1 of integer t: +1 keeps marking false nodes, -1 true ones."""
+    return 2 * _integral(t).astype(np.int64, copy=False) - 1
 
 
 def linear_hash_test_vector(W, gamma, x) -> np.ndarray:
@@ -356,7 +369,7 @@ def matrix_traverse(mats: TreeMatrices, t) -> TraversalResult:
     count can still win after scaling), so the leftmost maximum is taken
     directly; ``np.argmax`` already returns the first occurrence.
     """
-    t = _node_vector(mats, t, np.int64)
+    t = _node_vector(mats, t)
     v = mats.right_int @ t + 1
     return mats._result(int(np.argmax(v)), score=v)
 
@@ -364,7 +377,7 @@ def matrix_traverse(mats: TreeMatrices, t) -> TraversalResult:
 def dual_matrix_traverse(mats: TreeMatrices, t) -> TraversalResult:
     """v = right @ t + left @ (1 - t); every node votes for the leaves it does
     not exclude, so the maximum equals the node count and is unique."""
-    t = _node_vector(mats, t, np.int64)
+    t = _node_vector(mats, t)
     v = mats.right_int @ t + mats.left_int @ (1 - t)
     return mats._result(int(np.argmax(v)), score=v)
 
@@ -377,7 +390,7 @@ def sign_traverse(mats: TreeMatrices, s) -> TraversalResult:
     float form of v.  A tree that is a lone leaf has an empty codeword,
     which every test vector matches, so its one entry is 1.
     """
-    s = _node_vector(mats, s, np.int64)
+    s = _node_vector(mats, s)
     ps = mats.signed @ s
     hits = np.flatnonzero(ps == mats.depths)
     if hits.size != 1:
@@ -393,7 +406,7 @@ def ecoc_traverse(mats: TreeMatrices, s) -> TraversalResult:
     <P_i, s> / <P_i, P_i> equals 1; the score vector holds the agreements
     actually computed, in scan order.  A lone leaf's empty codeword agrees
     fully: 1."""
-    s = _node_vector(mats, s, np.int64)
+    s = _node_vector(mats, s)
     signed, depths = mats.signed, mats.depths
     similarities: list[float] = []
     for i in range(mats.num_leaves):
@@ -407,7 +420,7 @@ def ecoc_traverse(mats: TreeMatrices, s) -> TraversalResult:
 
 def _delta_rows(mats: TreeMatrices, s) -> np.ndarray:
     """Rows where v = P s - d is 0; all integers, so the test is exact."""
-    return np.flatnonzero(mats.signed @ _node_vector(mats, s, np.int64) - mats.depths == 0)
+    return np.flatnonzero(mats.signed @ _node_vector(mats, s) - mats.depths == 0)
 
 
 def delta_traverse(mats: TreeMatrices, s) -> float:
@@ -463,7 +476,7 @@ def soft_attention(mats: TreeMatrices, s) -> LeafDistribution:
     is the hard exit leaf.  P s is computed in span form as a batch of one.
     A lone leaf's P s is 0 and is divided by 1, not by its depth 0; its
     softmax is 1 either way."""
-    s = _node_vector(mats, s, np.int64)
+    s = _node_vector(mats, s)
     scores = _signed_scores(mats.tree.span_array, mats.num_leaves, s[None, :])
     return LeafDistribution(_softmax_rows(scores / (mats.depths if mats.num_internal else 1))[0])
 
@@ -475,7 +488,7 @@ def scaled_argmax_invariance_check(mats: TreeMatrices, t, scale) -> bool:
     argmax on the exit leaf, and replacing matrix zeros with -1 must keep the
     whole argmax set unchanged.
     """
-    t = np.asarray(t, dtype=np.int64)
+    t = _node_vector(mats, t)
     scale = np.asarray(scale, dtype=np.float64)
     if scale.shape != (mats.num_internal,):
         raise ValueError(
@@ -691,10 +704,14 @@ def _dual_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     return _span_sums(model.spans, model.num_leaves, terms) == 0
 
 
+def _signed(t: np.ndarray) -> np.ndarray:
+    """s = 2t - 1 from the boolean test matrix, in int8."""
+    return 2 * t.view(np.int8) - 1
+
+
 def _signed_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     """Leaves whose codeword agrees with s on every ancestor: P s = d."""
-    ps = _signed_scores(model.spans, model.num_leaves, signed_test_vector(t))
-    return ps == model.leaf_depths
+    return _signed_scores(model.spans, model.num_leaves, _signed(t)) == model.leaf_depths
 
 
 # The word rules select per entry of the boolean test matrix by masks: its
@@ -924,15 +941,21 @@ def batch_score(
         yield first - model.leaf_starts + 1, model.leaf_values[first]
 
 
-def batch_soft_attention(model: StackedTrees, X) -> Iterator[np.ndarray]:
-    """``soft_attention`` for the rows of X, one chunk at a time: yields an
-    (instances x leaves) array of probabilities per chunk.  Single trees only."""
+def _soft_chunks(model: StackedTrees, X) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each chunk's integer P s with its probabilities, each fixed by its
+    row's maximum and sum and its own P s and leaf depth."""
     if len(model.leaf_starts) != 1:
         raise ValueError("soft attention works on a single tree, not an ensemble")
     depths = model.leaf_depths if len(model.spans) else 1  # as soft_attention divides
     for _, t in _test_matrices(model, X):
-        ps = _signed_scores(model.spans, model.num_leaves, signed_test_vector(t))
-        yield _softmax_rows(ps / depths)
+        ps = _signed_scores(model.spans, model.num_leaves, _signed(t))
+        yield ps, _softmax_rows(ps / depths)
+
+
+def batch_soft_attention(model: StackedTrees, X) -> Iterator[np.ndarray]:
+    """``soft_attention`` for the rows of X, one chunk at a time: yields an
+    (instances x leaves) array of probabilities per chunk.  Single trees only."""
+    yield from (probs for _, probs in _soft_chunks(model, X))
 
 
 def sum_in_model_order(values: np.ndarray) -> np.ndarray:

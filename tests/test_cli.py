@@ -279,18 +279,57 @@ class TestFormatRows:
             hnp.arrays(np.uint8, SHAPES, elements=st.integers(0, 1)),
         ),
     )
-    # Three consecutive values or fewer are keyed by offset, at any magnitude.
+    # A range that holds no more values than the array has entries is keyed
+    # through a presence table, at any magnitude.
     @example(values=np.array([[-1, 0, 1, -1], [1, 1, 0, -1]]))
+    @example(values=np.array([[-1, 0, 1, 2]]))
+    # The boundary: max - min is one less than the size, so the table.
+    @example(values=np.array([[2**63 - 1, 2**63 - 3, 2**63 - 2]]))
+    @example(values=np.array([[-(2**63), -(2**63) + 2, -(2**63)]]))
+    @example(values=np.array([[-7, -4, -5], [-6, -7, -2]]))
+    @example(values=np.array([[3, 4], [5, 3]], dtype=np.uint8))
+    @example(values=np.array([[9]]))
+    # Wider ranges are sorted, the widest too: from max - min equal to the size.
+    @example(values=np.array([[-1, 0, 1, 3]]))
     @example(values=np.array([[2**63 - 1, 2**63 - 3]]))
     @example(values=np.array([[-(2**63), -(2**63) + 2]]))
-    # Wider ranges are sorted, the widest too.
-    @example(values=np.array([[-1, 0, 1, 2]]))
     @example(values=np.array([[-(2**63), 2**63 - 1, 0]]))
     @example(values=np.array([[0, 7, 3], [100, 7, 7]]))
+    @example(values=np.array([[0, 255]], dtype=np.uint8))
     @example(values=np.zeros((0, 3), dtype=np.int64))
     @example(values=np.zeros((2, 0), dtype=np.uint8))
     def test_integers_match_the_per_entry_reference(self, values):
         assert cli._format_rows(values, "d", " ") == reference_rows(values, True, " ")
+
+    @pytest.mark.parametrize(
+        "values, sorts",
+        [
+            (np.array([[-3, 0, -1, -2]]), False),  # max - min = size - 1
+            (np.array([[-3, 1, -1, -2]]), True),  # max - min = size
+            (np.array([[5, 9], [8, 7], [6, 5]], dtype=np.uint8), False),
+            (np.array([[5, 9], [8, 7], [6, 11]], dtype=np.uint8), True),
+            (np.array([[-(2**63)]]), False),
+        ],
+    )
+    def test_the_range_decides_table_or_sort(self, values, sorts, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        assert cli._format_rows(values, "d", " ") == reference_rows(values, True, " ")
+        assert len(calls) == sorts
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        codes=hnp.arrays(np.int64, SHAPES, elements=st.integers(-3, 12) | st.integers(-(2**62), 2**62)),
+        table=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(width=64), min_size=1, max_size=9),
+        sep=st.sampled_from([",", " "]),
+    )
+    @example(codes=np.array([[0, 1, 0], [1, 2, 2]]), table=[0.0, -0.0, np.nan], sep=",")
+    @example(codes=np.array([[2**62, -(2**62)]]), table=[0.1, 0.2], sep=",")
+    def test_floats_keyed_by_integer_codes(self, codes, table, sep):
+        # Equal codes carry equal values, as score --soft's codes do.
+        values = np.asarray(table)[codes % len(table)]
+        assert cli._format_rows(values, ".12g", sep, codes) == reference_rows(values, False, sep)
 
 
 class TestScore:
@@ -397,10 +436,25 @@ class TestScore:
         with open(tmp_path / "x.csv", "a") as fh:
             fh.write("nan,0.5,0.5,0.5\ninf,-inf,inf,-inf\n-0.0,-0.0,-0.0,-0.0\n")
         (tmp_path / "full.json").write_text(serialize_tree(perfect_tree(8, 4, 3)))
+        (tmp_path / "lone.json").write_text('{"type": "binary", "feature_dim": 4, "root": {"leaf": 0.5}}')
+        # A chain that continues on a random side: its leaves lie at every
+        # depth, and some row gives two of them one nonzero P s at different
+        # depths, so a text keyed without the depth would print one score twice.
+        rng = np.random.default_rng(8)
+        node = Leaf(0.5)
+        for _ in range(12):
+            split, leaf = Predicate.one_hot(int(rng.integers(4)), float(rng.uniform()), 4), Leaf(0.0)
+            node = Internal(split, leaf, node) if rng.random() < 0.5 else Internal(split, node, leaf)
+        (tmp_path / "skewed.json").write_text(serialize_tree(BinaryDecisionTree(node, 4)))
         X = np.loadtxt(tmp_path / "x.csv", delimiter=",")
-        for name in ("gen.json", "full.json"):
+        for name in ("gen.json", "full.json", "lone.json", "skewed.json"):
             path = tmp_path / name
             model = StackedTrees.build(parse_model(path.read_text()))
+            if name == "skewed.json":
+                ps = np.vstack([ps for ps, _ in traversal._soft_chunks(model, X)])
+                d = model.leaf_depths
+                shared = (ps[:, :, None] == ps[:, None, :]) & (d[:, None] != d) & (ps[:, :, None] != 0)
+                assert shared.any()
             # 303 rows of a 256-leaf tree make three chunks.
             text = "".join(
                 f"{line}\n"

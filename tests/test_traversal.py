@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_shapes, enumerate_paths, instance_for_tests, tree_with_leaves
+from conftest import all_shapes, chain_tree, enumerate_paths, instance_for_tests, tree_with_leaves
 from treeflat import (
     ALGORITHMS,
     BinaryDecisionTree,
@@ -247,6 +247,33 @@ def test_test_vector_of_the_wrong_shape_is_refused(fn, signed, reshape, shape):
         fn(mats, reshape(v))
 
 
+NON_INTEGRAL_READERS = TEST_VECTOR_READERS + [
+    (lambda mats, t: signed_test_vector(t), False),
+    (lambda mats, t: scaled_argmax_invariance_check(mats, t, np.ones(len(t))), False),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, signed",
+    NON_INTEGRAL_READERS,
+    ids=[fn.__name__ for fn, _ in TEST_VECTOR_READERS] + ["signed_test_vector", "scaled_argmax_invariance_check"],
+)
+@pytest.mark.parametrize(
+    "bad, text", [(0.9, "0.9"), (-0.5, "-0.5"), (np.nan, "nan"), (np.inf, "inf"), (2.0**63, "9.223372036854776e+18")]
+)
+def test_non_integral_test_vector_is_refused(fn, signed, bad, text):
+    # Unchecked, qs read an entry of 0.9 as a false node while matrix cast it
+    # to 0, a true one, and signed_test_vector([0.5, 1.7]) gave [-1, 1].
+    tree = generate_random_tree(4, 3, 5)
+    mats = TreeMatrices.build(tree)
+    t = compute_test_vector(tree, np.array([0.0405, 0.7320, 0.6144]))
+    v = (signed_test_vector(t) if signed else t).astype(np.float64)
+    fn(mats, v)  # integral floats are read as integers
+    v[2] = bad
+    with pytest.raises(ValueError, match=re.escape(f"test vector entry 2 is {text}, not an integer")):
+        fn(mats, v)
+
+
 class TestBitwiseTraversals:
     def test_no_false_nodes_exits_leftmost(self, six_leaf_mats):
         assert quickscorer_traverse(six_leaf_mats, np.zeros(5, int)).leaf_index == 1
@@ -478,6 +505,33 @@ class TestSoftAttention:
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
         assert (dist.probs > 0).all()
         assert dist.argmax_leaf == sign_traverse(mats, s).leaf_index
+
+    @staticmethod
+    def assert_int8_scores(tree, X):
+        """P s from the int8 s of the boolean test matrix equals the int64
+        form bit for bit, in the kernel and in the soft chunks; returns it."""
+        model = StackedTrees.build([tree])
+        t = model.split_tests.false_nodes(X)
+        expected = traversal._signed_scores(model.spans, model.num_leaves, signed_test_vector(t))
+        got = traversal._signed_scores(model.spans, model.num_leaves, traversal._signed(t))
+        chunks = [ps for ps, _ in traversal._soft_chunks(model, X)]
+        for ps in (got, np.vstack(chunks)):
+            assert ps.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(ps, expected)
+        return expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(args=tree_and_inputs)
+    def test_int8_scores_equal_the_int64_form(self, args):
+        depth, tree_seed, x_seed = args
+        self.assert_int8_scores(generate_random_tree(depth, 4, tree_seed), random_instances(40, 4, x_seed))
+
+    def test_int8_scores_on_a_chain_deeper_than_int8(self):
+        # Every node of the chain tests x[0] > 0.5, which 0.25 fails at every
+        # node, and a false node routes right: that row runs down the whole
+        # right spine, so its last leaf scores P s = 300.
+        scores = self.assert_int8_scores(chain_tree(300), np.array([[0.25], [0.75], [0.5]]))
+        assert scores[0, -1] == 300
 
 
 class TestScaledArgmaxInvariance:
