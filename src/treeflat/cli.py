@@ -142,25 +142,34 @@ def _load_instances(path: str, feature_dim: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A table of the distinct codes of an array: for each slot the position
-    of one entry with its code, or -1 if no entry has it, and each entry's
-    slot.  An integer array whose range holds no more values than it has
-    entries has a slot per value of its range, with no sort; any other is
-    sorted by ``np.unique``.  Floats are told apart by bit pattern, so -0.0
-    and 0.0 keep their own text."""
-    flat = codes.ravel()
-    if flat.dtype.kind in "iu" and flat.size:
-        lo, hi = int(flat.min()), int(flat.max())
-        if hi - lo < flat.size:
-            slots = flat - lo
+def _distinct(flat: np.ndarray, codes: np.ndarray | None) -> tuple[np.ndarray, list, np.ndarray]:
+    """A table of the distinct codes of a flat array of values, by default
+    the values themselves: whether each slot holds a code, the value of one
+    entry with each code held, and each entry's slot.
+
+    An integer code array whose range holds no more values than it has
+    entries gets a slot per value of its range, with no sort.  Keyed by the
+    values themselves, slot k holds the value lo + k, so one pass marks
+    which slots occur; keyed by other codes, each slot takes the position of
+    one of its entries.  Any other array is sorted by ``np.unique``.  Floats
+    are told apart by bit pattern, so -0.0 and 0.0 keep their own text."""
+    keys = flat if codes is None else codes
+    if keys.dtype.kind in "iu" and keys.size:
+        lo, hi = int(keys.min()), int(keys.max())
+        if hi - lo < keys.size:
+            slots = keys - lo
+            if codes is None:
+                used = np.zeros(hi - lo + 1, dtype=bool)
+                used[slots] = True
+                return used, [lo + k for k in np.flatnonzero(used).tolist()], slots
             first = np.full(hi - lo + 1, -1)
-            first[slots] = np.arange(flat.size)
-            return first, slots
-    if flat.dtype.kind == "f":
-        flat = np.asarray(flat, dtype=np.float64).view(np.int64)
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    return first, inverse
+            first[slots] = np.arange(keys.size)
+            used = first >= 0
+            return used, flat[first[used]].tolist(), slots
+    if keys.dtype.kind == "f":
+        keys = np.asarray(keys, dtype=np.float64).view(np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.ones(len(first), dtype=bool), flat[first].tolist(), inverse
 
 
 def _format_rows(values: np.ndarray, spec: str, sep: str, codes: np.ndarray | None = None) -> list[str]:
@@ -171,10 +180,9 @@ def _format_rows(values: np.ndarray, spec: str, sep: str, codes: np.ndarray | No
     values repeat by construction (0/1 masks, a softmax over a few integer
     path scores) and costs more than a per-entry loop where they do not.
     """
-    first, slots = _distinct(values if codes is None else codes)
-    used = first >= 0
-    text = np.empty(len(first), dtype=object)
-    text[used] = [format(v, spec) for v in values.ravel()[first[used]].tolist()]
+    used, shown, slots = _distinct(values.ravel(), None if codes is None else codes.ravel())
+    text = np.empty(len(used), dtype=object)
+    text[used] = [format(v, spec) for v in shown]
     return [sep.join(row) for row in text[slots].reshape(values.shape).tolist()]
 
 

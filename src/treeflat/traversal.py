@@ -21,10 +21,11 @@ These per-vector functions take one test vector, one entry per internal
 node, and one ``TreeMatrices`` bundle; they are the paper's dense and
 bitwise forms and the reference the tests check the batch path against;
 ``ensemble_score`` runs none of them.  ``TreeMatrices.build`` keeps only
-the tree: the depth vector and the packed right and left column masks that
-``qs``, ``dual`` and ``soft_attention`` read, each mask from its node's leaf
-span, and the dense (leaves x nodes) copies that the matrix, sign, ecoc and
-delta forms read, are built on first read.
+the tree: the packed right and left column masks that ``qs`` and ``dual``
+read, each mask from its node's leaf span, the depth vector, and the dense
+(leaves x nodes) copies that the matrix, sign, ecoc and delta forms read,
+are built on first read.  ``soft_attention`` runs the batch path's span-sum
+kernel on the one-tree ``StackedTrees`` the bundle keeps.
 
 One table gives each algorithm one row: its per-vector selector, whether
 that reads the signed test vector, its batch hit rule, whether each tree
@@ -61,11 +62,14 @@ the same chunks:
   is interval coverage: leaf p is a hit when the largest ``mid`` of the
   false nodes with ``lo <= p`` is at most p, one int32 running maximum over
   the nodes in order of ``lo`` (``StackedTrees.right_cover``).  The dual
-  and signed rules, and soft attention, take ``left @ (1 - t)`` and ``P s``
-  as prefix sums of a difference array with two or three entries per node,
-  from the test matrix read as int8: O(N + L) exact integer work per
-  instance instead of O(N * L).  Soft attention yields P s with each chunk's
-  probabilities, so ``score --soft`` keys its text by (row, P s, depth).
+  and signed rules, and soft attention, take ``right @ t + left @ (1 - t)``
+  and ``P s`` from one kernel, ``_span_sums``: each node adds a term at its
+  boundaries ``lo``, ``mid`` and ``hi``, and one int32 prefix sum of the
+  transposed test matrix, read as int8, down the model's boundaries sorted
+  once (``StackedTrees.boundaries``), read at each leaf, gives every leaf's
+  sum: O(N + L) exact integer work per instance instead of O(N * L).  Soft
+  attention yields P s with each chunk's probabilities, so ``score --soft``
+  keys its text by (row, P s, depth).
 
 A tree of more than 64 leaves sends ``qs`` and ``dual`` to the span form,
 for the whole model: on one full tree and 1000 instances, a multiword
@@ -145,8 +149,8 @@ __all__ = [
 ]
 
 # Instances per batch chunk are sized so that an (instances x stacked leaves)
-# array holds about this many entries, 256 KiB of int64; the scatter's index
-# and weight arrays, with up to three entries per node, stay under 1 MiB.
+# array holds about this many entries, 256 KiB of int64; the span sums' int32
+# prefix sum, with up to three entries per node, stays under 400 KiB.
 # ``batch_leaves`` tests each chunk once and runs every algorithm it names,
 # word or span kernel, on that one test matrix.
 CHUNK_ENTRIES = 1 << 15
@@ -176,14 +180,15 @@ class TreeMatrices:
 
     ``build`` keeps only the tree.  ``leaf_values``, ``num_leaves`` and
     ``num_internal`` read it; every other field is derived from it the first
-    time it is read, and kept.  The depth vector, ``full_mask`` and the
-    packed right and left column masks, which the bitwise selectors and
-    ``soft_attention`` read, come straight from each node's leaf span; the
-    dense copies (``right``, ``left``, ``right_int``, ``left_int`` and
-    ``signed``) from the ``matrices`` builders.
+    time it is read, and kept.  ``full_mask`` and the packed right and left
+    column masks, which the bitwise selectors read, come straight from each
+    node's leaf span; the depth vector and the dense copies (``right``,
+    ``left``, ``right_int``, ``left_int`` and ``signed``) from the
+    ``matrices`` builders.
 
     ``_stack`` is ``ensemble_score``'s entry for the calls this bundle leads:
     the ``StackedTrees`` of the last such call, or None before the first.
+    ``soft_attention`` reads it too, as the stack of this one tree.
     It holds trees, never bundles, so no cycle keeps it past this bundle."""
 
     tree: BinaryDecisionTree
@@ -437,48 +442,61 @@ def _delta_leaf(mats: TreeMatrices, s) -> TraversalResult:
     return mats._result(int(rows[0]))
 
 
-def _span_sums(spans: np.ndarray, num_leaves: int, terms) -> np.ndarray:
-    """Per-leaf sums of node terms that start at a leaf-span boundary.
+def _span_sums(
+    model: StackedTrees, x: np.ndarray, scale: np.ndarray, shift: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-leaf sums of node terms that start at a leaf-span boundary, one
+    column per row of x: a (leaves x rows) array.
 
-    ``terms`` are ``(k, weights)`` pairs: node j adds ``weights[r, j]`` to
-    row r of every leaf from its boundary ``spans[j, k]`` (0 = lo, 1 = mid,
-    2 = hi) onwards, and each node's terms must sum to zero.  The terms are
-    scattered into a difference array with ``np.bincount`` and summed into
-    place by one prefix sum over all rows, which is back at zero at the end
-    of every row.  Every value is a small integer, so the float64 scatter is
-    exact and the sum runs in int64.  The dual and signed rules and soft
-    attention read it; the right-hit rule needs no sum, only whether some
-    false node's interval covers a leaf, and ``_right_hits`` takes that as
-    a running maximum instead.
+    Boundary entry e of node j adds ``scale[e] * x[r, j] + shift[e]`` to row
+    r of every leaf from the entry's boundary onwards, and each node's terms
+    must sum to zero (``model.boundaries``).  The kernel gathers the rows of
+    x transposed at the entries' nodes, scales and shifts them, takes one
+    prefix sum down the entry axis, in boundary order, and reads it at each
+    leaf's count of entries at or before it.  The sum runs in int32 for the
+    int8 test matrices, whose terms are at most 2 in magnitude (exact, as the
+    table's size guard keeps twice the entry count below 2**31), and in
+    int64 for any wider x.
     """
-    rows = len(terms[0][1])
-    width = num_leaves + 1
-    boundaries = spans.T[[k for k, _ in terms]]
-    index = np.arange(0, rows * width, width)[:, None, None] + boundaries
-    weights = np.stack([w for _, w in terms], axis=1)
-    diff = np.bincount(index.ravel(), weights.ravel(), minlength=rows * width)
-    return np.cumsum(diff.astype(np.int64)).reshape(rows, width)[:, :-1]
+    table = model.boundaries
+    # np.take copies x's transpose to C order, so each entry gathers one
+    # contiguous row and the prefix sum adds whole rows.
+    terms = np.take(x.T, table.nodes, axis=0)
+    terms *= scale
+    if shift is not None:
+        terms += shift
+    # Widened first, the sum runs in place with no cast: faster than
+    # summing the int8 terms into a wider output.
+    sums = np.empty((len(terms) + 1, len(x)), np.int32 if x.dtype == np.int8 else np.int64)
+    sums[0] = 0
+    sums[1:] = terms
+    np.cumsum(sums, axis=0, out=sums)
+    return np.take(sums, table.last, axis=0)
 
 
-def _signed_scores(spans: np.ndarray, num_leaves: int, s: np.ndarray) -> np.ndarray:
-    """P s for each row of s: -s on a node's left leaves [lo, mid), +s on
-    its right leaves [mid, hi)."""
-    return _span_sums(spans, num_leaves, [(0, -s), (1, 2 * s), (2, -s)])
+def _signed_scores(model: StackedTrees, s: np.ndarray) -> np.ndarray:
+    """P s for each row of s, as (leaves x rows): -s on a node's left leaves
+    [lo, mid), +s on its right leaves [mid, hi)."""
+    return _span_sums(model, s, model.boundaries.signed)
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+def _softmax_rows(model: StackedTrees, ps: np.ndarray) -> np.ndarray:
+    """Softmax of inv(D) P s for each row of P s, a C-contiguous (rows x
+    leaves) array, so each row's sum adds its entries in one order.  A lone
+    leaf's P s is 0 and is divided by 1, not by its depth 0; its softmax is 1
+    either way."""
+    scores = ps / (model.leaf_depths if len(model.spans) else 1)
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def soft_attention(mats: TreeMatrices, s) -> LeafDistribution:
     """Softmax of inv(D) P s: a smooth distribution over leaves whose argmax
-    is the hard exit leaf.  P s is computed in span form as a batch of one.
-    A lone leaf's P s is 0 and is divided by 1, not by its depth 0; its
-    softmax is 1 either way."""
+    is the hard exit leaf.  P s is computed in span form as a batch of one,
+    in int64, on the ``StackedTrees`` the bundle keeps for ``ensemble_score``."""
     s = _node_vector(mats, s)
-    scores = _signed_scores(mats.tree.span_array, mats.num_leaves, s[None, :])
-    return LeafDistribution(_softmax_rows(scores / (mats.depths if mats.num_internal else 1))[0])
+    model = _stack_for([mats])
+    return LeafDistribution(_softmax_rows(model, _signed_scores(model, s[None, :]).T)[0])
 
 
 def scaled_argmax_invariance_check(mats: TreeMatrices, t, scale) -> bool:
@@ -618,6 +636,11 @@ class StackedTrees:
         """The intervals ``[lo, mid)`` that ``_right_hits`` covers leaves by."""
         return _Cover.build(self.spans, self.num_leaves)
 
+    @cached_property
+    def boundaries(self) -> _Boundaries:
+        """The node boundaries ``_span_sums`` adds its terms at."""
+        return _Boundaries.build(self.spans, self.num_leaves)
+
     def _word_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per node, its tree's full word and its ``(lo, mid, hi)`` relative
         to its tree's first leaf.  Needs ``fits_words``."""
@@ -667,6 +690,46 @@ class _Cover:
         )
 
 
+# Each node's span-sum coefficients at its boundaries lo, mid and hi: for
+# the signed rule's P s, and for the dual rule's right @ t + left @ (1 - t)
+# less the node count, a scale of t and a constant.
+_COEFFICIENTS = np.array([[-1, 2, -1], [1, -2, 1], [0, 1, -1]], dtype=np.int8)
+
+
+@dataclass(frozen=True)
+class _Boundaries:
+    """Every node boundary ``lo``, ``mid`` and ``hi`` below ``num_leaves``,
+    one entry each, in order of boundary (a stable sort of the node-major
+    list, on uint16 keys for fewer than 2**16 leaves).  Per entry: its node
+    (``nodes``) and, as (entries, 1) int8 columns, the signed rule's scale
+    (-1, 2, -1 at lo, mid, hi), the dual rule's (1, -2, 1) and its shift
+    (0, 1, -1); per leaf, the number of entries at or before it (``last``).
+    A ``hi`` equal to ``num_leaves`` starts no sum and is left out.
+
+    The int32 prefix sum of terms at most 2 in magnitude is exact while
+    twice the entry count, at most three per node, stays below 2**31, so a
+    larger model is refused before anything is allocated."""
+
+    nodes: np.ndarray
+    signed: np.ndarray
+    dual: np.ndarray
+    dual_shift: np.ndarray
+    last: np.ndarray
+
+    @classmethod
+    def build(cls, spans: np.ndarray, num_leaves: int) -> "_Boundaries":
+        if 2 * 3 * len(spans) >= 2**31:
+            raise ValueError(f"span sums need at most {(2**31 - 1) // 6} nodes, not {len(spans)}")
+        flat = spans.ravel()
+        key = flat.astype(np.uint16) if num_leaves < 2**16 else flat
+        # Every hi equal to num_leaves sorts last, where it is cut off.
+        order = np.argsort(key, kind="stable")[: np.count_nonzero(key < num_leaves)]
+        nodes = order // 3
+        signed, dual, dual_shift = np.take(_COEFFICIENTS, order - 3 * nodes, axis=1)[:, :, None]
+        counts = np.bincount(flat, minlength=num_leaves + 1)[:num_leaves]
+        return cls(nodes, signed, dual, dual_shift, np.cumsum(counts))
+
+
 def _test_matrices(model: StackedTrees, X) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Chunks of rows of X, sized by CHUNK_ENTRIES, each with its
     ``compute_test_matrix`` as booleans: True marks a false node."""
@@ -699,9 +762,9 @@ def _right_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
 def _dual_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     """Leaves that no node excludes: N - (right @ t + left @ (1 - t)) is zero
     only where every node votes for the leaf."""
-    t = t.view(np.int8)
-    terms = [(0, t), (1, 1 - 2 * t), (2, t - 1)]
-    return _span_sums(model.spans, model.num_leaves, terms) == 0
+    table = model.boundaries
+    hits = _span_sums(model, t.view(np.int8), table.dual, table.dual_shift) == 0
+    return np.ascontiguousarray(hits.T)
 
 
 def _signed(t: np.ndarray) -> np.ndarray:
@@ -711,7 +774,8 @@ def _signed(t: np.ndarray) -> np.ndarray:
 
 def _signed_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     """Leaves whose codeword agrees with s on every ancestor: P s = d."""
-    return _signed_scores(model.spans, model.num_leaves, _signed(t)) == model.leaf_depths
+    hits = _signed_scores(model, _signed(t)) == model.leaf_depths[:, None]
+    return np.ascontiguousarray(hits.T)
 
 
 # The word rules select per entry of the boolean test matrix by masks: its
@@ -825,21 +889,14 @@ ALGORITHMS: dict[str, Callable[[TreeMatrices, np.ndarray], TraversalResult]] = {
 }
 
 
-def _stack_for(models: Sequence[TreeMatrices], x) -> StackedTrees:
+def _stack_for(models: Sequence[TreeMatrices]) -> StackedTrees:
     """The ``StackedTrees`` of the models' trees, kept on the first bundle and
     built again whenever that bundle leads a call with other trees."""
     lead = models[0]
     trees = tuple([mats.tree for mats in models])
     model = lead._stack
     if model is None or model.trees != trees:
-        try:
-            model = StackedTrees.build(trees)
-        except DimensionMismatchError:
-            # x fails the per-vector shape check of some tree; raise its error.
-            for tree in trees:
-                _feature_vector(x, tree.feature_dim)
-            raise
-        lead._stack = model
+        model = lead._stack = StackedTrees.build(trees)
     return model
 
 
@@ -857,7 +914,13 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     _check_names([algorithm])
     if not models:
         return 0.0
-    model = _stack_for(models, x)
+    try:
+        model = _stack_for(models)
+    except DimensionMismatchError:
+        # x fails the per-vector shape check of some tree; raise its error.
+        for mats in models:
+            _feature_vector(x, mats.tree.feature_dim)
+        raise
     x = _feature_vector(x, model.feature_dim)
     _, values = next(batch_score(model, x[None, :], algorithm))
     return float(sum_in_model_order(values)[0])
@@ -946,10 +1009,9 @@ def _soft_chunks(model: StackedTrees, X) -> Iterator[tuple[np.ndarray, np.ndarra
     row's maximum and sum and its own P s and leaf depth."""
     if len(model.leaf_starts) != 1:
         raise ValueError("soft attention works on a single tree, not an ensemble")
-    depths = model.leaf_depths if len(model.spans) else 1  # as soft_attention divides
     for _, t in _test_matrices(model, X):
-        ps = _signed_scores(model.spans, model.num_leaves, _signed(t))
-        yield ps, _softmax_rows(ps / depths)
+        ps = np.ascontiguousarray(_signed_scores(model, _signed(t)).T)
+        yield ps, _softmax_rows(model, ps)
 
 
 def batch_soft_attention(model: StackedTrees, X) -> Iterator[np.ndarray]:

@@ -508,15 +508,17 @@ class TestSoftAttention:
 
     @staticmethod
     def assert_int8_scores(tree, X):
-        """P s from the int8 s of the boolean test matrix equals the int64
-        form bit for bit, in the kernel and in the soft chunks; returns it."""
+        """P s from the int8 s of the boolean test matrix, summed in int32,
+        equals the int64 form summed in int64, in the kernel and in the soft
+        chunks; returns it."""
         model = StackedTrees.build([tree])
         t = model.split_tests.false_nodes(X)
-        expected = traversal._signed_scores(model.spans, model.num_leaves, signed_test_vector(t))
-        got = traversal._signed_scores(model.spans, model.num_leaves, traversal._signed(t))
+        expected = traversal._signed_scores(model, signed_test_vector(t)).T
+        got = traversal._signed_scores(model, traversal._signed(t)).T
         chunks = [ps for ps, _ in traversal._soft_chunks(model, X)]
+        assert expected.dtype == np.int64
         for ps in (got, np.vstack(chunks)):
-            assert ps.dtype == expected.dtype == np.int64
+            assert ps.dtype == np.int32
             np.testing.assert_array_equal(ps, expected)
         return expected
 
@@ -1255,6 +1257,74 @@ class TestRightCover:
             traversal._Cover.build(spans, 2**31)
         with pytest.raises(AttributeError):
             traversal._Cover.build(spans, 2**31 - 1)
+
+
+class TestSpanSums:
+    """``_span_sums`` over the boundary table must give, tree by tree, the
+    dense dual rule, right @ t + left @ (1 - t) = N, the dense signed rule,
+    P s = d, and P s itself in the soft chunks, on every tree shape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kinds=st.lists(st.sampled_from(["full", "unbalanced", "chain"]), min_size=1, max_size=3),
+        lone=st.sampled_from([None, 0, 99]),  # none, first, last
+        wide=st.booleans(),
+    )
+    def test_equals_the_dense_rules_tree_by_tree(self, seed, kinds, lone, wide):
+        trees = cover_model(seed, kinds, lone, wide)
+        model = StackedTrees.build(trees)
+        X = parsed_rows(trees, 6, seed)
+        for rows in (X[:1], X):
+            t = model.split_tests.false_nodes(rows)
+            dual = traversal._dual_hits(model, t)
+            signed = traversal._signed_hits(model, t)
+            for hits in (dual, signed):
+                assert hits.shape == (len(rows), model.num_leaves)
+                assert hits.dtype == bool and hits.flags.c_contiguous
+            for k, tree in enumerate(trees):
+                mats = TreeMatrices.build(tree)
+                nodes = t[:, model.node_starts[k] : model.node_starts[k] + tree.num_internal].astype(np.int64)
+                ps = (2 * nodes - 1) @ mats.signed.T
+                leaves = slice(model.leaf_starts[k], model.leaf_starts[k] + tree.num_leaves)
+                votes = nodes @ mats.right_int.T + (1 - nodes) @ mats.left_int.T
+                np.testing.assert_array_equal(dual[:, leaves], votes == tree.num_internal, err_msg=f"tree {k}")
+                np.testing.assert_array_equal(signed[:, leaves], ps == mats.depths, err_msg=f"tree {k}")
+                chunks = traversal._soft_chunks(StackedTrees.build([tree]), rows)
+                np.testing.assert_array_equal(np.vstack([got for got, _ in chunks]), ps, err_msg=f"tree {k}")
+
+    def test_per_vector_soft_attention_sums_a_deep_chain_in_int64(self):
+        # Every node false: the last leaf's P s is 300, past int8.
+        mats = TreeMatrices.build(chain_tree(300))
+        s = np.ones(300, dtype=np.int64)
+        dist = soft_attention(mats, s)
+        ps = traversal._signed_scores(mats._stack, s[None, :])
+        assert ps.dtype == np.int64 and ps[-1, 0] == 300
+        np.testing.assert_array_equal(ps[:, 0], mats.signed @ s)
+        scores = (mats.signed @ s) / mats.depths
+        shifted = np.exp(scores - scores.max())
+        np.testing.assert_array_equal(dist.probs, shifted / shifted.sum())
+        assert dist.argmax_leaf == 301
+
+    def test_table_refuses_an_int32_overflow_before_allocating(self, monkeypatch):
+        # The int32 sum is exact while twice the entry count, at most three
+        # per node, stays below 2**31.  With numpy out of reach, and a span
+        # array that has only a length, anything past the bound fails with
+        # AttributeError: the bound must be checked first, and one node
+        # fewer passes it.
+        class Spans:
+            def __init__(self, nodes):
+                self.nodes = nodes
+
+            def __len__(self):
+                return self.nodes
+
+        monkeypatch.setattr(traversal, "np", None)
+        limit = (2**31 - 1) // 6
+        with pytest.raises(ValueError, match=rf"at most {limit} nodes, not {limit + 1}"):
+            traversal._Boundaries.build(Spans(limit + 1), 2)
+        with pytest.raises(AttributeError):
+            traversal._Boundaries.build(Spans(limit), 2)
 
 
 def shared_path_models(dim=3):
