@@ -56,6 +56,7 @@ from .traversal import (
     sum_in_model_order,
 )
 from .trees import (
+    MAX_FEATURE_DIM,
     BinaryDecisionTree,
     DimensionMismatchError,
     GeneralTree,
@@ -85,7 +86,7 @@ class CliError(Exception):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {exc}") from exc
 
 
@@ -395,6 +396,20 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _feature_dim(raw: str) -> int:
+    value = _positive_int(raw)
+    if value > MAX_FEATURE_DIM:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_FEATURE_DIM}")
+    return value
+
+
+def _fanout(raw: str) -> int:
+    value = int(raw)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be at least 2")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeflat",
@@ -434,11 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a random model and instance CSV")
     p.add_argument("--depth", type=_positive_int, default=4)
-    p.add_argument("--dim", type=_positive_int, default=4)
+    p.add_argument("--dim", type=_feature_dim, default=4)
     p.add_argument("--count", type=_positive_int, default=1, help="trees in the model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--general", action="store_true", help="k-ary routing trees")
-    p.add_argument("--fanout", type=_positive_int, default=3, help="max children (general)")
+    p.add_argument("--fanout", type=_fanout, default=3, help="max children (general), at least 2")
     p.add_argument("--instances", type=_positive_int, default=50)
     p.add_argument("--out-model", default="tree.json")
     p.add_argument("--out-data", default="instances.csv")

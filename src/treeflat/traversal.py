@@ -25,7 +25,7 @@ the tree: the packed right and left column masks that ``qs`` and ``dual``
 read, each mask from its node's leaf span, the depth vector, and the dense
 (leaves x nodes) copies that the matrix, sign, ecoc and delta forms read,
 are built on first read.  ``soft_attention`` runs the batch path's span-sum
-kernel on the one-tree ``StackedTrees`` the bundle keeps.
+kernel on the tree's own boundary table (``TreeMatrices.boundaries``).
 
 One table gives each algorithm one row: its per-vector selector, whether
 that reads the signed test vector, its batch hit rule, whether each tree
@@ -61,13 +61,15 @@ the same chunks:
   A false node excludes its left leaves ``[lo, mid)``, so ``_right_hits``
   is interval coverage: leaf p is a hit when the largest ``mid`` of the
   false nodes with ``lo <= p`` is at most p, one int32 running maximum over
-  the nodes in order of ``lo`` (``StackedTrees.right_cover``).  The dual
-  and signed rules, and soft attention, take ``right @ t + left @ (1 - t)``
-  and ``P s`` from one kernel, ``_span_sums``: each node adds a term at its
-  boundaries ``lo``, ``mid`` and ``hi``, and one int32 prefix sum of the
-  transposed test matrix, read as int8, down the model's boundaries sorted
-  once (``StackedTrees.boundaries``), read at each leaf, gives every leaf's
-  sum: O(N + L) exact integer work per instance instead of O(N * L).  Soft
+  the nodes in order of ``lo``.  The dual and signed rules, and soft
+  attention, take ``right @ t + left @ (1 - t)`` and ``P s`` from one
+  kernel, ``_span_sums``: each node adds a term at its boundaries ``lo``,
+  ``mid`` and ``hi``, and one int32 prefix sum of the transposed test
+  matrix, read as int8, down the model's boundaries, read at each leaf,
+  gives every leaf's sum: O(N + L) exact integer work per instance instead
+  of O(N * L).  All three rules read one table, ``StackedTrees.boundaries``,
+  which sorts the model's boundaries once; its ``lo`` entries, in that
+  order, are the right rule's nodes in order of ``lo``.  Soft
   attention yields P s with each chunk's probabilities, so ``score --soft``
   keys its text by (row, P s, depth).
 
@@ -186,10 +188,11 @@ class TreeMatrices:
     ``left``, ``right_int``, ``left_int`` and ``signed``) from the
     ``matrices`` builders.
 
-    ``_stack`` is ``ensemble_score``'s entry for the calls this bundle leads:
-    the ``StackedTrees`` of the last such call, or None before the first.
-    ``soft_attention`` reads it too, as the stack of this one tree.
-    It holds trees, never bundles, so no cycle keeps it past this bundle."""
+    ``boundaries`` is the tree's boundary table, which ``soft_attention``
+    reads.  ``_stack`` is ``ensemble_score``'s entry for the calls this
+    bundle leads: the ``StackedTrees`` of the last such call, or None before
+    the first.  It holds trees, never bundles, so no cycle keeps it past
+    this bundle."""
 
     tree: BinaryDecisionTree
     _stack: StackedTrees | None = field(default=None, init=False, repr=False, compare=False)
@@ -250,6 +253,11 @@ class TreeMatrices:
     @cached_property
     def signed(self) -> np.ndarray:
         return build_signed_matrix(self.tree)
+
+    @cached_property
+    def boundaries(self) -> _Boundaries:
+        """The tree's node boundaries, which ``soft_attention`` sums over."""
+        return _Boundaries.build(self.tree.span_array, self.num_leaves)
 
     @cached_property
     def normalized_leaf_vectors(self) -> np.ndarray:
@@ -443,14 +451,14 @@ def _delta_leaf(mats: TreeMatrices, s) -> TraversalResult:
 
 
 def _span_sums(
-    model: StackedTrees, x: np.ndarray, scale: np.ndarray, shift: np.ndarray | None = None
+    table: _Boundaries, x: np.ndarray, scale: np.ndarray, shift: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-leaf sums of node terms that start at a leaf-span boundary, one
     column per row of x: a (leaves x rows) array.
 
     Boundary entry e of node j adds ``scale[e] * x[r, j] + shift[e]`` to row
     r of every leaf from the entry's boundary onwards, and each node's terms
-    must sum to zero (``model.boundaries``).  The kernel gathers the rows of
+    must sum to zero (``table``).  The kernel gathers the rows of
     x transposed at the entries' nodes, scales and shifts them, takes one
     prefix sum down the entry axis, in boundary order, and reads it at each
     leaf's count of entries at or before it.  The sum runs in int32 for the
@@ -458,7 +466,6 @@ def _span_sums(
     table's size guard keeps twice the entry count below 2**31), and in
     int64 for any wider x.
     """
-    table = model.boundaries
     # np.take copies x's transpose to C order, so each entry gathers one
     # contiguous row and the prefix sum adds whole rows.
     terms = np.take(x.T, table.nodes, axis=0)
@@ -474,18 +481,18 @@ def _span_sums(
     return np.take(sums, table.last, axis=0)
 
 
-def _signed_scores(model: StackedTrees, s: np.ndarray) -> np.ndarray:
+def _signed_scores(table: _Boundaries, s: np.ndarray) -> np.ndarray:
     """P s for each row of s, as (leaves x rows): -s on a node's left leaves
     [lo, mid), +s on its right leaves [mid, hi)."""
-    return _span_sums(model, s, model.boundaries.signed)
+    return _span_sums(table, s, table.signed)
 
 
-def _softmax_rows(model: StackedTrees, ps: np.ndarray) -> np.ndarray:
+def _softmax_rows(depths: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Softmax of inv(D) P s for each row of P s, a C-contiguous (rows x
-    leaves) array, so each row's sum adds its entries in one order.  A lone
-    leaf's P s is 0 and is divided by 1, not by its depth 0; its softmax is 1
-    either way."""
-    scores = ps / (model.leaf_depths if len(model.spans) else 1)
+    leaves) array, so each row's sum adds its entries in one order, given
+    one tree's leaf depths.  A lone leaf's P s is 0 and is divided by 1, not
+    by its depth 0; its softmax is 1 either way."""
+    scores = ps / (depths if len(depths) > 1 else 1)
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 
@@ -493,10 +500,10 @@ def _softmax_rows(model: StackedTrees, ps: np.ndarray) -> np.ndarray:
 def soft_attention(mats: TreeMatrices, s) -> LeafDistribution:
     """Softmax of inv(D) P s: a smooth distribution over leaves whose argmax
     is the hard exit leaf.  P s is computed in span form as a batch of one,
-    in int64, on the ``StackedTrees`` the bundle keeps for ``ensemble_score``."""
+    in int64, on the bundle's boundary table."""
     s = _node_vector(mats, s)
-    model = _stack_for([mats])
-    return LeafDistribution(_softmax_rows(model, _signed_scores(model, s[None, :]).T)[0])
+    ps = _signed_scores(mats.boundaries, s[None, :]).T
+    return LeafDistribution(_softmax_rows(mats.tree.leaf_depths, ps)[0])
 
 
 def scaled_argmax_invariance_check(mats: TreeMatrices, t, scale) -> bool:
@@ -632,13 +639,8 @@ class StackedTrees:
         return bool(sizes.min() >= 2 and sizes.max() <= WORD_BITS)
 
     @cached_property
-    def right_cover(self) -> _Cover:
-        """The intervals ``[lo, mid)`` that ``_right_hits`` covers leaves by."""
-        return _Cover.build(self.spans, self.num_leaves)
-
-    @cached_property
     def boundaries(self) -> _Boundaries:
-        """The node boundaries ``_span_sums`` adds its terms at."""
+        """The node boundaries that the span form's rules read."""
         return _Boundaries.build(self.spans, self.num_leaves)
 
     def _word_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -662,34 +664,6 @@ class StackedTrees:
         return full ^ _LOW_BITS[hi] ^ _LOW_BITS[mid]
 
 
-@dataclass(frozen=True)
-class _Cover:
-    """The left-subtree intervals ``[lo, mid)`` of a model's nodes, in order
-    of ``lo`` (``order``, a stable sort), with each one's end ``mid`` as
-    int32 (``ends``), and per leaf the number of intervals that start at or
-    before it (``last``), counted by one ``bincount`` and prefix sum, which
-    took a third of a ``searchsorted``'s time on 200 trees.  Every end is at
-    most ``num_leaves``, so int32 is exact below 2**31 leaves."""
-
-    order: np.ndarray
-    ends: np.ndarray
-    last: np.ndarray
-    leaves: np.ndarray
-
-    @classmethod
-    def build(cls, spans: np.ndarray, num_leaves: int) -> "_Cover":
-        if num_leaves >= 2**31:
-            raise ValueError(f"interval cover needs fewer than 2**31 leaves, not {num_leaves}")
-        lo = spans[:, 0]
-        order = np.argsort(lo, kind="stable")
-        return cls(
-            order=order,
-            ends=spans[order, 1].astype(np.int32),
-            last=np.cumsum(np.bincount(lo, minlength=num_leaves)[:num_leaves]),
-            leaves=np.arange(num_leaves, dtype=np.int32),
-        )
-
-
 # Each node's span-sum coefficients at its boundaries lo, mid and hi: for
 # the signed rule's P s, and for the dual rule's right @ t + left @ (1 - t)
 # less the node count, a scale of t and a constant.
@@ -706,28 +680,47 @@ class _Boundaries:
     (0, 1, -1); per leaf, the number of entries at or before it (``last``).
     A ``hi`` equal to ``num_leaves`` starts no sum and is left out.
 
+    ``_right_hits`` reads the ``lo`` entries: their nodes, a stable order of
+    ``lo`` (``cover_nodes``), each one's ``mid`` as int32 (``cover_ends``),
+    per leaf the number of them at or before it (``cover_last``), and the
+    int32 leaf range (``leaves``).
+
     The int32 prefix sum of terms at most 2 in magnitude is exact while
-    twice the entry count, at most three per node, stays below 2**31, so a
-    larger model is refused before anything is allocated."""
+    twice the entry count, at most three per node, stays below 2**31, and
+    the int32 ends below 2**31 leaves; a larger model is refused before
+    anything is allocated."""
 
     nodes: np.ndarray
     signed: np.ndarray
     dual: np.ndarray
     dual_shift: np.ndarray
     last: np.ndarray
+    cover_nodes: np.ndarray
+    cover_ends: np.ndarray
+    cover_last: np.ndarray
+    leaves: np.ndarray
 
     @classmethod
     def build(cls, spans: np.ndarray, num_leaves: int) -> "_Boundaries":
         if 2 * 3 * len(spans) >= 2**31:
-            raise ValueError(f"span sums need at most {(2**31 - 1) // 6} nodes, not {len(spans)}")
+            raise ValueError(f"span tables need at most {(2**31 - 1) // 6} nodes, not {len(spans)}")
+        if num_leaves >= 2**31:
+            raise ValueError(f"span tables need fewer than 2**31 leaves, not {num_leaves}")
         flat = spans.ravel()
         key = flat.astype(np.uint16) if num_leaves < 2**16 else flat
         # Every hi equal to num_leaves sorts last, where it is cut off.
         order = np.argsort(key, kind="stable")[: np.count_nonzero(key < num_leaves)]
         nodes = order // 3
-        signed, dual, dual_shift = np.take(_COEFFICIENTS, order - 3 * nodes, axis=1)[:, :, None]
+        boundary = order - 3 * nodes
+        signed, dual, dual_shift = np.take(_COEFFICIENTS, boundary, axis=1)[:, :, None]
         counts = np.bincount(flat, minlength=num_leaves + 1)[:num_leaves]
-        return cls(nodes, signed, dual, dual_shift, np.cumsum(counts))
+        # np.compress, not a boolean index: it took half the time here.
+        cover = np.compress(boundary == 0, nodes)
+        opened = np.bincount(spans[:, 0], minlength=num_leaves)[:num_leaves]
+        return cls(
+            nodes, signed, dual, dual_shift, np.cumsum(counts), cover,
+            spans[cover, 1].astype(np.int32), np.cumsum(opened), np.arange(num_leaves, dtype=np.int32),
+        )
 
 
 def _test_matrices(model: StackedTrees, X) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -750,20 +743,20 @@ def _right_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     stays zero for the leaves before the first ``lo``, those of a first
     tree that is a lone leaf.
     """
-    cover = model.right_cover
-    reach = np.empty((len(t), len(cover.ends) + 1), np.int32)
+    table = model.boundaries
+    reach = np.empty((len(t), len(table.cover_ends) + 1), np.int32)
     reach[:, 0] = 0
     # np.take, not fancy indexing: on a few rows it takes a third the time.
-    np.multiply(np.take(t, cover.order, axis=1), cover.ends, out=reach[:, 1:])
+    np.multiply(np.take(t, table.cover_nodes, axis=1), table.cover_ends, out=reach[:, 1:])
     np.maximum.accumulate(reach, axis=1, out=reach)
-    return np.take(reach, cover.last, axis=1) <= cover.leaves
+    return np.take(reach, table.cover_last, axis=1) <= table.leaves
 
 
 def _dual_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     """Leaves that no node excludes: N - (right @ t + left @ (1 - t)) is zero
     only where every node votes for the leaf."""
     table = model.boundaries
-    hits = _span_sums(model, t.view(np.int8), table.dual, table.dual_shift) == 0
+    hits = _span_sums(table, t.view(np.int8), table.dual, table.dual_shift) == 0
     return np.ascontiguousarray(hits.T)
 
 
@@ -774,7 +767,7 @@ def _signed(t: np.ndarray) -> np.ndarray:
 
 def _signed_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     """Leaves whose codeword agrees with s on every ancestor: P s = d."""
-    hits = _signed_scores(model, _signed(t)) == model.leaf_depths[:, None]
+    hits = _signed_scores(model.boundaries, _signed(t)) == model.leaf_depths[:, None]
     return np.ascontiguousarray(hits.T)
 
 
@@ -889,17 +882,6 @@ ALGORITHMS: dict[str, Callable[[TreeMatrices, np.ndarray], TraversalResult]] = {
 }
 
 
-def _stack_for(models: Sequence[TreeMatrices]) -> StackedTrees:
-    """The ``StackedTrees`` of the models' trees, kept on the first bundle and
-    built again whenever that bundle leads a call with other trees."""
-    lead = models[0]
-    trees = tuple([mats.tree for mats in models])
-    model = lead._stack
-    if model is None or model.trees != trees:
-        model = lead._stack = StackedTrees.build(trees)
-    return model
-
-
 def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     """Sum of per-tree exit leaf values under the named algorithm.
 
@@ -914,13 +896,16 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     _check_names([algorithm])
     if not models:
         return 0.0
-    try:
-        model = _stack_for(models)
-    except DimensionMismatchError:
-        # x fails the per-vector shape check of some tree; raise its error.
-        for mats in models:
-            _feature_vector(x, mats.tree.feature_dim)
-        raise
+    lead, trees = models[0], tuple([mats.tree for mats in models])
+    model = lead._stack
+    if model is None or model.trees != trees:
+        try:
+            model = lead._stack = StackedTrees.build(trees)
+        except DimensionMismatchError:
+            # x fails the per-vector shape check of some tree; raise its error.
+            for mats in models:
+                _feature_vector(x, mats.tree.feature_dim)
+            raise
     x = _feature_vector(x, model.feature_dim)
     _, values = next(batch_score(model, x[None, :], algorithm))
     return float(sum_in_model_order(values)[0])
@@ -1010,8 +995,8 @@ def _soft_chunks(model: StackedTrees, X) -> Iterator[tuple[np.ndarray, np.ndarra
     if len(model.leaf_starts) != 1:
         raise ValueError("soft attention works on a single tree, not an ensemble")
     for _, t in _test_matrices(model, X):
-        ps = np.ascontiguousarray(_signed_scores(model, _signed(t)).T)
-        yield ps, _softmax_rows(model, ps)
+        ps = np.ascontiguousarray(_signed_scores(model.boundaries, _signed(t)).T)
+        yield ps, _softmax_rows(model.leaf_depths, ps)
 
 
 def batch_soft_attention(model: StackedTrees, X) -> Iterator[np.ndarray]:

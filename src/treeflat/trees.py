@@ -1007,6 +1007,11 @@ def _read_general(root, dim: int) -> GeneralTree:
     return GeneralTree(_general_root(columns.numbers, columns.parents, weights), dim)
 
 
+# The longest row of float64 features numpy can allocate: a tree document
+# whose feature_dim is larger is refused, as no instance could be read for it.
+MAX_FEATURE_DIM = np.iinfo(np.intp).max // 8
+
+
 def _tree_header(doc) -> tuple[str, int]:
     """A tree document's kind and feature dimension, checked."""
     if not isinstance(doc, dict):
@@ -1017,6 +1022,8 @@ def _tree_header(doc) -> tuple[str, int]:
     dim = doc.get("feature_dim")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise TreeFormatError("feature_dim must be a non-negative integer")
+    if dim > MAX_FEATURE_DIM:
+        raise TreeFormatError(f"feature_dim must be at most {MAX_FEATURE_DIM}, not {dim}")
     if "root" not in doc:
         raise TreeFormatError("tree document is missing 'root'")
     if kind == "binary" and dim < 1:

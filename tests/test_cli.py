@@ -35,7 +35,7 @@ from treeflat import (
 )
 from treeflat import cli, traversal
 from treeflat.cli import main
-from treeflat.trees import dense_products
+from treeflat.trees import MAX_FEATURE_DIM, dense_products
 
 
 def reference_rows(values, integer, sep):
@@ -930,6 +930,77 @@ class TestGen:
     def test_nonpositive_arguments_rejected(self, tmp_path, capsys):
         code, _, _ = invoke(["gen", "--depth", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # A general node has at least two children, so the sampler
+            # needs a fanout of 2 or more.
+            (["--general", "--fanout", "1"], "argument --fanout: must be at least 2"),
+            (["--general", "--fanout", "0"], "argument --fanout: must be at least 2"),
+            # No row of this many float features can be allocated.
+            (["--dim", str(MAX_FEATURE_DIM + 1)], f"argument --dim: must be at most {MAX_FEATURE_DIM}"),
+            (["--dim", str(2**62)], f"argument --dim: must be at most {MAX_FEATURE_DIM}"),
+        ],
+    )
+    def test_arguments_the_samplers_refuse_are_usage_errors(self, tmp_path, capsys, argv, message):
+        model, data = tmp_path / "m.json", tmp_path / "m.csv"
+        code, out, err = invoke(["gen", *argv, "--out-model", model, "--out-data", data], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(message) and "Traceback" not in err
+        assert not model.exists() and not data.exists()
+
+    def test_fanout_of_2_makes_two_children_a_node(self, tmp_path, capsys):
+        model = tmp_path / "g.json"
+        argv = ["gen", "--general", "--fanout", "2", "--depth", "4", "--seed", "3"]
+        code, _, _ = invoke([*argv, "--out-model", model, "--out-data", tmp_path / "g.csv"], capsys)
+        assert code == 0
+        [tree] = parse_model(model.read_text())
+        nodes, counts = [tree.root], []
+        while nodes:
+            node = nodes.pop()
+            if not isinstance(node, Leaf):
+                counts.append(len(node.children))
+                nodes.extend(node.children)
+        assert counts and set(counts) == {2}
+
+
+class TestUnreadableInput:
+    """A model or instance file that is not UTF-8 text is a usage error:
+    exit 2 and one line naming the file, never a traceback or exit 1, which
+    stays reserved for a disagreement."""
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("flatten", "model"),
+            ("score", "model"),
+            ("score", "csv"),
+            ("compare", "model"),
+            ("compare", "csv"),
+            ("bench", "model"),
+            ("bench", "csv"),
+        ],
+    )
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, six_leaf_file, leaf3_instances, command, bad):
+        model, csv = six_leaf_file, leaf3_instances
+        if bad == "model":
+            model = tmp_path / "bad.json"
+            model.write_bytes(b'\xff\xfe{"type": "binary"}')
+        else:
+            csv = tmp_path / "bad.csv"
+            csv.write_bytes(leaf3_instances.read_bytes() + b"0.5,\xff\n")
+        argv = {
+            "flatten": ["flatten", model, "right"],
+            "score": ["score", model, csv],
+            "compare": ["compare", model, csv],
+            "bench": ["bench", model, csv, "--repeat", "1"],
+        }[command]
+        code, out, err = invoke(argv, capsys)
+        assert (code, out) == (2, "")
+        path = model if bad == "model" else csv
+        assert err.startswith(f"treeflat: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -513,8 +513,8 @@ class TestSoftAttention:
         chunks; returns it."""
         model = StackedTrees.build([tree])
         t = model.split_tests.false_nodes(X)
-        expected = traversal._signed_scores(model, signed_test_vector(t)).T
-        got = traversal._signed_scores(model, traversal._signed(t)).T
+        expected = traversal._signed_scores(model.boundaries, signed_test_vector(t)).T
+        got = traversal._signed_scores(model.boundaries, traversal._signed(t)).T
         chunks = [ps for ps, _ in traversal._soft_chunks(model, X)]
         assert expected.dtype == np.int64
         for ps in (got, np.vstack(chunks)):
@@ -804,6 +804,28 @@ class TestCachedEnsembleScore:
             assert stacked() is None
         finally:
             gc.enable()
+
+    def test_soft_attention_leaves_the_stack_alone(self, stack_builds, monkeypatch):
+        # soft_attention reads its bundle's own boundary table, so calls on
+        # the lead bundle between ensemble_score calls neither read nor
+        # replace the stack: the model is stacked once, and the bundle's
+        # table is built once.
+        tables = []
+        real = traversal._Boundaries.build
+        monkeypatch.setattr(traversal._Boundaries, "build", lambda *args: tables.append(1) or real(*args))
+        models = fresh_bundles(generate_random_tree(4, 4, seed) for seed in range(3))
+        lead = models[0]
+        for x in random_instances(8, 4, 13):
+            s = signed_test_vector(compute_test_vector(lead.tree, x))
+            assert ensemble_score(models, x, "qs") == per_vector_sum(models, x, "qs")
+            stacked = lead._stack
+            assert soft_attention(lead, s).argmax_leaf == sign_traverse(lead, s).leaf_index
+            assert lead._stack is stacked
+        assert len(stack_builds) == 1
+        assert len(tables) == 1  # the stack fits words: qs reads no table
+        alone = TreeMatrices.build(lead.tree)
+        soft_attention(alone, s)
+        assert len(stack_builds) == 1 and alone._stack is None
 
     def test_no_per_vector_selector_runs_once_stacked(self, monkeypatch):
         # Stacked on the first, cold call: no call of any name tests a tree
@@ -1248,15 +1270,48 @@ class TestRightCover:
             with pytest.raises(ValueError, match=f"{name} traversal found 0 exit leaves in tree 0"):
                 list(batch_score(corrupt, X, name))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kinds=st.lists(st.sampled_from(["full", "unbalanced", "chain"]), min_size=1, max_size=4),
+        lone=st.sampled_from([0, 99]),  # first, last
+        wide=st.booleans(),
+    )
+    def test_table_lists_each_lo_in_a_stable_order(self, seed, kinds, lone, wide):
+        # The right rule reads the lo entries of the one boundary table: in
+        # the table's order they must be a stable argsort of lo.
+        model = StackedTrees.build(cover_model(seed, kinds, lone, wide))
+        self.assert_cover(model.boundaries, model.spans, model.num_leaves)
+
+    @pytest.mark.parametrize("num_leaves", [2**16 - 1, 2**16])  # uint16 and int64 keys
+    def test_table_order_is_stable_on_either_key(self, num_leaves):
+        # Spans with many equal lo, near the top of the leaf range.
+        rng = np.random.default_rng(num_leaves)
+        lo = num_leaves - 1 - rng.integers(0, 50, 3000)
+        mid = np.minimum(lo + 1 + rng.integers(0, 3, 3000), num_leaves)
+        hi = np.minimum(mid + rng.integers(0, 3, 3000), num_leaves)
+        spans = np.stack([lo, mid, hi], axis=1)
+        self.assert_cover(traversal._Boundaries.build(spans, num_leaves), spans, num_leaves)
+
+    @staticmethod
+    def assert_cover(table, spans, num_leaves):
+        lo, mid = spans[:, 0], spans[:, 1]
+        order = np.argsort(lo, kind="stable")
+        np.testing.assert_array_equal(table.cover_nodes, order)
+        assert table.cover_ends.dtype == table.leaves.dtype == np.int32
+        np.testing.assert_array_equal(table.cover_ends, mid[order])
+        np.testing.assert_array_equal(table.cover_last, np.searchsorted(lo[order], np.arange(num_leaves), "right"))
+        np.testing.assert_array_equal(table.leaves, np.arange(num_leaves))
+
     def test_cover_refuses_2_to_the_31_leaves_before_allocating(self, monkeypatch):
         # With numpy out of reach, any allocation fails with AttributeError:
         # the bound must be checked first, and one leaf fewer passes it.
         monkeypatch.setattr(traversal, "np", None)
         spans = np.zeros((0, 3), np.int64)
         with pytest.raises(ValueError, match=r"fewer than 2\*\*31 leaves"):
-            traversal._Cover.build(spans, 2**31)
+            traversal._Boundaries.build(spans, 2**31)
         with pytest.raises(AttributeError):
-            traversal._Cover.build(spans, 2**31 - 1)
+            traversal._Boundaries.build(spans, 2**31 - 1)
 
 
 class TestSpanSums:
@@ -1293,12 +1348,28 @@ class TestSpanSums:
                 chunks = traversal._soft_chunks(StackedTrees.build([tree]), rows)
                 np.testing.assert_array_equal(np.vstack([got for got, _ in chunks]), ps, err_msg=f"tree {k}")
 
+    def test_one_table_serves_every_span_rule(self, monkeypatch):
+        # compare's rules on a model past the word kernels, over several
+        # chunks: right, dual and signed hits all read one table, which
+        # sorts the model's boundaries once.
+        tables, sorts = [], []
+        real_build, real_sort = traversal._Boundaries.build, np.argsort
+        monkeypatch.setattr(traversal._Boundaries, "build", lambda *args: tables.append(1) or real_build(*args))
+        monkeypatch.setattr(np, "argsort", lambda *args, **kw: sorts.append(1) or real_sort(*args, **kw))
+        trees = [tree_with_leaves(100, 3, 7), generate_random_tree(3, 3, 1)]
+        model = StackedTrees.build(trees)
+        X = parsed_rows(trees, 12, 5)
+        monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 5 * (model.num_leaves + 1))
+        leaves = np.vstack(list(batch_leaves(model, X, list(ALGORITHMS))))
+        assert (leaves == leaves[:, :, :1]).all()
+        assert len(tables) == len(sorts) == 1
+
     def test_per_vector_soft_attention_sums_a_deep_chain_in_int64(self):
         # Every node false: the last leaf's P s is 300, past int8.
         mats = TreeMatrices.build(chain_tree(300))
         s = np.ones(300, dtype=np.int64)
         dist = soft_attention(mats, s)
-        ps = traversal._signed_scores(mats._stack, s[None, :])
+        ps = traversal._signed_scores(mats.boundaries, s[None, :])
         assert ps.dtype == np.int64 and ps[-1, 0] == 300
         np.testing.assert_array_equal(ps[:, 0], mats.signed @ s)
         scores = (mats.signed @ s) / mats.depths

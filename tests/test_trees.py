@@ -46,6 +46,7 @@ from treeflat import (
     validate,
 )
 from treeflat.cli import main
+from treeflat.trees import MAX_FEATURE_DIM
 
 random_trees = st.builds(
     generate_random_tree,
@@ -581,6 +582,25 @@ class TestSerialization:
     def test_garbage_rejected(self):
         with pytest.raises(TreeFormatError):
             parse_tree("not json at all")
+
+    @pytest.mark.parametrize("kind", ["binary", "general"])
+    @pytest.mark.parametrize("dim", [MAX_FEATURE_DIM + 1, 2**62, 10**20])
+    def test_feature_dim_past_the_longest_float_row_rejected(self, kind, dim):
+        # The bound is numpy's: one more feature and no row of floats, not
+        # even an empty matrix of such rows, can be made.
+        with pytest.raises(ValueError, match="array is too big"):
+            np.zeros((0, MAX_FEATURE_DIM + 1))
+        doc = {"type": kind, "feature_dim": dim, "root": {"leaf": 1.0}}
+        message = f"feature_dim must be at most {MAX_FEATURE_DIM}, not {dim}"
+        for text in (json.dumps(doc), json.dumps({"type": "ensemble", "trees": [doc]})):
+            with pytest.raises(TreeFormatError, match=message):
+                parse_model(text)
+
+    @pytest.mark.parametrize("kind", ["binary", "general"])
+    def test_lone_leaf_at_the_feature_dim_bound_parses(self, kind):
+        doc = {"type": kind, "feature_dim": MAX_FEATURE_DIM, "root": {"leaf": 1.0}}
+        assert MAX_FEATURE_DIM == np.iinfo(np.intp).max // 8
+        assert parse_tree(json.dumps(doc)).feature_dim == MAX_FEATURE_DIM
 
     def test_wrong_weight_count_rejected(self):
         text = json.dumps(
