@@ -149,20 +149,15 @@ def _distinct(flat: np.ndarray, codes: np.ndarray | None) -> tuple[np.ndarray, l
     entry with each code held, and each entry's slot.
 
     An integer code array whose range holds no more values than it has
-    entries gets a slot per value of its range, with no sort.  Keyed by the
-    values themselves, slot k holds the value lo + k, so one pass marks
-    which slots occur; keyed by other codes, each slot takes the position of
-    one of its entries.  Any other array is sorted by ``np.unique``.  Floats
-    are told apart by bit pattern, so -0.0 and 0.0 keep their own text."""
+    entries gets a slot per value of its range, with no sort: each slot
+    takes the position of one of its entries.  Any other array is sorted by
+    ``np.unique``.  Floats are told apart by bit pattern, so -0.0 and 0.0
+    keep their own text."""
     keys = flat if codes is None else codes
     if keys.dtype.kind in "iu" and keys.size:
         lo, hi = int(keys.min()), int(keys.max())
         if hi - lo < keys.size:
             slots = keys - lo
-            if codes is None:
-                used = np.zeros(hi - lo + 1, dtype=bool)
-                used[slots] = True
-                return used, [lo + k for k in np.flatnonzero(used).tolist()], slots
             first = np.full(hi - lo + 1, -1)
             first[slots] = np.arange(keys.size)
             used = first >= 0
@@ -359,7 +354,30 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# ``gen`` draws and writes its instances this many values at a time.
+GEN_CHUNK_VALUES = 1 << 16
+
+
+def _write_uniform_rows(fh, rng: np.random.Generator, rows: int, dim: int) -> None:
+    """The CSV text of ``rng.uniform(size=(rows, dim))``, drawn a chunk of
+    values at a time: the generator gives the same doubles in the same order
+    however the draws are split, and no chunk holds more than
+    ``GEN_CHUNK_VALUES``."""
+    total = rows * dim
+    for start in range(0, total, GEN_CHUNK_VALUES):
+        stop = min(start + GEN_CHUNK_VALUES, total)
+        cells = [f"{v:.17g}" for v in rng.uniform(size=stop - start).tolist()]
+        # A row's last value is followed by a newline, every other by a comma.
+        ends = np.where(np.arange(start + 1, stop + 1) % dim == 0, "\n", ",").tolist()
+        fh.write("".join(cell + end for cell, end in zip(cells, ends)))
+
+
 def cmd_gen(args) -> int:
+    if args.instances * args.dim > MAX_FEATURE_DIM:
+        raise CliError(
+            EXIT_USAGE,
+            f"--instances {args.instances} x --dim {args.dim}: more than {MAX_FEATURE_DIM} values",
+        )
     rng = np.random.default_rng(args.seed)
     tree_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=args.count)]
     try:
@@ -378,12 +396,10 @@ def cmd_gen(args) -> int:
             EXIT_USAGE,
             f"--depth {args.depth}: a sampled tree is nested too deeply to generate or write",
         ) from None
-    X = rng.uniform(size=(args.instances, args.dim))
     try:
         Path(args.out_model).write_text(text, encoding="utf-8")
         with open(args.out_data, "w", encoding="utf-8") as fh:
-            for row in X:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            _write_uniform_rows(fh, rng, args.instances, args.dim)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot write output: {exc}") from exc
     return EXIT_OK

@@ -54,24 +54,25 @@ the same chunks:
   ``dual`` the right word of each false node and the left word of each true
   one, with one ``np.bitwise_and.reduceat`` over the node axis, and the exit
   leaf is the lowest set bit.
-* the span form runs the rest: ``_right_hits`` for ``matrix`` (and ``qs``),
-  ``_dual_hits`` for ``dualmatrix`` (and ``dual``) and ``_signed_hits`` for
-  ``sign``, ``ecoc`` and ``delta``.  Every column of right, left and P is
-  constant on the leaf ranges ``[lo, mid)`` and ``[mid, hi)`` of its node.
-  A false node excludes its left leaves ``[lo, mid)``, so ``_right_hits``
-  is interval coverage: leaf p is a hit when the largest ``mid`` of the
-  false nodes with ``lo <= p`` is at most p, one int32 running maximum over
-  the nodes in order of ``lo``.  The dual and signed rules, and soft
-  attention, take ``right @ t + left @ (1 - t)`` and ``P s`` from one
-  kernel, ``_span_sums``: each node adds a term at its boundaries ``lo``,
-  ``mid`` and ``hi``, and one int32 prefix sum of the transposed test
-  matrix, read as int8, down the model's boundaries, read at each leaf,
-  gives every leaf's sum: O(N + L) exact integer work per instance instead
-  of O(N * L).  All three rules read one table, ``StackedTrees.boundaries``,
-  which sorts the model's boundaries once; its ``lo`` entries, in that
-  order, are the right rule's nodes in order of ``lo``.  Soft
-  attention yields P s with each chunk's probabilities, so ``score --soft``
-  keys its text by (row, P s, depth).
+* the span form runs the rest: ``_right_hits`` for ``matrix`` (and ``qs``)
+  and ``_signed_hits`` for ``dualmatrix``, ``sign``, ``ecoc`` and ``delta``
+  (and ``dual``).  Every column of right, left and P is constant on the
+  leaf ranges ``[lo, mid)`` and ``[mid, hi)`` of its node.  A false node
+  excludes its left leaves ``[lo, mid)``, so ``_right_hits`` is interval
+  coverage: leaf p is a hit when the largest ``mid`` of the false nodes
+  with ``lo <= p`` is at most p, one int32 running maximum over the nodes
+  in order of ``lo``.  The dual rule is the signed rule: with s = 2t - 1,
+  ``right @ t + left @ (1 - t)`` is N - (d - P s) / 2 at every leaf, so it
+  reaches N exactly where P s = d.  The signed rule and soft attention take
+  P s from one kernel, ``_span_sums``: each node adds a term at its
+  boundaries ``lo``, ``mid`` and ``hi``, and one int32 prefix sum of the
+  transposed test matrix, read as int8, down the model's boundaries, read
+  at each leaf, gives every leaf's sum: O(N + L) exact integer work per
+  instance instead of O(N * L).  Both rules read one table,
+  ``StackedTrees.boundaries``, which sorts the model's boundaries once; its
+  ``lo`` entries, in that order, are the right rule's nodes in order of
+  ``lo``.  Soft attention yields P s with each chunk's probabilities, so
+  ``score --soft`` keys its text by (row, P s, depth).
 
 A tree of more than 64 leaves sends ``qs`` and ``dual`` to the span form,
 for the whole model: on one full tree and 1000 instances, a multiword
@@ -450,28 +451,23 @@ def _delta_leaf(mats: TreeMatrices, s) -> TraversalResult:
     return mats._result(int(rows[0]))
 
 
-def _span_sums(
-    table: _Boundaries, x: np.ndarray, scale: np.ndarray, shift: np.ndarray | None = None
-) -> np.ndarray:
+def _span_sums(table: _Boundaries, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Per-leaf sums of node terms that start at a leaf-span boundary, one
     column per row of x: a (leaves x rows) array.
 
-    Boundary entry e of node j adds ``scale[e] * x[r, j] + shift[e]`` to row
-    r of every leaf from the entry's boundary onwards, and each node's terms
-    must sum to zero (``table``).  The kernel gathers the rows of
-    x transposed at the entries' nodes, scales and shifts them, takes one
-    prefix sum down the entry axis, in boundary order, and reads it at each
-    leaf's count of entries at or before it.  The sum runs in int32 for the
-    int8 test matrices, whose terms are at most 2 in magnitude (exact, as the
-    table's size guard keeps twice the entry count below 2**31), and in
-    int64 for any wider x.
+    Boundary entry e of node j adds ``scale[e] * x[r, j]`` to row r of every
+    leaf from the entry's boundary onwards, and each node's terms must sum
+    to zero (``table``).  The kernel gathers the rows of x transposed at the
+    entries' nodes, scales them, takes one prefix sum down the entry axis,
+    in boundary order, and reads it at each leaf's count of entries at or
+    before it.  The sum runs in int32 for the int8 test matrices, whose
+    terms are at most 2 in magnitude (exact, as the table's size guard keeps
+    twice the entry count below 2**31), and in int64 for any wider x.
     """
     # np.take copies x's transpose to C order, so each entry gathers one
     # contiguous row and the prefix sum adds whole rows.
     terms = np.take(x.T, table.nodes, axis=0)
     terms *= scale
-    if shift is not None:
-        terms += shift
     # Widened first, the sum runs in place with no cast: faster than
     # summing the int8 terms into a wider output.
     sums = np.empty((len(terms) + 1, len(x)), np.int32 if x.dtype == np.int8 else np.int64)
@@ -664,10 +660,8 @@ class StackedTrees:
         return full ^ _LOW_BITS[hi] ^ _LOW_BITS[mid]
 
 
-# Each node's span-sum coefficients at its boundaries lo, mid and hi: for
-# the signed rule's P s, and for the dual rule's right @ t + left @ (1 - t)
-# less the node count, a scale of t and a constant.
-_COEFFICIENTS = np.array([[-1, 2, -1], [1, -2, 1], [0, 1, -1]], dtype=np.int8)
+# Each node's P s coefficients at its boundaries lo, mid and hi.
+_SIGNED_SCALE = np.array([-1, 2, -1], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -675,10 +669,10 @@ class _Boundaries:
     """Every node boundary ``lo``, ``mid`` and ``hi`` below ``num_leaves``,
     one entry each, in order of boundary (a stable sort of the node-major
     list, on uint16 keys for fewer than 2**16 leaves).  Per entry: its node
-    (``nodes``) and, as (entries, 1) int8 columns, the signed rule's scale
-    (-1, 2, -1 at lo, mid, hi), the dual rule's (1, -2, 1) and its shift
-    (0, 1, -1); per leaf, the number of entries at or before it (``last``).
-    A ``hi`` equal to ``num_leaves`` starts no sum and is left out.
+    (``nodes``) and, as an (entries, 1) int8 column, the signed rule's scale
+    (-1, 2, -1 at lo, mid, hi); per leaf, the number of entries at or before
+    it (``last``).  A ``hi`` equal to ``num_leaves`` starts no sum and is
+    left out.
 
     ``_right_hits`` reads the ``lo`` entries: their nodes, a stable order of
     ``lo`` (``cover_nodes``), each one's ``mid`` as int32 (``cover_ends``),
@@ -692,8 +686,6 @@ class _Boundaries:
 
     nodes: np.ndarray
     signed: np.ndarray
-    dual: np.ndarray
-    dual_shift: np.ndarray
     last: np.ndarray
     cover_nodes: np.ndarray
     cover_ends: np.ndarray
@@ -712,13 +704,13 @@ class _Boundaries:
         order = np.argsort(key, kind="stable")[: np.count_nonzero(key < num_leaves)]
         nodes = order // 3
         boundary = order - 3 * nodes
-        signed, dual, dual_shift = np.take(_COEFFICIENTS, boundary, axis=1)[:, :, None]
+        signed = np.take(_SIGNED_SCALE, boundary)[:, None]
         counts = np.bincount(flat, minlength=num_leaves + 1)[:num_leaves]
         # np.compress, not a boolean index: it took half the time here.
         cover = np.compress(boundary == 0, nodes)
         opened = np.bincount(spans[:, 0], minlength=num_leaves)[:num_leaves]
         return cls(
-            nodes, signed, dual, dual_shift, np.cumsum(counts), cover,
+            nodes, signed, np.cumsum(counts), cover,
             spans[cover, 1].astype(np.int32), np.cumsum(opened), np.arange(num_leaves, dtype=np.int32),
         )
 
@@ -752,21 +744,14 @@ def _right_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     return np.take(reach, table.cover_last, axis=1) <= table.leaves
 
 
-def _dual_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
-    """Leaves that no node excludes: N - (right @ t + left @ (1 - t)) is zero
-    only where every node votes for the leaf."""
-    table = model.boundaries
-    hits = _span_sums(table, t.view(np.int8), table.dual, table.dual_shift) == 0
-    return np.ascontiguousarray(hits.T)
-
-
 def _signed(t: np.ndarray) -> np.ndarray:
     """s = 2t - 1 from the boolean test matrix, in int8."""
     return 2 * t.view(np.int8) - 1
 
 
 def _signed_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
-    """Leaves whose codeword agrees with s on every ancestor: P s = d."""
+    """Leaves whose codeword agrees with s on every ancestor, P s = d: the
+    leaves every node votes for under the dual rule too."""
     hits = _signed_scores(model.boundaries, _signed(t)) == model.leaf_depths[:, None]
     return np.ascontiguousarray(hits.T)
 
@@ -869,9 +854,9 @@ def _naive(mats: TreeMatrices, x) -> TraversalResult:
 _TABLE = {
     "naive": _Algorithm(_naive),
     "qs": _Algorithm(quickscorer_traverse, hits=_right_hits, words=_qs_words),
-    "dual": _Algorithm(dual_traverse, hits=_dual_hits, unique=True, words=_dual_words),
+    "dual": _Algorithm(dual_traverse, hits=_signed_hits, unique=True, words=_dual_words),
     "matrix": _Algorithm(matrix_traverse, hits=_right_hits),
-    "dualmatrix": _Algorithm(dual_matrix_traverse, hits=_dual_hits, unique=True),
+    "dualmatrix": _Algorithm(dual_matrix_traverse, hits=_signed_hits, unique=True),
     "sign": _Algorithm(sign_traverse, signed=True, hits=_signed_hits, unique=True),
     "ecoc": _Algorithm(ecoc_traverse, signed=True, hits=_signed_hits),
     "delta": _Algorithm(_delta_leaf, signed=True, hits=_signed_hits, unique=True),

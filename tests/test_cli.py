@@ -1,7 +1,14 @@
+import contextlib
+import copy
 import dataclasses
+import io
+import json
+import math
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import chain_document, chain_tree, instance_for_tests
 from treeflat import (
+    ALGORITHMS,
     BinaryDecisionTree,
     Internal,
     Leaf,
@@ -26,9 +34,11 @@ from treeflat import (
     build_signed_matrix,
     ensemble_score,
     generate_random_general_tree,
+    generate_random_tree,
     naive_traverse,
     parse_model,
     parse_tree,
+    random_instances,
     serialize_ensemble,
     serialize_tree,
     validate,
@@ -643,14 +653,16 @@ class TestCompare:
 
     def test_corrupted_matrices_are_caught(self, six_leaf_tree):
         # A negated depth vector keeps exactly one hit per tree for the
-        # signed rules, P s = -d, on the leaf whose every ancestor test went
+        # signed rule, P s = -d, on the leaf whose every ancestor test went
         # the other way, so the corruption shows as a wrong leaf, not an error.
+        # The six-leaf tree runs dual on words, so dualmatrix, the first name
+        # on the signed rule, reports it.
         model = StackedTrees.build([six_leaf_tree])
         corrupt = dataclasses.replace(model, leaf_depths=-model.leaf_depths)
         X = instance_for_tests(six_leaf_tree, [1, 0, 0, 0, 0])[None, :]
         bad = cli._first_disagreement(corrupt, X)
         assert bad is not None
-        assert bad.algorithm in ("sign", "ecoc", "delta")
+        assert bad.algorithm == "dualmatrix"
         assert bad.leaf != bad.expected == naive_traverse(six_leaf_tree, X[0])
 
     def test_corrupt_spans_or_leaf_starts_keep_the_oracle_leaf(self):
@@ -904,6 +916,44 @@ class TestGen:
         assert err.count("\n") == 1 and "nested too deeply" in err
         assert not model.exists() and not data.exists()
 
+    def test_instances_are_drawn_and_written_a_chunk_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # With the bound at 12 values and chunks of 5, 4 rows of 3 are drawn
+        # in chunks that split rows, and give the text of one whole draw
+        # after the tree seeds, row by row; 5 rows are refused before any
+        # sampling or file.
+        argv = ["gen", "--depth", "2", "--dim", "3", "--seed", "4"]
+        rng = np.random.default_rng(4)
+        rng.integers(0, 2**63 - 1, size=1)
+        whole = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rng.uniform(size=(4, 3)))
+        spies, real_rng = [], np.random.default_rng
+
+        class Spy:
+            """A generator that records its ``uniform`` draws' sizes."""
+
+            def __init__(self, seed):
+                self.rng, self.sizes = real_rng(seed), []
+                spies.append(self)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def uniform(self, *args, **kwargs):
+                self.sizes.append(kwargs.get("size"))
+                return self.rng.uniform(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        monkeypatch.setattr(cli, "MAX_FEATURE_DIM", 12)
+        monkeypatch.setattr(cli, "GEN_CHUNK_VALUES", 5)
+        model, data = tmp_path / "m.json", tmp_path / "m.csv"
+        code, _, _ = invoke([*argv, "--instances", "4", "--out-model", model, "--out-data", data], capsys)
+        assert code == 0 and spies[0].sizes == [5, 5, 2]  # gen's own generator
+        assert data.read_text() == whole
+        model.unlink(), data.unlink()
+        code, out, err = invoke([*argv, "--instances", "5", "--out-model", model, "--out-data", data], capsys)
+        assert (code, out) == (2, "")
+        assert err == "treeflat: --instances 5 x --dim 3: more than 12 values\n"
+        assert not model.exists() and not data.exists()
+
     @pytest.mark.parametrize("count", ["1", "2"])
     def test_tree_too_deep_to_write_exits_2(self, tmp_path, capsys, monkeypatch, count):
         # A sampled chain too deep for the serializer, but not for the sampler.
@@ -1001,6 +1051,166 @@ class TestUnreadableInput:
         path = model if bad == "model" else csv
         assert err.startswith(f"treeflat: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
+
+
+# Values a mutation puts in place of any JSON value: non-finite numbers,
+# one that overflows a float (the marker becomes the bare token 1e400),
+# integers too large for a float or an index, bools, strings, null and
+# containers.
+HOSTILE_VALUES = [
+    math.nan, math.inf, -math.inf, "@1e400@", 10**400, 2**63, -1, 0, 1, 3, 0.5,
+    True, False, "0.5", "", None, [], {}, [0.5], {"leaf": 0.5},
+]
+# What a CSV cell may become: words float() reads, lenient ones among them,
+# and text it refuses.
+HOSTILE_CELLS = ["nan", "inf", "-inf", "NaN", "Infinity", "1e400", "1_0", "٣", "0x1p-2", "", " ", "a", "1;2"]
+
+
+def json_slots(doc):
+    """Every (container, key) pair inside a JSON value."""
+    found, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else []
+        for key in keys:
+            found.append((node, key))
+            stack.append(node[key])
+    return found
+
+
+@st.composite
+def mutated_model(draw, dim):
+    """A ``gen`` document of binary trees (general ones a quarter of the
+    time), then up to three mutations of its values and keys: a hostile
+    value, a dropped or extra key, a node nested in an ensemble, or a
+    feature swapped for dense weights.  Then, a quarter of the time, text
+    damage: a BOM, a duplicate key, a truncation or a byte that is not
+    UTF-8."""
+    count, depth = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=count, max_size=count))
+    if draw(st.integers(0, 3)) == 3:
+        trees = [generate_random_general_tree(depth, 3, s, feature_dim=dim) for s in seeds]
+    else:
+        trees = [generate_random_tree(depth, dim, s) for s in seeds]
+    doc = {"doc": json.loads(serialize_tree(trees[0]) if count == 1 else serialize_ensemble(trees))}
+    for _ in range(draw(st.integers(0, 3))):
+        places = json_slots(doc)
+        node, key = places[draw(st.integers(0, len(places) - 1))]
+        kind = draw(st.sampled_from(["value", "drop", "extra", "nest", "dense"]))
+        if kind == "value":
+            # A copy: later mutations must not change the constant.
+            node[key] = copy.deepcopy(draw(st.sampled_from(HOSTILE_VALUES)))
+        elif kind == "drop" and key != "doc":
+            del node[key]
+        elif kind == "extra" and isinstance(node[key], dict):
+            node[key][draw(st.sampled_from(["extra", "leaf", "feature", "children", "trees"]))] = 0.5
+        elif kind == "nest":
+            node[key] = {"type": "ensemble", "trees": [node[key]]}
+        elif kind == "dense" and isinstance(node[key], dict) and "feature" in node[key]:
+            del node[key]["feature"]
+            node[key]["weights"] = draw(st.lists(st.sampled_from([0.0, 0.5, -1.0, 1.0, math.nan]), max_size=4))
+    raw = json.dumps(doc["doc"]).replace('"@1e400@"', "1e400").encode()
+    damage = draw(st.sampled_from(["bom", "duplicate", "truncate", "latin1"])) if draw(st.integers(0, 3)) == 3 else None
+    if damage == "bom":
+        raw = b"\xef\xbb\xbf" + raw
+    elif damage == "duplicate":
+        key = draw(st.sampled_from(["threshold", "feature", "leaf", "feature_dim", "type", "weights"])).encode()
+        raw = raw.replace(b'"%s": ' % key, b'"%s": 0.5, "%s": ' % (key, key), 1)
+    elif damage == "truncate":
+        raw = raw[: draw(st.integers(0, len(raw)))]
+    elif damage == "latin1":
+        raw = raw.replace(b'"', b'"\xe9', 1)
+    return raw
+
+
+@st.composite
+def mutated_csv(draw, dim):
+    """Up to four ``gen``-like rows of ``dim`` floats, then up to three
+    mutations: a header, a blank line, a row one cell short or long, a
+    hostile cell, semicolons for commas; and, one time in twenty, a byte
+    that is not UTF-8."""
+    count = draw(st.integers(0, 4))
+    lines = [",".join(repr(v) for v in random_instances(1, dim, i)[0].tolist()) for i in range(count)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["header", "blank", "width", "cell", "semicolon"]))
+        if kind == "header":
+            lines.insert(0, ",".join(f"x{i}" for i in range(dim)))
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+        elif at < len(lines):
+            cells = lines[at].split(",")
+            if kind == "width":
+                cells = cells[:-1] if draw(st.booleans()) else cells + ["0.5"]
+            elif kind == "cell":
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(HOSTILE_CELLS))
+            lines[at] = (";" if kind == "semicolon" else ",").join(cells)
+    raw = "".join(line + "\n" for line in lines).encode()
+    return raw + b"\xff\n" if draw(st.integers(0, 19)) == 19 else raw
+
+
+class TestExitCodeContract:
+    """Whatever the loaders are fed, every command exits 0, 2, 3 or 4: no
+    exception escapes ``main``, a failure prints one line to stderr and a
+    success none, and ``compare`` never exits 1, which means a real
+    disagreement, on a model that ``validate`` accepts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.integers(1, 3).flatmap(lambda dim: st.tuples(mutated_model(dim), mutated_csv(dim))),
+        algo=st.sampled_from(sorted(ALGORITHMS)),
+        kind=st.sampled_from(["right", "left", "signed", "path"]),
+    )
+    # A threshold that overflows a float, and a leaf too large for one.
+    @example(
+        case=(
+            b'{"type": "binary", "feature_dim": 1, "root": {"feature": 0, "threshold": 1e400,'
+            b' "left": {"leaf": 0.5}, "right": {"leaf": 1%s}}}' % (b"0" * 400),
+            b"0.5\n",
+        ),
+        algo="sign",
+        kind="right",
+    )
+    # The lenient reads: a duplicate key keeps its last value, and CSV
+    # cells read as Python's float() reads them.
+    @example(
+        case=(
+            b'{"type": "binary", "feature_dim": 2, "root": {"feature": 5, "feature": 1, "threshold": 0.5,'
+            b' "left": {"leaf": 0.5}, "right": {"leaf": 1}}}',
+            "1_0,٣\nnan,-inf\n".encode(),
+        ),
+        algo="dualmatrix",
+        kind="signed",
+    )
+    # Rows of two widths are a data mismatch, not an array numpy refuses.
+    @example(
+        case=(
+            b'{"type": "binary", "feature_dim": 2, "root": {"feature": 1, "threshold": 0.5,'
+            b' "left": {"leaf": 0.5}, "right": {"leaf": 1}}}',
+            b"0.5,0.5\n0.5\n",
+        ),
+        algo="qs",
+        kind="left",
+    )
+    def test_every_command_keeps_the_exit_codes(self, case, algo, kind):
+        model_bytes, csv_bytes = case
+        with tempfile.TemporaryDirectory() as tmp:
+            model, data = Path(tmp, "m.json"), Path(tmp, "d.csv")
+            model.write_bytes(model_bytes)
+            data.write_bytes(csv_bytes)
+            for argv in (
+                ["compare", model, data],
+                ["score", model, data, "--algo", algo],
+                ["score", model, data, "--soft"],
+                ["flatten", model, kind],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([str(a) for a in argv])
+                assert code in (0, 2, 3, 4), (argv, code, out.getvalue())
+                expected = "" if code == 0 else "treeflat: "
+                assert err.getvalue().startswith(expected), (argv, err.getvalue())
+                assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())
 
 
 def test_module_entry_point(tmp_path):

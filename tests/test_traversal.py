@@ -1046,11 +1046,11 @@ class TestBatchScore:
 
     def test_dual_forms_raise_on_two_hits(self, six_leaf_tree):
         # Node 1 splits leaves 1 and 2; with its span emptied nothing tells
-        # them apart, so an instance bound for leaf 1 hits both.
+        # them apart, so an instance bound for leaf 1 hits both: on dual's
+        # words, and on the signed rule that dualmatrix runs once their
+        # depths also lose node 1's term.
         model = StackedTrees.build([six_leaf_tree])
-        spans = model.spans.copy()
-        spans[1] = 0
-        corrupt = dataclasses.replace(model, spans=spans)
+        corrupt = two_hit_model(model)
         X = instance_for_tests(six_leaf_tree, [1, 1, 0, 0, 0])[None, :]
         for name in ("dual", "dualmatrix"):
             with pytest.raises(ValueError, match="found 2 exit leaves"):
@@ -1316,8 +1316,9 @@ class TestRightCover:
 
 class TestSpanSums:
     """``_span_sums`` over the boundary table must give, tree by tree, the
-    dense dual rule, right @ t + left @ (1 - t) = N, the dense signed rule,
-    P s = d, and P s itself in the soft chunks, on every tree shape."""
+    dense signed rule, P s = d, which is also the dense dual rule,
+    right @ t + left @ (1 - t) = N, and P s itself in the soft chunks, on
+    every tree shape."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1332,25 +1333,46 @@ class TestSpanSums:
         X = parsed_rows(trees, 6, seed)
         for rows in (X[:1], X):
             t = model.split_tests.false_nodes(rows)
-            dual = traversal._dual_hits(model, t)
             signed = traversal._signed_hits(model, t)
-            for hits in (dual, signed):
-                assert hits.shape == (len(rows), model.num_leaves)
-                assert hits.dtype == bool and hits.flags.c_contiguous
+            assert signed.shape == (len(rows), model.num_leaves)
+            assert signed.dtype == bool and signed.flags.c_contiguous
             for k, tree in enumerate(trees):
                 mats = TreeMatrices.build(tree)
                 nodes = t[:, model.node_starts[k] : model.node_starts[k] + tree.num_internal].astype(np.int64)
                 ps = (2 * nodes - 1) @ mats.signed.T
                 leaves = slice(model.leaf_starts[k], model.leaf_starts[k] + tree.num_leaves)
-                votes = nodes @ mats.right_int.T + (1 - nodes) @ mats.left_int.T
-                np.testing.assert_array_equal(dual[:, leaves], votes == tree.num_internal, err_msg=f"tree {k}")
                 np.testing.assert_array_equal(signed[:, leaves], ps == mats.depths, err_msg=f"tree {k}")
                 chunks = traversal._soft_chunks(StackedTrees.build([tree]), rows)
                 np.testing.assert_array_equal(np.vstack([got for got, _ in chunks]), ps, err_msg=f"tree {k}")
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kinds=st.lists(st.sampled_from(["full", "unbalanced", "chain"]), min_size=1, max_size=3),
+        lone=st.sampled_from([None, 0, 99]),  # none, first, last
+        wide=st.booleans(),
+        rows=st.integers(1, 4),
+    )
+    def test_the_dual_rule_is_the_signed_rule(self, seed, kinds, lone, wide, rows):
+        # For every t, not only one an instance gives, each leaf's votes are
+        # right @ t + left @ (1 - t) = N - (d - P s) / 2 with s = 2t - 1, so
+        # the signed rule's hits, P s = d, are the dual rule's, votes = N.
+        trees = cover_model(seed, kinds, lone, wide)
+        model = StackedTrees.build(trees)
+        t = np.random.default_rng(seed).random((rows, len(model.spans))) < 0.5
+        signed = traversal._signed_hits(model, t)
+        for k, tree in enumerate(trees):
+            mats = TreeMatrices.build(tree)
+            nodes = t[:, model.node_starts[k] : model.node_starts[k] + tree.num_internal].astype(np.int64)
+            votes = nodes @ mats.right_int.T + (1 - nodes) @ mats.left_int.T
+            ps = (2 * nodes - 1) @ mats.signed.T
+            np.testing.assert_array_equal(2 * (tree.num_internal - votes), mats.depths - ps, err_msg=f"tree {k}")
+            leaves = slice(model.leaf_starts[k], model.leaf_starts[k] + tree.num_leaves)
+            np.testing.assert_array_equal(signed[:, leaves], votes == tree.num_internal, err_msg=f"tree {k}")
+
     def test_one_table_serves_every_span_rule(self, monkeypatch):
         # compare's rules on a model past the word kernels, over several
-        # chunks: right, dual and signed hits all read one table, which
+        # chunks: the right and signed hits both read one table, which
         # sorts the model's boundaries once.
         tables, sorts = [], []
         real_build, real_sort = traversal._Boundaries.build, np.argsort
@@ -1454,13 +1476,14 @@ class TestBatchLeaves:
     @pytest.mark.parametrize(
         "kind, rules, selections",
         [
-            # qs and dual run their word rules; matrix, dualmatrix and the
-            # signed rule the span form: sign and delta share one selection.
-            ("word", 5, 6),
-            # qs shares matrix's rule and selection, dual dualmatrix's, and
-            # sign and delta share theirs; ecoc has its own selection.
-            ("span", 3, 4),
-            ("mixed", 3, 4),
+            # qs and dual run their word rules, matrix the right rule, and
+            # dualmatrix, sign, ecoc and delta the signed rule: dualmatrix,
+            # sign and delta share one selection, and ecoc has its own.
+            ("word", 4, 5),
+            # qs shares matrix's rule and selection, and dual the signed
+            # rule's unique selection.
+            ("span", 2, 3),
+            ("mixed", 2, 3),
         ],
     )
     def test_each_chunk_tests_and_evaluates_each_rule_once(self, monkeypatch, kind, rules, selections):
@@ -1500,21 +1523,34 @@ class TestBatchLeaves:
         assert calls["select"] == 3 * selections
 
     def test_first_failing_name_raises(self, six_leaf_tree):
-        # A depth vector one too large leaves the signed rules no hit; an
-        # emptied span leaves the dual rules two hits for leaves 1 and 2.
+        # A depth vector one too large leaves the signed rule no hit; an
+        # emptied span leaves dual's words and, with the depths it costs,
+        # the signed rule two hits for leaves 1 and 2.  The first name on a
+        # failing selection raises, also where several names share it.
         model = StackedTrees.build([six_leaf_tree])
-        spans = model.spans.copy()
-        spans[1] = 0
+        deeper = dataclasses.replace(model, leaf_depths=model.leaf_depths + 1)
         X = instance_for_tests(six_leaf_tree, [1, 1, 0, 0, 0])[None, :]
         cases = [
-            (dataclasses.replace(model, leaf_depths=model.leaf_depths + 1), ARITHMETIC, "sign traversal found 0"),
-            (dataclasses.replace(model, leaf_depths=model.leaf_depths + 1), ["ecoc", "sign"], "ecoc traversal found 0"),
-            (dataclasses.replace(model, spans=spans), ARITHMETIC, "dual traversal found 2"),
-            (dataclasses.replace(model, spans=spans), ["matrix", "dualmatrix"], "dualmatrix traversal found 2"),
+            (deeper, ARITHMETIC, "dualmatrix traversal found 0"),
+            (deeper, ["ecoc", "sign"], "ecoc traversal found 0"),
+            (two_hit_model(model), ARITHMETIC, "dual traversal found 2"),
+            (two_hit_model(model), ["matrix", "dualmatrix"], "dualmatrix traversal found 2"),
+            (two_hit_model(model), ["ecoc", "delta", "dualmatrix"], "delta traversal found 2"),
         ]
         for corrupt, names, message in cases:
             with pytest.raises(ValueError, match=message):
                 list(batch_leaves(corrupt, X, names))
+
+
+def two_hit_model(model):
+    """The six-leaf tree's model with node 1's span emptied, so that nothing
+    tells leaves 1 and 2 apart, and their depths lowered by the P s term it
+    no longer adds: an instance bound for leaf 1 hits both under every
+    unique rule."""
+    spans, depths = model.spans.copy(), model.leaf_depths.copy()
+    spans[1] = 0
+    depths[:2] -= 1
+    return dataclasses.replace(model, spans=spans, leaf_depths=depths)
 
 
 def hostile_case(seed, count, depth, dim):
