@@ -19,12 +19,13 @@ construction (a softmax over a few integer path scores, 0/1 masks), so
 ``_format_rows`` formats each distinct value once, keyed for ``--soft`` by
 (row, P s, leaf depth); the text is the same as formatting every entry.
 
-Exit codes: 0 success, 1 algorithms disagreed, 2 usage or parse error,
-3 invalid model, 4 instance data does not fit the model.  The ``treeflat``
-command restores the default action of SIGPIPE where the platform has one,
-so a reader that stops early (``treeflat score ... | head``) ends it as it
-ends ``cat``: silently, with the signal's status (141 in the shell), never
-with exit 1.  ``main`` called in-process leaves signal handling alone.
+Exit codes: 0 success, 1 algorithms disagreed (or one found no exit leaf
+in some tree), 2 usage or parse error, 3 invalid model, 4 instance data
+does not fit the model.  The ``treeflat`` command restores the default
+action of SIGPIPE where the platform has one, so a reader that stops early
+(``treeflat score ... | head``) ends it as it ends ``cat``: silently, with
+the signal's status (141 in the shell), never with exit 1.  ``main``
+called in-process leaves signal handling alone.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .matrices import (
 from .traversal import (
     ALGORITHMS,
     StackedTrees,
+    _ExitLeafError,
     _soft_chunks,
     batch_leaves,
     batch_score,
@@ -308,6 +310,8 @@ def _verified_models(args) -> tuple[StackedTrees, np.ndarray] | None:
         bad = _first_disagreement(model, X)
     except DimensionMismatchError as exc:
         raise CliError(EXIT_DATA_MISMATCH, str(exc)) from exc
+    except _ExitLeafError as exc:  # an algorithm found no leaf the oracle could agree with
+        raise CliError(EXIT_DISAGREEMENT, str(exc)) from exc
     if bad is not None:
         print(
             f"disagreement: instance={bad.instance} algorithm={bad.algorithm} "

@@ -40,13 +40,14 @@ value, which does not depend on how many rows are tested at once.
 ``batch_leaves`` is the batch path, the one ``treeflat compare`` checks:
 it runs any list of algorithms over a model's trees, stacked into one
 ``StackedTrees``, a chunk of instances at a time.  Each chunk's test
-matrix is computed once, with one gather over every node of every tree,
-kept as booleans.  On it each distinct rule function below runs once, and
-each distinct selection (rule and whether a hit must be unique) once, for
-all the named algorithms.  ``batch_score`` is the one-name case, the one
-``treeflat score`` runs and ``bench`` times, and ``ensemble_score`` runs it
-on x as a batch of one row.  Two kernels pick each tree's exit leaf, over
-the same chunks:
+matrix is computed at most once, with one gather over every node of every
+tree, kept as booleans, and not at all if no rule reads it.  On it each
+distinct rule function below runs once, and each distinct selection (rule
+and whether a hit must be unique) once, for all the named algorithms.
+``batch_score`` is the one-name case, the one ``treeflat score`` runs and
+``bench`` times, and ``ensemble_score`` runs its chunk step on x as one
+row.
+Three kernels pick each tree's exit leaf, over the same chunks:
 
 * the word kernels run ``qs`` and ``dual`` when every tree has 2 to 64
   leaves (``StackedTrees.fits_words``).  Each node's right and left column
@@ -54,8 +55,17 @@ the same chunks:
   ``dual`` the right word of each false node and the left word of each true
   one, with one ``np.bitwise_and.reduceat`` over the node axis, and the exit
   leaf is the lowest set bit.
-* the span form runs the rest: ``_right_hits`` for ``matrix`` (and ``qs``)
-  and ``_signed_hits`` for ``dualmatrix``, ``sign``, ``ecoc`` and ``delta``
+* the cover walk runs ``qs`` on any other model, for a block of rows
+  large enough (``_walks``): rows x (leaves + 1) at least CHUNK_ENTRIES / 32
+  times the deepest leaf's depth.  A false node excludes its left leaves
+  ``[lo, mid)``, so only false nodes move the exit: from its tree's first
+  leaf p, each (row, tree) pair walks the boundary table's nodes with
+  ``lo == p``, one left spine, shallowest first, testing one node per step,
+  and a false one moves p to its ``mid``.  That is one split test per level
+  of the exit path, run once per block of whole chunks and read by each.
+* the span form runs the rest: ``_right_hits`` for ``matrix`` (and ``qs`` on
+  smaller blocks, such as ``ensemble_score``'s one row) and
+  ``_signed_hits`` for ``dualmatrix``, ``sign``, ``ecoc`` and ``delta``
   (and ``dual``).  Every column of right, left and P is constant on the
   leaf ranges ``[lo, mid)`` and ``[mid, hi)`` of its node.  A false node
   excludes its left leaves ``[lo, mid)``, so ``_right_hits`` is interval
@@ -70,14 +80,15 @@ the same chunks:
   at each leaf, gives every leaf's sum: O(N + L) exact integer work per
   instance instead of O(N * L).  Both rules read one table,
   ``StackedTrees.boundaries``, which sorts the model's boundaries once; its
-  ``lo`` entries, in that order, are the right rule's nodes in order of
-  ``lo``.  Soft attention yields P s with each chunk's probabilities, so
-  ``score --soft`` keys its text by (row, P s, depth).
+  ``lo`` entries, in that order, are the right rule's and the walk's nodes
+  in order of ``lo``.  Soft attention yields P s with each chunk's
+  probabilities, so ``score --soft`` keys its text by (row, P s, depth).
 
-A tree of more than 64 leaves sends ``qs`` and ``dual`` to the span form,
-for the whole model: on one full tree and 1000 instances, a multiword
-prototype beat the span form only up to 128 leaves and took 2x to 7x its
-time from 256 to 2048 leaves (the README has the table).
+A tree of more than 64 leaves sends ``dual`` to the span form and ``qs``
+to the walk or the span form, for the whole model: on one full tree and
+1000 instances, a multiword prototype beat the span form only up to 128
+leaves and took 2x to 7x its time from 256 to 2048 leaves (the README has
+the table, and one of the walk against the span form).
 
 Each tree's exit leaf is its first leaf meeting the algorithm's selection
 rule.  The span form selects it from the (instances x leaves) hit matrix:
@@ -88,15 +99,15 @@ segment (``np.add.reduceat`` and ``np.minimum.reduceat``).  An ensemble's
 leaf values are added column by column in model order, from 0.0
 (``sum_in_model_order``), on every Python version.  ``naive``, the
 oracle, runs on the same chunks with no rule and no selection: its batch
-form calls ``naive_traverse`` once per (instance, tree) pair, on the trees
-the ``StackedTrees`` was built from, so its leaves never depend on the
-stacked arrays the other rules read.
+form runs ``naive_traverse``'s walk once per (instance, tree) pair, on the
+trees the ``StackedTrees`` was built from, so its leaves never depend on
+the stacked arrays the other rules read.
 
-``ensemble_score`` scores x as a batch of one under every name.  It stacks a
-model's trees on the first call that a bundle leads with them, and that
-bundle keeps the ``StackedTrees`` for later such calls, so it lives as long
-as the bundle; a call with other trees stacks those in its place.  The
-module holds no state.
+``ensemble_score`` scores x as a chunk of one row under every name, so
+``qs`` never walks there.  It stacks a model's trees on the first call that
+a bundle leads with them, and that bundle keeps the ``StackedTrees`` for
+later such calls, so it lives as long as the bundle; a call with other
+trees stacks those in its place.  The module holds no state.
 """
 
 from __future__ import annotations
@@ -120,6 +131,7 @@ from .trees import (
     BinaryDecisionTree,
     DimensionMismatchError,
     SplitTests,
+    _descend,
     _feature_vector,
     _unit_features,
     naive_traverse,
@@ -157,6 +169,10 @@ __all__ = [
 # ``batch_leaves`` tests each chunk once and runs every algorithm it names,
 # word or span kernel, on that one test matrix.
 CHUNK_ENTRIES = 1 << 15
+
+# ``qs``'s cover walk keeps a few int64 entries per (row, tree) pair; it runs
+# once per block of whole chunks of at most this many pairs.
+WALK_PAIRS = 1 << 18
 
 # The word kernels hold a tree's leaves in one uint64.  _LOW_BITS[n] has the
 # lowest n bits set; it is built from Python ints, so _LOW_BITS[64] is exact
@@ -635,6 +651,11 @@ class StackedTrees:
         return bool(sizes.min() >= 2 and sizes.max() <= WORD_BITS)
 
     @cached_property
+    def depth(self) -> int:
+        """The deepest leaf's depth: the steps of ``qs``'s cover walk."""
+        return int(self.leaf_depths.max())
+
+    @cached_property
     def boundaries(self) -> _Boundaries:
         """The node boundaries that the span form's rules read."""
         return _Boundaries.build(self.spans, self.num_leaves)
@@ -674,10 +695,11 @@ class _Boundaries:
     it (``last``).  A ``hi`` equal to ``num_leaves`` starts no sum and is
     left out.
 
-    ``_right_hits`` reads the ``lo`` entries: their nodes, a stable order of
-    ``lo`` (``cover_nodes``), each one's ``mid`` as int32 (``cover_ends``),
-    per leaf the number of them at or before it (``cover_last``), and the
-    int32 leaf range (``leaves``).
+    ``_right_hits`` and ``_cover_walk`` read the ``lo`` entries: their
+    nodes, a stable order of ``lo`` (``cover_nodes``), each one's ``mid`` as
+    int32 (``cover_ends``), per leaf the number of them at or before it
+    (``cover_last``), and the int32 leaf range (``leaves``, the right rule's
+    only).
 
     The int32 prefix sum of terms at most 2 in magnitude is exact while
     twice the entry count, at most three per node, stays below 2**31, and
@@ -715,17 +737,6 @@ class _Boundaries:
         )
 
 
-def _test_matrices(model: StackedTrees, X) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Chunks of rows of X, sized by CHUNK_ENTRIES, each with its
-    ``compute_test_matrix`` as booleans: True marks a false node."""
-    X = _instance_matrix(model, X)
-    tests = model.split_tests
-    step = max(1, CHUNK_ENTRIES // (model.num_leaves + 1))
-    for start in range(0, len(X), step):
-        rows = X[start : start + step]
-        yield rows, tests.false_nodes(rows)
-
-
 def _right_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     """Leaves that no false node excludes, where right @ t is largest.
 
@@ -742,6 +753,75 @@ def _right_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     np.multiply(np.take(t, table.cover_nodes, axis=1), table.cover_ends, out=reach[:, 1:])
     np.maximum.accumulate(reach, axis=1, out=reach)
     return np.take(reach, table.cover_last, axis=1) <= table.leaves
+
+
+def _walks(model: StackedTrees, rows: int) -> bool:
+    """Whether ``qs`` walks a block of this many rows (``_cover_walk``)
+    rather than cover every leaf of every row (``_right_hits``): when the
+    block's (rows x leaves) cover would fill at least one chunk per 32
+    levels of the deepest leaf.  A model that ``fits_words`` never walks."""
+    return not model.fits_words and 32 * rows * (model.num_leaves + 1) >= CHUNK_ENTRIES * model.depth
+
+
+def _cover_walk(model: StackedTrees, X: np.ndarray) -> np.ndarray:
+    """``qs``'s exit positions on the stacked leaf axis for the rows of X,
+    one row per instance: ``_right_hits``'s leaves, found by testing only
+    the nodes on each exit path.
+
+    Each (row, tree) pair holds a candidate leaf p, at first its tree's
+    first leaf, and a position q in the boundary table's ``lo`` order, at
+    first the first entry with ``lo == p``.  Those entries are one left
+    spine, shallowest first (a parent is numbered before its children and
+    the order is stable), so each step tests one node of the exit path, as
+    ``SplitTests.false_nodes`` does.  A false node excludes ``[p, mid)``:
+    p moves to its ``mid`` and q to the first entry with ``lo == mid``.  A
+    true one moves q to the next entry.  The pair settles on p once q
+    passes the last entry with ``lo == p``.
+
+    A state below the entry count is a live q, and one at or above it the
+    entry count plus a settled p; each entry's two successor states are
+    worked out once per call, and settled pairs leave the walk.  Every pair
+    settles within the deepest leaf's depth of steps unless the model is
+    corrupt: one still walking then, or settled outside its tree, gets -1.
+    """
+    table, tests = model.boundaries, model.split_tests
+    nodes, last = table.cover_nodes, table.cover_last
+    size = len(nodes)
+    before = np.concatenate([[0], last[:-1]])  # entries with lo below each leaf
+
+    def enter(leaves: np.ndarray) -> np.ndarray:
+        """The state at the first entry with ``lo == leaf``, or settled on
+        the leaf if it has none."""
+        leaves = leaves.astype(np.int64)
+        first = np.take(before, leaves, mode="clip")
+        return np.where(first < np.take(last, leaves, mode="clip"), first, size + leaves)
+
+    after = np.arange(1, size + 1)
+    lo = np.take(model.spans[:, 0], nodes)
+    on_true = np.where(after < np.take(last, lo), after, size + lo)
+    on_false = enter(table.cover_ends)
+    column, threshold = np.take(tests.gather, nodes), np.take(tests.thresholds, nodes)
+
+    values = tests.widen(X)
+    width, trees = values.shape[1], len(model.leaf_starts)
+    values = values.ravel()
+    state = np.tile(enter(model.leaf_starts), len(X))
+    live = np.flatnonzero(state < size)
+    at, base = state[live], live // trees * width
+    for _ in range(model.depth):
+        if not live.size:
+            break
+        true = np.take(values, base + np.take(column, at)) > np.take(threshold, at)
+        at = np.where(true, np.take(on_true, at), np.take(on_false, at))
+        if at.max() >= size:
+            done = at >= size
+            state[live[done]] = at[done]
+            keep = ~done
+            live, at, base = live[keep], at[keep], base[keep]
+    exits = (state - size).reshape(len(X), trees)
+    stops = np.append(model.leaf_starts[1:], model.num_leaves)
+    exits[(exits < model.leaf_starts) | (exits >= stops)] = -1
+    return exits
 
 
 def _signed(t: np.ndarray) -> np.ndarray:
@@ -772,8 +852,13 @@ def _dual_words(model: StackedTrees, t: np.ndarray) -> np.ndarray:
     return left ^ ((right ^ left) & np.negative(t.view(np.uint8), dtype=np.uint64))
 
 
-def _exit_error(algorithm: str, count: int, tree: int) -> ValueError:
-    return ValueError(
+class _ExitLeafError(ValueError):
+    """An algorithm found no exit leaf in some tree, or several where it
+    needs one: the stacked model it read is corrupt."""
+
+
+def _exit_error(algorithm: str, count: int, tree: int) -> _ExitLeafError:
+    return _ExitLeafError(
         f"{algorithm} traversal found {count} exit leaves in tree {tree}; corrupt model?"
     )
 
@@ -827,13 +912,15 @@ class _Algorithm:
     if ``signed``; the oracle has no ``hits`` rule and reads x itself.
     A batch exits each tree at its first hit, which must be its only one if
     ``unique``.  A ``words`` rule, if any, replaces ``hits`` on a model that
-    ``fits_words``."""
+    ``fits_words``, and a ``walk``, if any, on a block of rows that
+    ``_walks``: it takes the rows themselves and gives exit positions."""
 
     select: Callable[[TreeMatrices, np.ndarray], TraversalResult]
     signed: bool = False
     hits: Callable[[StackedTrees, np.ndarray], np.ndarray] | None = None
     unique: bool = False
     words: Callable[[StackedTrees, np.ndarray], np.ndarray] | None = None
+    walk: Callable[[StackedTrees, np.ndarray], np.ndarray] | None = None
 
     def per_vector(self) -> Callable[[TreeMatrices, np.ndarray], TraversalResult]:
         """The selector over one raw feature vector, as a plain function:
@@ -853,7 +940,7 @@ def _naive(mats: TreeMatrices, x) -> TraversalResult:
 
 _TABLE = {
     "naive": _Algorithm(_naive),
-    "qs": _Algorithm(quickscorer_traverse, hits=_right_hits, words=_qs_words),
+    "qs": _Algorithm(quickscorer_traverse, hits=_right_hits, words=_qs_words, walk=_cover_walk),
     "dual": _Algorithm(dual_traverse, hits=_signed_hits, unique=True, words=_dual_words),
     "matrix": _Algorithm(matrix_traverse, hits=_right_hits),
     "dualmatrix": _Algorithm(dual_matrix_traverse, hits=_signed_hits, unique=True),
@@ -870,9 +957,10 @@ ALGORITHMS: dict[str, Callable[[TreeMatrices, np.ndarray], TraversalResult]] = {
 def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
     """Sum of per-tree exit leaf values under the named algorithm.
 
-    Every algorithm, ``naive`` too, scores x as a batch of one row through
-    ``batch_score``, on the model's trees stacked into one ``StackedTrees``,
-    reading only each ``models[i].tree``.  The first bundle ``models[0]``
+    Every algorithm, ``naive`` too, scores x as one chunk of one row on the
+    batch path (``_chunk_exits``, the step ``batch_score`` takes per chunk;
+    one row never walks), on the model's trees stacked into one
+    ``StackedTrees``, reading only each ``models[i].tree``.  The first bundle ``models[0]``
     keeps that stack, built on the first call it leads with these trees, for
     later calls with the same trees.  The leaf values are added with
     ``sum_in_model_order``, so the result is the float ``treeflat score``
@@ -892,8 +980,8 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
                 _feature_vector(x, mats.tree.feature_dim)
             raise
     x = _feature_vector(x, model.feature_dim)
-    _, values = next(batch_score(model, x[None, :], algorithm))
-    return float(sum_in_model_order(values)[0])
+    [first] = _chunk_exits(model, x[None, :], [algorithm], {})
+    return float(sum_in_model_order(model.leaf_values[first])[0])
 
 
 def _check_names(names: Sequence[str]) -> None:
@@ -904,25 +992,48 @@ def _check_names(names: Sequence[str]) -> None:
 
 
 def _oracle_exits(model: StackedTrees, rows: np.ndarray) -> np.ndarray:
-    """``naive_traverse`` once per (row, tree) pair, as positions on the
-    stacked leaf axis."""
-    leaves = [[naive_traverse(tree, x) for tree in model.trees] for x in rows]
+    """``naive_traverse``'s walk once per (row, tree) pair, as positions on
+    the stacked leaf axis.  Each row becomes Python floats once; a tree
+    with dense nodes widens it by its own products."""
+    trees = [(tree, len(tree.split_tests.dense_rows) > 0) for tree in model.trees]
+    leaves = []
+    for x in rows:
+        values = x.tolist()
+        leaves.append(
+            [_descend(tree, tree.split_tests.widen(x).tolist() if dense else values) for tree, dense in trees]
+        )
     return np.array(leaves, dtype=np.int64) - 1 + model.leaf_starts
 
 
+def _walked_exits(exits: np.ndarray, algorithm: str) -> np.ndarray:
+    """A walk's exit positions; raises for the first pair that settled on
+    no leaf of its tree."""
+    bad = exits < 0
+    if bad.any():
+        _, tree = np.argwhere(bad)[0]
+        raise _exit_error(algorithm, 0, tree)
+    return exits
+
+
 def _chunk_exits(
-    model: StackedTrees, rows: np.ndarray, t: np.ndarray, names: Sequence[str]
+    model: StackedTrees,
+    rows: np.ndarray,
+    names: Sequence[str],
+    walked: dict[Callable, np.ndarray],
 ) -> list[np.ndarray]:
     """Each named algorithm's exit positions on the stacked leaf axis for one
-    chunk's rows and their boolean test matrix t, in the order of ``names``.
+    chunk's rows, in the order of ``names``; ``walked`` holds the chunk's
+    exits from each walk that ran on its block of rows.
 
-    Algorithms that name the same rule function share its result, and those
-    that also agree on ``unique`` share the selection, so each runs once per
-    chunk.  The names are worked through in order, so the first one whose
-    selection fails raises its error, as if each ran on its own.  The oracle
-    has no rule: it descends the trees from the rows themselves and reads
-    neither t nor any selection.
+    The chunk's boolean test matrix t is computed once, the first time a
+    rule reads it.  Algorithms that name the same rule function share its
+    result, and those that also agree on ``unique`` share the selection, so
+    each runs once per chunk.  The names are worked through in order, so
+    the first one whose selection fails raises its error, as if each ran on
+    its own.  The oracle has no rule: it descends the trees from the rows
+    themselves and reads neither t nor any selection.
     """
+    t = None
     rules: dict[Callable, np.ndarray] = {}
     selections: dict[tuple[Callable, bool], np.ndarray] = {}
     exits = []
@@ -931,6 +1042,9 @@ def _chunk_exits(
         if row.hits is None:
             exits.append(_oracle_exits(model, rows))
             continue
+        if row.walk in walked:
+            exits.append(_walked_exits(walked[row.walk], name))
+            continue
         if row.words is not None and model.fits_words:
             rule, select = row.words, _first_bits
         else:
@@ -938,10 +1052,37 @@ def _chunk_exits(
         key = (rule, row.unique)
         if key not in selections:
             if rule not in rules:
+                if t is None:
+                    t = model.split_tests.false_nodes(rows)
                 rules[rule] = rule(model, t)
             selections[key] = select(rules[rule], model, row.unique, name)
         exits.append(selections[key])
     return exits
+
+
+def _chunk_rows(model: StackedTrees) -> int:
+    """Rows per chunk: an (instances x stacked leaves) array holds about
+    CHUNK_ENTRIES entries."""
+    return max(1, CHUNK_ENTRIES // (model.num_leaves + 1))
+
+
+def _exits(model: StackedTrees, X, names: Sequence[str]) -> Iterator[list[np.ndarray]]:
+    """``_chunk_exits`` for each chunk of rows of X.  A walk that a name
+    reads runs once per block of whole chunks, of at most ``WALK_PAIRS``
+    (row, tree) pairs, if the block is large enough (``_walks``); each
+    chunk reads its rows of the block's exits."""
+    _check_names(names)
+    X = _instance_matrix(model, X)
+    step = _chunk_rows(model)
+    block = step * max(1, WALK_PAIRS // (step * len(model.leaf_starts)))
+    for start in range(0, len(X), block):
+        rows = X[start : start + block]
+        walks = {_TABLE[name].walk for name in names} - {None} if _walks(model, len(rows)) else ()
+        walked = {walk: walk(model, rows) for walk in walks}
+        for at in range(0, len(rows), step):
+            part = slice(at, at + step)
+            chunk = {walk: exits[part] for walk, exits in walked.items()}
+            yield _chunk_exits(model, rows[part], names, chunk)
 
 
 def batch_leaves(model: StackedTrees, X, names: Sequence[str]) -> Iterator[np.ndarray]:
@@ -950,13 +1091,12 @@ def batch_leaves(model: StackedTrees, X, names: Sequence[str]) -> Iterator[np.nd
 
     Yields a (rows, trees, algorithms) array per chunk of rows:
     ``leaves[i, k, a]`` is tree k's 1-based exit leaf for row i under
-    ``names[a]``.  Each chunk's test matrix is computed once for all of
-    them.  ``names`` holds one or more names from ``ALGORITHMS``.
+    ``names[a]``.  Each chunk's test matrix is computed at most once for all
+    of them.  ``names`` holds one or more names from ``ALGORITHMS``.
     """
-    _check_names(names)
     starts = model.leaf_starts[:, None]
-    for rows, t in _test_matrices(model, X):
-        yield np.stack(_chunk_exits(model, rows, t, names), axis=2) - starts + 1
+    for exits in _exits(model, X, names):
+        yield np.stack(exits, axis=2) - starts + 1
 
 
 def batch_score(
@@ -968,9 +1108,7 @@ def batch_score(
     Yields ``(leaves, values)`` per chunk of rows: ``leaves[i, k]`` is tree
     k's 1-based exit leaf for row i and ``values[i, k]`` its leaf value.
     """
-    _check_names([algorithm])
-    for rows, t in _test_matrices(model, X):
-        [first] = _chunk_exits(model, rows, t, [algorithm])
+    for [first] in _exits(model, X, [algorithm]):
         yield first - model.leaf_starts + 1, model.leaf_values[first]
 
 
@@ -979,7 +1117,10 @@ def _soft_chunks(model: StackedTrees, X) -> Iterator[tuple[np.ndarray, np.ndarra
     row's maximum and sum and its own P s and leaf depth."""
     if len(model.leaf_starts) != 1:
         raise ValueError("soft attention works on a single tree, not an ensemble")
-    for _, t in _test_matrices(model, X):
+    X = _instance_matrix(model, X)
+    step = _chunk_rows(model)
+    for start in range(0, len(X), step):
+        t = model.split_tests.false_nodes(X[start : start + step])
         ps = np.ascontiguousarray(_signed_scores(model.boundaries, _signed(t)).T)
         yield ps, _softmax_rows(model.leaf_depths, ps)
 

@@ -663,8 +663,13 @@ def naive_traverse(tree: BinaryDecisionTree, x) -> int:
     threshold, so no node object is read.
     """
     x = _feature_vector(x, tree.feature_dim)
+    return _descend(tree, tree.split_tests.widen(x).tolist())
+
+
+def _descend(tree: BinaryDecisionTree, values: list) -> int:
+    """``naive_traverse``'s walk over x's values as Python floats, widened
+    by the tree's dense products if it has any."""
     gather, thresholds, children = tree._routing
-    values = tree.split_tests.widen(x).tolist()
     j = 0 if children else -1
     while j >= 0:
         j = children[j][0] if values[gather[j]] > thresholds[j] else children[j][1]

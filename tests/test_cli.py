@@ -693,9 +693,9 @@ class TestCompare:
         # Chunks of 4 rows, so rows come from several chunks.
         monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 4 * (sum(t.num_leaves for t in trees) + 1))
         pairs = []
-        real = traversal.naive_traverse
+        real = traversal._descend
         monkeypatch.setattr(
-            traversal, "naive_traverse", lambda tree, x: pairs.append((id(tree), x.tobytes())) or real(tree, x)
+            traversal, "_descend", lambda tree, values: pairs.append((id(tree), tuple(values))) or real(tree, values)
         )
         assert invoke(["compare", model, data], capsys) == (
             0, "all algorithms agree on 25 instances x 3 trees\n", ""

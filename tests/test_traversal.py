@@ -48,7 +48,7 @@ from treeflat import (
     soft_attention,
     sum_in_model_order,
 )
-from treeflat import traversal, trees as trees_module
+from treeflat import cli, traversal, trees as trees_module
 from treeflat.trees import dense_products
 from treeflat.matrices import (
     build_depth_vector,
@@ -1314,6 +1314,180 @@ class TestRightCover:
             traversal._Boundaries.build(spans, 2**31 - 1)
 
 
+def ordered_chain(length, left, dim=3):
+    """A chain of ``length`` nodes on feature 0 that continues on its left
+    (true) side, thresholds rising with depth, or on its right (false)
+    side, thresholds falling: a row whose feature 0 is u leaves the chain
+    at about depth u * length, and NaN and ±inf rows reach either end."""
+    node = Leaf(-1.0)
+    for d in reversed(range(length)):
+        threshold = d / length if left else 1.0 - d / length
+        predicate, leaf = Predicate.one_hot(0, threshold, dim), Leaf(float(d))
+        node = Internal(predicate, node, leaf) if left else Internal(predicate, leaf, node)
+    return BinaryDecisionTree(node, dim)
+
+
+def chain_rows(trees, count, seed):
+    """``parsed_rows`` plus rows whose feature 0 spreads over [0, 1], lands
+    on an ordered chain's thresholds, or is NaN or ±inf."""
+    rng = np.random.default_rng(seed)
+    spread = rng.uniform(size=(count, 3))
+    spread[::3, 0] = rng.integers(0, 300, len(spread[::3])) / 300  # threshold ties
+    ends = np.array([[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-np.inf, 0.5, 0.5]])
+    return np.vstack([parsed_rows(trees, count, seed), spread, ends])
+
+
+class TestCoverWalk:
+    """``qs`` past 64 leaves walks each exit path down the boundary table's
+    ``lo`` order (``_cover_walk``) on blocks of enough rows; it must pick
+    the dense rule's leaf, ``matrix_traverse``'s, tree by tree."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kinds=st.lists(st.sampled_from(["full", "unbalanced", "chain"]), max_size=3),
+        chains=st.lists(st.tuples(st.integers(200, 300), st.booleans()), max_size=2),
+        lone=st.sampled_from([None, 0, 99]),  # none, first, last
+        wide=st.booleans(),
+    )
+    def test_equals_the_dense_rule_and_the_oracle(self, seed, kinds, chains, lone, wide):
+        trees = cover_model(seed, kinds, None, wide)
+        trees += [ordered_chain(length, left) for length, left in chains] or [ordered_chain(250, True)]
+        if lone is not None:
+            trees.insert(min(lone, len(trees)), BinaryDecisionTree(Leaf(0.5), 3))
+        model = StackedTrees.build(trees)
+        X = chain_rows(trees, 8, seed)
+        exits = traversal._cover_walk(model, X)
+        assert exits.shape == (len(X), len(trees))
+        leaves = exits - model.leaf_starts + 1
+        for k, tree in enumerate(trees):
+            mats = TreeMatrices.build(tree)
+            dense = [matrix_traverse(mats, compute_test_vector(tree, x)).leaf_index for x in X]
+            np.testing.assert_array_equal(leaves[:, k], dense, err_msg=f"tree {k}")
+            np.testing.assert_array_equal(leaves[:, k], [naive_traverse(tree, x) for x in X], err_msg=f"tree {k}")
+
+    def test_walks_each_level_of_a_chain_once(self):
+        # The left chain's deepest leaf is its first, the right chain's its
+        # last; a row bound for either takes 300 steps.  At 0.5 the left
+        # chain ties node 150 and leaves it right, and the right chain
+        # passes node 151's threshold and leaves it left.
+        model = StackedTrees.build([ordered_chain(300, True), ordered_chain(300, False)])
+        X = np.array([[np.inf, 0, 0], [-np.inf, 0, 0], [np.nan, 0, 0], [0.5, 0, 0]])
+        np.testing.assert_array_equal(
+            traversal._cover_walk(model, X) - model.leaf_starts + 1, [[1, 1], [301, 301], [301, 301], [151, 152]]
+        )
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count ``qs``'s walks and every ``_right_hits`` call by rule."""
+        calls = {"walk": 0, "right": 0}
+
+        def counter(fn, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        right = counter(traversal._right_hits, "right")
+        for name in ("qs", "matrix"):
+            row = traversal._TABLE[name]
+            walk = counter(row.walk, "walk") if row.walk else None
+            monkeypatch.setitem(traversal._TABLE, name, dataclasses.replace(row, hits=right, walk=walk))
+        return calls
+
+    def test_one_row_covers_and_compare_walks_once_per_call(self, monkeypatch, tmp_path, capsys):
+        tree = full_tree(9, 3, np.random.default_rng(4))
+        model = StackedTrees.build([tree])
+        X = random_instances(40, 3, 5)
+        calls = self.counted(monkeypatch)
+        # One row: the (rows x leaves) cover, never the walk.
+        mats = TreeMatrices.build(tree)
+        assert ensemble_score([mats], X[0], "qs") == tree.leaf_values[naive_traverse(tree, X[0]) - 1]
+        [(leaves, _)] = batch_score(model, X[:1], "qs")
+        assert leaves.tolist() == [[naive_traverse(tree, X[0])]]
+        assert calls == {"walk": 0, "right": 2}
+        # 40 rows walk, once for all their chunks of 3 rows.
+        monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 3 * (model.num_leaves + 1))
+        chunks = list(batch_score(model, X, "qs"))
+        assert len(chunks) == 14
+        assert calls == {"walk": 1, "right": 2}
+        path, data = tmp_path / "m.json", tmp_path / "d.csv"
+        path.write_text(serialize_ensemble([tree]))
+        np.savetxt(data, X, delimiter=",")
+        assert invoke_main(["compare", path, data], capsys) == (0, "all algorithms agree on 40 instances x 1 trees\n", "")
+        # compare walks once; matrix still covers, once per chunk.
+        assert calls == {"walk": 2, "right": 2 + 14}
+
+    def test_a_model_that_fits_words_never_walks(self, monkeypatch):
+        trees = shared_path_models()["word"]
+        model = StackedTrees.build(trees)
+        X = parsed_rows(trees, 200, 1)
+        calls = self.counted(monkeypatch)
+        assert traversal._walks(model, len(X)) is False
+        list(batch_leaves(model, X, ARITHMETIC))
+        assert calls["walk"] == 0
+
+    @pytest.mark.parametrize("rows, walks", [(17, False), (18, True)])
+    def test_walks_from_one_chunk_per_32_levels(self, rows, walks):
+        # 512 leaves of depth 9: 18 * 513 >= 1024 * 9 > 17 * 513.
+        model = StackedTrees.build([full_tree(9, 3, np.random.default_rng(1))])
+        assert traversal._walks(model, rows) is walks
+
+    def corrupt_models(self):
+        """A full 128-leaf tree whose root's ``mid`` is its ``lo``: a false
+        root would send the walk back to the root for ever.  Then that tree
+        before another with the root's ``mid`` on the second tree's second
+        leaf, which starts no node's span: a false root settles there, in
+        the wrong tree."""
+        first, second = (full_tree(7, 3, np.random.default_rng(seed)) for seed in (1, 2))
+        model = StackedTrees.build([first])
+        spans = model.spans.copy()
+        spans[0, 1] = spans[0, 0]
+        looping = dataclasses.replace(model, spans=spans)
+        model = StackedTrees.build([first, second])
+        spans = model.spans.copy()
+        spans[0, 1] = model.leaf_starts[1] + 1
+        leaving = dataclasses.replace(model, spans=spans)
+        root = first.split_tests
+        X = random_instances(80, 3, 2)
+        X[:, root.gather[0]] = np.where(np.arange(80) < 20, root.thresholds[0] + 1, root.thresholds[0])
+        return [looping, leaving], X  # rows 20 on: the root is false
+
+    def test_a_corrupt_model_stops_after_max_depth_steps(self):
+        models, X = self.corrupt_models()
+        for corrupt in models:
+            exits = traversal._cover_walk(corrupt, X)
+            assert (exits[:20, 0] >= 0).all() and (exits[20:, 0] == -1).all()
+            assert traversal._walks(corrupt, len(X))
+            with pytest.raises(ValueError, match="qs traversal found 0 exit leaves in tree 0"):
+                list(batch_score(corrupt, X, "qs"))
+            # Chunks before the first bad row still come out.
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(traversal, "CHUNK_ENTRIES", 10 * (corrupt.num_leaves + 1))
+                chunks = batch_score(corrupt, X, "qs")
+                assert len(next(chunks)[0]) == len(next(chunks)[0]) == 10
+                with pytest.raises(ValueError, match="qs traversal found 0 exit leaves in tree 0"):
+                    next(chunks)
+
+    def test_compare_exits_one_naming_qs(self, monkeypatch, tmp_path, capsys):
+        models, X = self.corrupt_models()
+        path, data = tmp_path / "m.json", tmp_path / "d.csv"
+        np.savetxt(data, X, delimiter=",")
+        for corrupt in models:
+            path.write_text(serialize_ensemble(list(corrupt.trees)))
+            monkeypatch.setattr(cli, "_load_model", lambda _path: corrupt)
+            assert invoke_main(["compare", path, data], capsys) == (
+                1, "", "treeflat: qs traversal found 0 exit leaves in tree 0; corrupt model?\n"
+            )
+
+
+def invoke_main(argv, capsys):
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestSpanSums:
     """``_span_sums`` over the boundary table must give, tree by tree, the
     dense signed rule, P s = d, which is also the dense dual rule,
@@ -1480,8 +1654,9 @@ class TestBatchLeaves:
             # dualmatrix, sign, ecoc and delta the signed rule: dualmatrix,
             # sign and delta share one selection, and ecoc has its own.
             ("word", 4, 5),
-            # qs shares matrix's rule and selection, and dual the signed
-            # rule's unique selection.
+            # qs walks its 11 rows, which needs no rule or selection,
+            # matrix runs the right rule, and dual shares the signed rule's
+            # unique selection.
             ("span", 2, 3),
             ("mixed", 2, 3),
         ],
