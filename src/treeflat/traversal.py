@@ -55,14 +55,12 @@ Three kernels pick each tree's exit leaf, over the same chunks:
   ``dual`` the right word of each false node and the left word of each true
   one, with one ``np.bitwise_and.reduceat`` over the node axis, and the exit
   leaf is the lowest set bit.
-* the cover walk runs ``qs`` on any other model, for a block of rows
-  large enough (``_walks``): rows x (leaves + 1) at least CHUNK_ENTRIES / 32
-  times the deepest leaf's depth.  A false node excludes its left leaves
-  ``[lo, mid)``, so only false nodes move the exit: from its tree's first
-  leaf p, each (row, tree) pair walks the boundary table's nodes with
-  ``lo == p``, one left spine, shallowest first, testing one node per step,
-  and a false one moves p to its ``mid``.  That is one split test per level
-  of the exit path, run once per block of whole chunks and read by each.
+* the descent runs ``qs`` on any other model, for a block of rows large
+  enough (``_walks``): rows x (leaves + 1) at least CHUNK_ENTRIES / 16
+  times the deepest leaf's depth.  Each (row, tree) pair descends its tree
+  down one stacked child table (``StackedTrees.children``), one split test
+  per level of the exit path, run once per block of whole chunks and read
+  by each.
 * the span form runs the rest: ``_right_hits`` for ``matrix`` (and ``qs`` on
   smaller blocks, such as ``ensemble_score``'s one row) and
   ``_signed_hits`` for ``dualmatrix``, ``sign``, ``ecoc`` and ``delta``
@@ -80,15 +78,15 @@ Three kernels pick each tree's exit leaf, over the same chunks:
   at each leaf, gives every leaf's sum: O(N + L) exact integer work per
   instance instead of O(N * L).  Both rules read one table,
   ``StackedTrees.boundaries``, which sorts the model's boundaries once; its
-  ``lo`` entries, in that order, are the right rule's and the walk's nodes
-  in order of ``lo``.  Soft attention yields P s with each chunk's
+  ``lo`` entries, in that order, are the right rule's nodes in order of
+  ``lo``.  Soft attention yields P s with each chunk's
   probabilities, so ``score --soft`` keys its text by (row, P s, depth).
 
 A tree of more than 64 leaves sends ``dual`` to the span form and ``qs``
-to the walk or the span form, for the whole model: on one full tree and
+to the descent or the span form, for the whole model: on one full tree and
 1000 instances, a multiword prototype beat the span form only up to 128
 leaves and took 2x to 7x its time from 256 to 2048 leaves (the README has
-the table, and one of the walk against the span form).
+the table, and one of the descent against the span form).
 
 Each tree's exit leaf is its first leaf meeting the algorithm's selection
 rule.  The span form selects it from the (instances x leaves) hit matrix:
@@ -170,7 +168,7 @@ __all__ = [
 # word or span kernel, on that one test matrix.
 CHUNK_ENTRIES = 1 << 15
 
-# ``qs``'s cover walk keeps a few int64 entries per (row, tree) pair; it runs
+# ``qs``'s descent keeps a few int64 entries per (row, tree) pair; it runs
 # once per block of whole chunks of at most this many pairs.
 WALK_PAIRS = 1 << 18
 
@@ -652,8 +650,20 @@ class StackedTrees:
 
     @cached_property
     def depth(self) -> int:
-        """The deepest leaf's depth: the steps of ``qs``'s cover walk."""
+        """The deepest leaf's depth: the most steps of ``qs``'s descent."""
         return int(self.leaf_depths.max())
+
+    @cached_property
+    def children(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's ``(left, right)`` and each tree's root on the stacked
+        axes, coded as a tree's ``_children``: c >= 0 is node c and c < 0
+        leaf ~c, so a lone leaf's root is its ~leaf.  ``qs``'s descent
+        (``_child_descent``) reads it."""
+        nodes = np.diff(self.node_starts, append=len(self.spans))
+        node, leaf = (np.repeat(starts, nodes)[:, None] for starts in (self.node_starts, self.leaf_starts))
+        children = np.concatenate([t._children for t in self.trees])
+        children += np.where(children >= 0, node, -leaf)
+        return children, np.where(nodes > 0, self.node_starts, ~self.leaf_starts)
 
     @cached_property
     def boundaries(self) -> _Boundaries:
@@ -695,11 +705,10 @@ class _Boundaries:
     it (``last``).  A ``hi`` equal to ``num_leaves`` starts no sum and is
     left out.
 
-    ``_right_hits`` and ``_cover_walk`` read the ``lo`` entries: their
-    nodes, a stable order of ``lo`` (``cover_nodes``), each one's ``mid`` as
-    int32 (``cover_ends``), per leaf the number of them at or before it
-    (``cover_last``), and the int32 leaf range (``leaves``, the right rule's
-    only).
+    ``_right_hits`` reads the ``lo`` entries: their nodes, a stable order
+    of ``lo`` (``cover_nodes``), each one's ``mid`` as int32
+    (``cover_ends``), per leaf the number of them at or before it
+    (``cover_last``), and the int32 leaf range (``leaves``).
 
     The int32 prefix sum of terms at most 2 in magnitude is exact while
     twice the entry count, at most three per node, stays below 2**31, and
@@ -756,69 +765,43 @@ def _right_hits(model: StackedTrees, t: np.ndarray) -> np.ndarray:
 
 
 def _walks(model: StackedTrees, rows: int) -> bool:
-    """Whether ``qs`` walks a block of this many rows (``_cover_walk``)
+    """Whether ``qs`` descends a block of this many rows (``_child_descent``)
     rather than cover every leaf of every row (``_right_hits``): when the
-    block's (rows x leaves) cover would fill at least one chunk per 32
+    block's (rows x leaves) cover would fill at least one chunk per 16
     levels of the deepest leaf.  A model that ``fits_words`` never walks."""
-    return not model.fits_words and 32 * rows * (model.num_leaves + 1) >= CHUNK_ENTRIES * model.depth
+    return not model.fits_words and 16 * rows * (model.num_leaves + 1) >= CHUNK_ENTRIES * model.depth
 
 
-def _cover_walk(model: StackedTrees, X: np.ndarray) -> np.ndarray:
+def _child_descent(model: StackedTrees, X: np.ndarray) -> np.ndarray:
     """``qs``'s exit positions on the stacked leaf axis for the rows of X,
-    one row per instance: ``_right_hits``'s leaves, found by testing only
-    the nodes on each exit path.
+    one row per instance: each tree's descent, for every (row, tree) pair
+    at once, down ``StackedTrees.children``.
 
-    Each (row, tree) pair holds a candidate leaf p, at first its tree's
-    first leaf, and a position q in the boundary table's ``lo`` order, at
-    first the first entry with ``lo == p``.  Those entries are one left
-    spine, shallowest first (a parent is numbered before its children and
-    the order is stable), so each step tests one node of the exit path, as
-    ``SplitTests.false_nodes`` does.  A false node excludes ``[p, mid)``:
-    p moves to its ``mid`` and q to the first entry with ``lo == mid``.  A
-    true one moves q to the next entry.  The pair settles on p once q
-    passes the last entry with ``lo == p``.
-
-    A state below the entry count is a live q, and one at or above it the
-    entry count plus a settled p; each entry's two successor states are
-    worked out once per call, and settled pairs leave the walk.  Every pair
-    settles within the deepest leaf's depth of steps unless the model is
-    corrupt: one still walking then, or settled outside its tree, gets -1.
+    Each step tests every pair's node as ``SplitTests.false_nodes`` does
+    and moves it to the left child if the test is true, else to the right;
+    pairs that reach a leaf leave the walk.  Every pair settles within the
+    deepest leaf's depth of steps unless the model is corrupt: one still
+    walking then, or settled outside its tree, gets -1.
     """
-    table, tests = model.boundaries, model.split_tests
-    nodes, last = table.cover_nodes, table.cover_last
-    size = len(nodes)
-    before = np.concatenate([[0], last[:-1]])  # entries with lo below each leaf
-
-    def enter(leaves: np.ndarray) -> np.ndarray:
-        """The state at the first entry with ``lo == leaf``, or settled on
-        the leaf if it has none."""
-        leaves = leaves.astype(np.int64)
-        first = np.take(before, leaves, mode="clip")
-        return np.where(first < np.take(last, leaves, mode="clip"), first, size + leaves)
-
-    after = np.arange(1, size + 1)
-    lo = np.take(model.spans[:, 0], nodes)
-    on_true = np.where(after < np.take(last, lo), after, size + lo)
-    on_false = enter(table.cover_ends)
-    column, threshold = np.take(tests.gather, nodes), np.take(tests.thresholds, nodes)
-
+    children, roots = model.children
+    tests = model.split_tests
     values = tests.widen(X)
-    width, trees = values.shape[1], len(model.leaf_starts)
+    width, trees = values.shape[1], len(roots)
     values = values.ravel()
-    state = np.tile(enter(model.leaf_starts), len(X))
-    live = np.flatnonzero(state < size)
+    state = np.tile(roots, len(X))
+    live = np.flatnonzero(state >= 0)
     at, base = state[live], live // trees * width
     for _ in range(model.depth):
         if not live.size:
             break
-        true = np.take(values, base + np.take(column, at)) > np.take(threshold, at)
-        at = np.where(true, np.take(on_true, at), np.take(on_false, at))
-        if at.max() >= size:
-            done = at >= size
+        true = np.take(values, base + np.take(tests.gather, at)) > np.take(tests.thresholds, at)
+        at = np.take(children, 2 * at + 1 - true)
+        if at.min() < 0:
+            done = at < 0
             state[live[done]] = at[done]
             keep = ~done
             live, at, base = live[keep], at[keep], base[keep]
-    exits = (state - size).reshape(len(X), trees)
+    exits = (~state).reshape(len(X), trees)
     stops = np.append(model.leaf_starts[1:], model.num_leaves)
     exits[(exits < model.leaf_starts) | (exits >= stops)] = -1
     return exits
@@ -912,15 +895,16 @@ class _Algorithm:
     if ``signed``; the oracle has no ``hits`` rule and reads x itself.
     A batch exits each tree at its first hit, which must be its only one if
     ``unique``.  A ``words`` rule, if any, replaces ``hits`` on a model that
-    ``fits_words``, and a ``walk``, if any, on a block of rows that
-    ``_walks``: it takes the rows themselves and gives exit positions."""
+    ``fits_words``, and if ``walk``, ``_child_descent`` does on a block of
+    rows that ``_walks``: it takes the rows themselves and gives exit
+    positions."""
 
     select: Callable[[TreeMatrices, np.ndarray], TraversalResult]
     signed: bool = False
     hits: Callable[[StackedTrees, np.ndarray], np.ndarray] | None = None
     unique: bool = False
     words: Callable[[StackedTrees, np.ndarray], np.ndarray] | None = None
-    walk: Callable[[StackedTrees, np.ndarray], np.ndarray] | None = None
+    walk: bool = False
 
     def per_vector(self) -> Callable[[TreeMatrices, np.ndarray], TraversalResult]:
         """The selector over one raw feature vector, as a plain function:
@@ -940,7 +924,7 @@ def _naive(mats: TreeMatrices, x) -> TraversalResult:
 
 _TABLE = {
     "naive": _Algorithm(_naive),
-    "qs": _Algorithm(quickscorer_traverse, hits=_right_hits, words=_qs_words, walk=_cover_walk),
+    "qs": _Algorithm(quickscorer_traverse, hits=_right_hits, words=_qs_words, walk=True),
     "dual": _Algorithm(dual_traverse, hits=_signed_hits, unique=True, words=_dual_words),
     "matrix": _Algorithm(matrix_traverse, hits=_right_hits),
     "dualmatrix": _Algorithm(dual_matrix_traverse, hits=_signed_hits, unique=True),
@@ -980,7 +964,7 @@ def ensemble_score(models: Sequence[TreeMatrices], x, algorithm: str) -> float:
                 _feature_vector(x, mats.tree.feature_dim)
             raise
     x = _feature_vector(x, model.feature_dim)
-    [first] = _chunk_exits(model, x[None, :], [algorithm], {})
+    [first] = _chunk_exits(model, x[None, :], [algorithm], None)
     return float(sum_in_model_order(model.leaf_values[first])[0])
 
 
@@ -1019,11 +1003,11 @@ def _chunk_exits(
     model: StackedTrees,
     rows: np.ndarray,
     names: Sequence[str],
-    walked: dict[Callable, np.ndarray],
+    walked: np.ndarray | None,
 ) -> list[np.ndarray]:
     """Each named algorithm's exit positions on the stacked leaf axis for one
     chunk's rows, in the order of ``names``; ``walked`` holds the chunk's
-    exits from each walk that ran on its block of rows.
+    exits from ``_child_descent`` if it ran on the chunk's block of rows.
 
     The chunk's boolean test matrix t is computed once, the first time a
     rule reads it.  Algorithms that name the same rule function share its
@@ -1042,8 +1026,8 @@ def _chunk_exits(
         if row.hits is None:
             exits.append(_oracle_exits(model, rows))
             continue
-        if row.walk in walked:
-            exits.append(_walked_exits(walked[row.walk], name))
+        if row.walk and walked is not None:
+            exits.append(_walked_exits(walked, name))
             continue
         if row.words is not None and model.fits_words:
             rule, select = row.words, _first_bits
@@ -1067,22 +1051,21 @@ def _chunk_rows(model: StackedTrees) -> int:
 
 
 def _exits(model: StackedTrees, X, names: Sequence[str]) -> Iterator[list[np.ndarray]]:
-    """``_chunk_exits`` for each chunk of rows of X.  A walk that a name
-    reads runs once per block of whole chunks, of at most ``WALK_PAIRS``
+    """``_chunk_exits`` for each chunk of rows of X.  If a name walks, the
+    descent runs once per block of whole chunks, of at most ``WALK_PAIRS``
     (row, tree) pairs, if the block is large enough (``_walks``); each
     chunk reads its rows of the block's exits."""
     _check_names(names)
     X = _instance_matrix(model, X)
     step = _chunk_rows(model)
     block = step * max(1, WALK_PAIRS // (step * len(model.leaf_starts)))
+    walk = any(_TABLE[name].walk for name in names)
     for start in range(0, len(X), block):
         rows = X[start : start + block]
-        walks = {_TABLE[name].walk for name in names} - {None} if _walks(model, len(rows)) else ()
-        walked = {walk: walk(model, rows) for walk in walks}
+        walked = _child_descent(model, rows) if walk and _walks(model, len(rows)) else None
         for at in range(0, len(rows), step):
             part = slice(at, at + step)
-            chunk = {walk: exits[part] for walk, exits in walked.items()}
-            yield _chunk_exits(model, rows[part], names, chunk)
+            yield _chunk_exits(model, rows[part], names, None if walked is None else walked[part])
 
 
 def batch_leaves(model: StackedTrees, X, names: Sequence[str]) -> Iterator[np.ndarray]:

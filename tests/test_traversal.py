@@ -1338,9 +1338,9 @@ def chain_rows(trees, count, seed):
 
 
 class TestCoverWalk:
-    """``qs`` past 64 leaves walks each exit path down the boundary table's
-    ``lo`` order (``_cover_walk``) on blocks of enough rows; it must pick
-    the dense rule's leaf, ``matrix_traverse``'s, tree by tree."""
+    """``qs`` past 64 leaves descends each exit path down the stacked child
+    table (``_child_descent``) on blocks of enough rows; it must pick the
+    dense rule's leaf, ``matrix_traverse``'s, tree by tree."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1351,13 +1351,16 @@ class TestCoverWalk:
         wide=st.booleans(),
     )
     def test_equals_the_dense_rule_and_the_oracle(self, seed, kinds, chains, lone, wide):
-        trees = cover_model(seed, kinds, None, wide)
+        # Hostile trees bring dense nodes, thresholds of ±1e308 and ties,
+        # and their rows NaN, ±inf and ±1e308 cells.
+        hostile, hostile_rows = hostile_case(seed, 2, 5, 3)
+        trees = cover_model(seed, kinds, None, wide) + hostile
         trees += [ordered_chain(length, left) for length, left in chains] or [ordered_chain(250, True)]
         if lone is not None:
             trees.insert(min(lone, len(trees)), BinaryDecisionTree(Leaf(0.5), 3))
         model = StackedTrees.build(trees)
-        X = chain_rows(trees, 8, seed)
-        exits = traversal._cover_walk(model, X)
+        X = np.vstack([chain_rows(trees, 8, seed), hostile_rows])
+        exits = traversal._child_descent(model, X)
         assert exits.shape == (len(X), len(trees))
         leaves = exits - model.leaf_starts + 1
         for k, tree in enumerate(trees):
@@ -1374,7 +1377,7 @@ class TestCoverWalk:
         model = StackedTrees.build([ordered_chain(300, True), ordered_chain(300, False)])
         X = np.array([[np.inf, 0, 0], [-np.inf, 0, 0], [np.nan, 0, 0], [0.5, 0, 0]])
         np.testing.assert_array_equal(
-            traversal._cover_walk(model, X) - model.leaf_starts + 1, [[1, 1], [301, 301], [301, 301], [151, 152]]
+            traversal._child_descent(model, X) - model.leaf_starts + 1, [[1, 1], [301, 301], [301, 301], [151, 152]]
         )
 
     @staticmethod
@@ -1389,11 +1392,10 @@ class TestCoverWalk:
 
             return wrapper
 
+        monkeypatch.setattr(traversal, "_child_descent", counter(traversal._child_descent, "walk"))
         right = counter(traversal._right_hits, "right")
         for name in ("qs", "matrix"):
-            row = traversal._TABLE[name]
-            walk = counter(row.walk, "walk") if row.walk else None
-            monkeypatch.setitem(traversal._TABLE, name, dataclasses.replace(row, hits=right, walk=walk))
+            monkeypatch.setitem(traversal._TABLE, name, dataclasses.replace(traversal._TABLE[name], hits=right))
         return calls
 
     def test_one_row_covers_and_compare_walks_once_per_call(self, monkeypatch, tmp_path, capsys):
@@ -1428,36 +1430,38 @@ class TestCoverWalk:
         list(batch_leaves(model, X, ARITHMETIC))
         assert calls["walk"] == 0
 
-    @pytest.mark.parametrize("rows, walks", [(17, False), (18, True)])
-    def test_walks_from_one_chunk_per_32_levels(self, rows, walks):
-        # 512 leaves of depth 9: 18 * 513 >= 1024 * 9 > 17 * 513.
+    @pytest.mark.parametrize("rows, walks", [(35, False), (36, True)])
+    def test_walks_from_one_chunk_per_16_levels(self, rows, walks):
+        # 512 leaves of depth 9: 36 * 513 >= 2048 * 9 > 35 * 513.
         model = StackedTrees.build([full_tree(9, 3, np.random.default_rng(1))])
         assert traversal._walks(model, rows) is walks
 
     def corrupt_models(self):
-        """A full 128-leaf tree whose root's ``mid`` is its ``lo``: a false
-        root would send the walk back to the root for ever.  Then that tree
-        before another with the root's ``mid`` on the second tree's second
-        leaf, which starts no node's span: a false root settles there, in
-        the wrong tree."""
+        """A full 128-leaf tree whose root's false (right) child is the root:
+        a false root would send the walk back to the root for ever.  Then
+        that tree before another with the root's false child on the second
+        tree's second leaf: a false root settles there, in the wrong tree.
+        Only the stacked child table is corrupt, not the trees, which the
+        oracle descends with no step bound."""
         first, second = (full_tree(7, 3, np.random.default_rng(seed)) for seed in (1, 2))
-        model = StackedTrees.build([first])
-        spans = model.spans.copy()
-        spans[0, 1] = spans[0, 0]
-        looping = dataclasses.replace(model, spans=spans)
-        model = StackedTrees.build([first, second])
-        spans = model.spans.copy()
-        spans[0, 1] = model.leaf_starts[1] + 1
-        leaving = dataclasses.replace(model, spans=spans)
+        models = []
+        for trees, child in (([first], 0), ([first, second], ~(first.num_leaves + 1))):
+            model = StackedTrees.build(trees)
+            children, roots = model.children
+            children = children.copy()
+            children[0, 1] = child
+            corrupt = dataclasses.replace(model)
+            vars(corrupt)["children"] = children, roots
+            models.append(corrupt)
         root = first.split_tests
-        X = random_instances(80, 3, 2)
-        X[:, root.gather[0]] = np.where(np.arange(80) < 20, root.thresholds[0] + 1, root.thresholds[0])
-        return [looping, leaving], X  # rows 20 on: the root is false
+        X = random_instances(120, 3, 2)
+        X[:, root.gather[0]] = np.where(np.arange(120) < 20, root.thresholds[0] + 1, root.thresholds[0])
+        return models, X  # rows 20 on: the root is false
 
     def test_a_corrupt_model_stops_after_max_depth_steps(self):
         models, X = self.corrupt_models()
         for corrupt in models:
-            exits = traversal._cover_walk(corrupt, X)
+            exits = traversal._child_descent(corrupt, X)
             assert (exits[:20, 0] >= 0).all() and (exits[20:, 0] == -1).all()
             assert traversal._walks(corrupt, len(X))
             with pytest.raises(ValueError, match="qs traversal found 0 exit leaves in tree 0"):
