@@ -123,8 +123,35 @@ def _load_model(path: str) -> StackedTrees:
 
 
 def _load_instances(path: str, feature_dim: int) -> np.ndarray:
+    """The rows of a headerless CSV of floats, as ``float()`` reads each cell.
+
+    numpy's C text reader runs first.  It converts a cell with ``float()``'s
+    own conversion and refuses every cell ``float()`` refuses, but for
+    U+001C to U+001F around a number, which it strips as whitespace.
+    ``splitlines`` ends a line at U+001C to U+001E, so only U+001F reaches
+    it, and a text holding one skips it.  Whatever it refuses (a ``1_0``, a
+    digit of another script, a whitespace-only or ragged row) or reads to
+    another width, and a text with no non-empty line, which it would warn
+    about, goes to ``_parse_instances``: the reference, whose errors name
+    the line.
+    """
+    text = _read_text(path)
+    lines = text.splitlines()
+    if "\x1f" not in text and any(lines):
+        try:
+            X = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if X.shape[1] == feature_dim:
+                return X
+    return _parse_instances(path, lines, feature_dim)
+
+
+def _parse_instances(path: str, lines: list[str], feature_dim: int) -> np.ndarray:
+    """``_load_instances`` one ``float()`` per cell; blank lines are skipped."""
     rows = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

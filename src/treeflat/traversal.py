@@ -60,7 +60,8 @@ Three kernels pick each tree's exit leaf, over the same chunks:
   times the deepest leaf's depth.  Each (row, tree) pair descends its tree
   down one stacked child table (``StackedTrees.children``), one split test
   per level of the exit path, run once per block of whole chunks and read
-  by each.
+  by each.  ``batch_score`` with ``qs`` reads no test matrix, so its
+  walked block is one chunk.
 * the span form runs the rest: ``_right_hits`` for ``matrix`` (and ``qs`` on
   smaller blocks, such as ``ensemble_score``'s one row) and
   ``_signed_hits`` for ``dualmatrix``, ``sign``, ``ecoc`` and ``delta``
@@ -1054,17 +1055,19 @@ def _exits(model: StackedTrees, X, names: Sequence[str]) -> Iterator[list[np.nda
     """``_chunk_exits`` for each chunk of rows of X.  If a name walks, the
     descent runs once per block of whole chunks, of at most ``WALK_PAIRS``
     (row, tree) pairs, if the block is large enough (``_walks``); each
-    chunk reads its rows of the block's exits."""
+    chunk reads its rows of the block's exits.  If every name walks, no
+    name reads a test matrix, and a walked block is one chunk."""
     _check_names(names)
     X = _instance_matrix(model, X)
     step = _chunk_rows(model)
     block = step * max(1, WALK_PAIRS // (step * len(model.leaf_starts)))
-    walk = any(_TABLE[name].walk for name in names)
+    walk = [_TABLE[name].walk for name in names]
     for start in range(0, len(X), block):
         rows = X[start : start + block]
-        walked = _child_descent(model, rows) if walk and _walks(model, len(rows)) else None
-        for at in range(0, len(rows), step):
-            part = slice(at, at + step)
+        walked = _child_descent(model, rows) if any(walk) and _walks(model, len(rows)) else None
+        size = len(rows) if walked is not None and all(walk) else step
+        for at in range(0, len(rows), size):
+            part = slice(at, at + size)
             yield _chunk_exits(model, rows[part], names, None if walked is None else walked[part])
 
 

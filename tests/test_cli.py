@@ -954,6 +954,20 @@ class TestGen:
         assert err == "treeflat: --instances 5 x --dim 3: more than 12 values\n"
         assert not model.exists() and not data.exists()
 
+    def test_instances_read_back_as_drawn(self, tmp_path, capsys, monkeypatch):
+        # gen writes each draw with 17 significant digits, which the C reader
+        # must convert back to the very double: no float() fallback runs.
+        argv = ["gen", "--depth", "3", "--dim", "7", "--count", "2", "--seed", "29", "--instances", "600"]
+        rng = np.random.default_rng(29)
+        rng.integers(0, 2**63 - 1, size=2)
+        drawn = rng.uniform(size=(600, 7))
+        data = tmp_path / "d.csv"
+        code, _, _ = invoke([*argv, "--out-model", tmp_path / "m.json", "--out-data", data], capsys)
+        assert code == 0
+        monkeypatch.setattr(cli, "_parse_instances", lambda *args: pytest.fail("the float() loop ran"))
+        X = cli._load_instances(str(data), 7)
+        np.testing.assert_array_equal(X.view(np.int64), drawn.view(np.int64))
+
     @pytest.mark.parametrize("count", ["1", "2"])
     def test_tree_too_deep_to_write_exits_2(self, tmp_path, capsys, monkeypatch, count):
         # A sampled chain too deep for the serializer, but not for the sampler.
@@ -1063,7 +1077,10 @@ HOSTILE_VALUES = [
 ]
 # What a CSV cell may become: words float() reads, lenient ones among them,
 # and text it refuses.
-HOSTILE_CELLS = ["nan", "inf", "-inf", "NaN", "Infinity", "1e400", "1_0", "٣", "0x1p-2", "", " ", "a", "1;2"]
+HOSTILE_CELLS = [
+    "nan", "inf", "-inf", "NaN", "Infinity", "1e400", "1_0", "٣", "0x1p-2", "", " ", "a", "1;2",
+    "1.5\x1f", "\x0c1.5",
+]
 
 
 def json_slots(doc):
@@ -1211,6 +1228,94 @@ class TestExitCodeContract:
                 expected = "" if code == 0 else "treeflat: "
                 assert err.getvalue().startswith(expected), (argv, err.getvalue())
                 assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())
+
+
+def reference_instances(path, text, feature_dim):
+    """What ``_load_instances`` must give for a text: one ``float()`` per
+    cell of each line that is not blank, as an array, or the (code,
+    message) of the ``CliError`` it must raise."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(cell) for cell in line.split(",")])
+        except ValueError:
+            return 2, f"{path}:{lineno}: not a CSV row of floats"
+    widths = sorted({len(row) for row in rows})
+    if widths and widths != [feature_dim]:
+        return 4, f"{path}: rows have {widths} columns, model expects {feature_dim}"
+    return np.array(rows, dtype=np.float64).reshape(len(rows), feature_dim)
+
+
+# Text the C reader and float() might read apart: U+001F, which the C
+# reader strips as whitespace and float() refuses; the line ends of
+# splitlines (U+000B, U+000C, U+001C to U+001E, U+0085, U+2028, CR LF);
+# whitespace float() strips (U+00A0, space, tab); and the lenient reads
+# (an underscore, an Arabic-Indic digit).
+CELL_NOISE = ["\x1f", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\xa0", " ", "\t", "\r\n", "_", "٣"]
+
+
+@st.composite
+def instance_text(draw, dim):
+    """Up to five lines: rows of ``dim`` cells, ragged rows, and blank or
+    whitespace-only lines; a cell is a float's repr or a hostile cell, and
+    may carry noise before, after or inside it.  Lines end in LF or CR LF,
+    the last one or not."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row", "row", "row", "ragged", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0", "\x1f", " \x85 ", "\u2028"])))
+            continue
+        width = dim if kind == "row" else draw(st.integers(1, dim + 2))
+        cells = []
+        for _ in range(width):
+            if draw(st.integers(0, 4)) == 4:
+                cell = draw(st.sampled_from(HOSTILE_CELLS))
+            else:
+                cell = repr(draw(st.floats(width=64)))
+            for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+                at = draw(st.integers(0, len(cell)))
+                cell = cell[:at] + draw(st.sampled_from(CELL_NOISE)) + cell[at:]
+            cells.append(cell)
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if lines and draw(st.booleans()) else "")
+
+
+class TestInstanceLoader:
+    """``_load_instances`` reads a CSV as one ``float()`` per cell would,
+    whichever reader takes it: the same float64 bits, or the same error."""
+
+    @staticmethod
+    def check(text, dim):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "d.csv")
+            path.write_bytes(text.encode("utf-8"))
+            expected = reference_instances(str(path), text, dim)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    got = cli._load_instances(str(path), dim)
+                except cli.CliError as exc:
+                    assert (exc.code, str(exc)) == expected
+                    return
+        assert isinstance(expected, np.ndarray), (got, expected)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=st.integers(1, 3).flatmap(lambda dim: st.tuples(instance_text(dim), st.just(dim))))
+    @example(case=("0.5\x1f,0.25\n", 2))  # the C reader alone would read 0.5
+    @example(case=("\x1f0.5\n0.25\n", 1))
+    @example(case=("1_0,٣\r\n-0.0,nan\r\n", 2))
+    @example(case=("0.5,0.5\n0.5\n", 2))  # ragged
+    @example(case=("0.5,0.5,0.5\n", 2))  # the wrong width
+    @example(case=("", 2))
+    @example(case=("\n \n\t\n", 2))
+    def test_matches_float_per_cell(self, case):
+        self.check(*case)
 
 
 def test_module_entry_point(tmp_path):

@@ -956,7 +956,9 @@ class TestBatchScore:
                 ).reshape(n, count)
                 for name in ARITHMETIC:
                     chunks = list(batch_score(model, X, name))
-                    assert len(chunks) == math.ceil(n / step), name
+                    # A walked block is one chunk: qs alone reads no test matrix.
+                    walked = traversal._TABLE[name].walk and traversal._walks(model, n)
+                    assert len(chunks) == (min(n, 1) if walked else math.ceil(n / step)), name
                     leaves = np.vstack([np.zeros((0, count), np.int64)] + [c[0] for c in chunks])
                     values = np.vstack([np.zeros((0, count))] + [c[1] for c in chunks])
                     np.testing.assert_array_equal(leaves, oracle, err_msg=name)
@@ -1409,10 +1411,10 @@ class TestCoverWalk:
         [(leaves, _)] = batch_score(model, X[:1], "qs")
         assert leaves.tolist() == [[naive_traverse(tree, X[0])]]
         assert calls == {"walk": 0, "right": 2}
-        # 40 rows walk, once for all their chunks of 3 rows.
+        # 40 rows walk, once, and come out as one chunk, not 14 of 3 rows.
         monkeypatch.setattr(traversal, "CHUNK_ENTRIES", 3 * (model.num_leaves + 1))
         chunks = list(batch_score(model, X, "qs"))
-        assert len(chunks) == 14
+        assert [len(leaves) for leaves, _ in chunks] == [40]
         assert calls == {"walk": 1, "right": 2}
         path, data = tmp_path / "m.json", tmp_path / "d.csv"
         path.write_text(serialize_ensemble([tree]))
@@ -1466,9 +1468,10 @@ class TestCoverWalk:
             assert traversal._walks(corrupt, len(X))
             with pytest.raises(ValueError, match="qs traversal found 0 exit leaves in tree 0"):
                 list(batch_score(corrupt, X, "qs"))
-            # Chunks before the first bad row still come out.
+            # Walked blocks before the first bad row still come out.
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(traversal, "CHUNK_ENTRIES", 10 * (corrupt.num_leaves + 1))
+                mp.setattr(traversal, "WALK_PAIRS", 10 * len(corrupt.leaf_starts))
                 chunks = batch_score(corrupt, X, "qs")
                 assert len(next(chunks)[0]) == len(next(chunks)[0]) == 10
                 with pytest.raises(ValueError, match="qs traversal found 0 exit leaves in tree 0"):
@@ -1636,8 +1639,14 @@ class TestBatchLeaves:
         chunks = list(batch_leaves(model, rows, ARITHMETIC))
         for a, name in enumerate(ARITHMETIC):
             alone = list(batch_score(model, rows, name))
-            assert len(alone) == len(chunks), (where, name)
-            for got, (leaves, _) in zip(chunks, alone):
+            # Alone, qs reads no test matrix, so a walked block is one chunk.
+            if traversal._TABLE[name].walk and traversal._walks(model, len(rows)):
+                assert len(alone) == 1, (where, name)
+                whole = [np.concatenate(chunks)]
+            else:
+                assert len(alone) == len(chunks), (where, name)
+                whole = chunks
+            for got, (leaves, _) in zip(whole, alone):
                 assert got.shape == (len(leaves), len(trees), len(ARITHMETIC))
                 assert got.dtype == leaves.dtype
                 np.testing.assert_array_equal(got[:, :, a], leaves, err_msg=f"{where}, {name}")
